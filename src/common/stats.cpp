@@ -84,6 +84,16 @@ StatGroup::loadState(snap::Reader& r)
 }
 
 void
+StatGroup::copyStateFrom(const StatGroup& other)
+{
+    reset();
+    for (const auto& [k, v] : other.counters_)
+        counters_[k] = v;
+    for (const auto& [k, v] : other.values_)
+        values_[k] = v;
+}
+
+void
 StatGroup::dump(std::ostream& os) const
 {
     const std::string prefix = name_.empty() ? "" : name_ + ".";

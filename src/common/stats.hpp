@@ -88,6 +88,14 @@ class StatGroup
      */
     void loadState(snap::Reader& r);
 
+    /**
+     * Value copy of @p other's counters and values, with the same
+     * node-reuse guarantee as loadState(): reset() in place, then
+     * assign, so counterSlot() pointers stay valid (machine fork,
+     * sim::System::copyStateFrom).
+     */
+    void copyStateFrom(const StatGroup& other);
+
   private:
     std::string name_;
     std::map<std::string, std::uint64_t> counters_;

@@ -351,6 +351,21 @@ SimSession::resumeFromBytes(ExperimentSpec spec,
     return session;
 }
 
+SimSession
+SimSession::fork(std::vector<std::unique_ptr<wl::Workload>> workloads) const
+{
+    SimSession copy(spec_, std::move(workloads));
+    copy.system_->copyStateFrom(*system_);
+    copy.warmup_done_ = warmup_done_;
+    copy.run_ended_ = run_ended_;
+    copy.advanced_ = advanced_;
+    copy.windows_completed_ = windows_completed_;
+    copy.cumulative_ = cumulative_;
+    copy.last_ = last_;
+    copy.has_window_ = has_window_;
+    return copy;
+}
+
 void
 SimSession::restoreSessionBody(const snap::SnapshotFile& file)
 {

@@ -189,8 +189,7 @@ class SimSession
     void snapshotTo(const std::string& path) const;
 
     /** The same pythia-snap-v1 image snapshotTo() writes, returned as
-     *  bytes instead of a file — the unit the service layer's shared
-     *  warm-snapshot pool stores and restores from. */
+     *  bytes instead of a file. */
     std::vector<std::uint8_t> snapshotBytes() const;
 
     /**
@@ -221,6 +220,22 @@ class SimSession
                     std::vector<std::uint8_t> bytes,
                     std::vector<std::unique_ptr<wl::Workload>> workloads,
                     const std::string& label = "<memory>");
+
+    /**
+     * A new session in the same state as this one, built over
+     * @p workloads (see the two-arg ctor): the lifecycle flags and
+     * window results, and the machine through
+     * sim::System::copyStateFrom. Cheaper than a snapshotBytes() /
+     * resumeFromBytes() round trip — no encode, checksum or decode —
+     * and bit-identical to it: the fork and this session run the same
+     * windows from here on. The injected streams must replay the
+     * records this session consumed. Reads this session only, so
+     * concurrent forks of one const session are safe. Observers are
+     * not copied. @throws snap::UnsupportedError when an attached
+     * prefetcher cannot serialize.
+     */
+    SimSession
+    fork(std::vector<std::unique_ptr<wl::Workload>> workloads) const;
 
     /** Register a non-owning observer (must outlive the session). */
     void addObserver(SessionObserver* observer);

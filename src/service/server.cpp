@@ -378,27 +378,20 @@ struct ServeServer::Impl
         warm_pool.abandon(t->warm_fp);
     }
 
-    /** Leader just finished warmup: publish its post-warmup snapshot
-     *  plus the warmup record prefix it consumed. Serialization
-     *  failures (a prefetcher without snapshot support) abandon the
-     *  entry — those specs simply keep warming per-tenant. */
+    /** Leader just finished warmup: publish a fork of its post-warmup
+     *  machine over the warmup record prefix it consumed. A spec whose
+     *  prefetcher cannot serialize abandons the entry — those specs
+     *  simply keep warming per-tenant. */
     void publishWarm(const std::shared_ptr<Tenant>& t)
     {
         if (!t->warm_leader)
             return;
         t->warm_leader = false;
         try {
-            WarmPool::Snapshot snap;
-            snap.image =
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    t->session->snapshotBytes());
-            const auto& records = t->stream->records();
-            const auto consumed = static_cast<std::ptrdiff_t>(
-                t->stream->consumed());
-            snap.prefix =
-                std::make_shared<const std::vector<wl::TraceRecord>>(
-                    records.begin(), records.begin() + consumed);
-            warm_pool.publish(t->warm_fp, std::move(snap));
+            warm_pool.publish(t->warm_fp,
+                              forkWarmSnapshot(*t->session,
+                                               t->stream->records(),
+                                               t->stream->consumed()));
         } catch (const std::exception& e) {
             warm_pool.abandon(t->warm_fp);
             log("warm-pool publish failed for tenant '" + t->id +
@@ -469,10 +462,10 @@ struct ServeServer::Impl
                     return; // parked; the callback re-runs us
                 if (role == WarmPool::Role::kHit) {
                     // Seed the stream with the pooled warmup prefix —
-                    // restore replays consumed records from the start,
-                    // and the client streams from prefix end.
+                    // the fork replays consumed records from the
+                    // start, and the client streams from prefix end.
                     stream = std::make_unique<StreamWorkload>(
-                        "serve:" + t->id, *warm_snap.prefix);
+                        "serve:" + t->id, warm_snap.prefix->records());
                     warm = true;
                 } else {
                     t->warm_leader = true;
@@ -488,9 +481,8 @@ struct ServeServer::Impl
                     std::move(workloads)));
                 ++sessions_resumed;
             } else if (warm) {
-                t->session.emplace(harness::SimSession::resumeFromBytes(
-                    t->spec, *warm_snap.image, std::move(workloads),
-                    "warm-pool"));
+                t->session.emplace(
+                    warm_snap.session->fork(std::move(workloads)));
             } else {
                 t->session.emplace(t->spec, std::move(workloads));
             }

@@ -38,12 +38,12 @@
  * restores both transparently — bit-exact by the PR 6 determinism
  * rule — and tells the client which record index to resume from.
  *
- * Warm-snapshot pool (warm_pool_bytes > 0): tenants with no evicted
- * state share post-warmup machine state keyed by the spec fingerprint.
- * The first Open per fingerprint warms and publishes (single-flight —
- * simultaneous identical Opens wait instead of warming N times);
- * later identical Opens restore from the pooled snapshot and skip
- * warmup bit-exactly (warm_pool.hpp).
+ * Warm pool (warm_pool_bytes > 0): tenants with no evicted state
+ * share post-warmup machines keyed by the spec fingerprint. The first
+ * Open per fingerprint warms and publishes a fork of its machine
+ * (single-flight — simultaneous identical Opens wait instead of
+ * warming N times); later identical Opens fork their session from the
+ * pooled machine and skip warmup bit-exactly (warm_pool.hpp).
  *
  * Graceful drain (SIGTERM → requestDrain(), async-signal-safe): stop
  * accepting, evict every live session to state_dir, flush outstanding
@@ -92,10 +92,11 @@ struct ServeOptions
      *  kAuto resolves to epoll on Linux, poll elsewhere. */
     IoBackend io = IoBackend::kAuto;
 
-    /** Byte budget of the shared warm-snapshot pool (`warm_pool_bytes=`
-     *  knob): the first tenant finishing warmup for a spec publishes
-     *  its post-warmup snapshot, later identical Opens restore from it
-     *  and skip warmup bit-exactly. 0 disables the pool. */
+    /** Byte budget of the shared warm pool (`warm_pool_bytes=` knob),
+     *  charged each pooled machine's host footprint plus its warmup
+     *  prefix: the first tenant finishing warmup for a spec publishes
+     *  a fork of its post-warmup machine, later identical Opens fork
+     *  from it and skip warmup bit-exactly. 0 disables the pool. */
     std::size_t warm_pool_bytes = 0;
 
     /** Diagnostics stream (nullptr = silent). */

@@ -8,11 +8,30 @@ std::size_t
 warmSnapshotBytes(const WarmPool::Snapshot& snap)
 {
     std::size_t n = 0;
-    if (snap.image)
-        n += snap.image->size();
+    if (snap.session)
+        n += snap.session->system().footprintBytes();
     if (snap.prefix)
         n += snap.prefix->size() * sizeof(wl::TraceRecord);
     return n;
+}
+
+WarmPool::Snapshot
+forkWarmSnapshot(const harness::SimSession& leader,
+                 const std::vector<wl::TraceRecord>& records,
+                 std::size_t consumed)
+{
+    const auto end =
+        records.begin() + static_cast<std::ptrdiff_t>(consumed);
+    auto stream = std::make_unique<StreamWorkload>(
+        "warm-pool", std::vector<wl::TraceRecord>(records.begin(), end));
+    const StreamWorkload* prefix = stream.get();
+    std::vector<std::unique_ptr<wl::Workload>> workloads;
+    workloads.push_back(std::move(stream));
+    WarmPool::Snapshot snap;
+    snap.session = std::make_shared<const harness::SimSession>(
+        leader.fork(std::move(workloads)));
+    snap.prefix = std::shared_ptr<const StreamWorkload>(snap.session, prefix);
+    return snap;
 }
 
 WarmPool::Role
@@ -49,6 +68,8 @@ WarmPool::publish(const std::string& fingerprint, Snapshot snap)
     if (!enabled())
         return;
 
+    // Sized before locking: the footprint serializes prefetcher state.
+    const std::size_t bytes = warmSnapshotBytes(snap);
     std::vector<std::function<void()>> waiters;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -56,7 +77,7 @@ WarmPool::publish(const std::string& fingerprint, Snapshot snap)
                                           // entry was abandoned/raced
         waiters.swap(e.waiters);
         e.snap = std::move(snap);
-        e.bytes = warmSnapshotBytes(e.snap);
+        e.bytes = bytes;
         e.ready = true;
         e.last_use = ++clock_;
         bytes_ += e.bytes;

@@ -1,25 +1,28 @@
 /**
  * @file
- * WarmPool — the daemon's fingerprint-keyed shared warm-snapshot
- * cache (DESIGN.md §12). The first tenant to finish warmup for a spec
- * publishes its post-warmup SimSession snapshot (pythia-snap-v1
- * bytes, PR 6 codec) together with the warmup record prefix it
- * consumed; every later Open with the same fingerprint restores from
- * the pool and skips warmup bit-exactly — restore replays the stored
- * prefix through a fresh StreamWorkload, so the machine lands in the
- * identical post-warmup state a cold session would reach.
+ * WarmPool — the daemon's fingerprint-keyed shared cache of
+ * post-warmup machines (DESIGN.md §12.2.3). The first tenant to finish
+ * warmup for a spec publishes a fork of its SimSession, bound to a
+ * pool-owned StreamWorkload over the warmup record prefix it consumed;
+ * every later Open with the same fingerprint forks its own session
+ * from that machine (harness::SimSession::fork) and skips warmup
+ * bit-exactly. Publish and hit each copy machine state in memory —
+ * no snapshot encode, checksum or decode.
  *
  * Concurrency contract (single-flight): when N identical Opens race,
  * exactly one caller gets Role::kLeader and runs warmup; the rest get
  * Role::kWaiter and register a callback that fires once the leader
  * publishes (→ re-acquire hits) or abandons (→ one waiter becomes the
  * new leader). Callbacks run outside the pool lock and must not
- * block — the server's waiters just re-schedule their openTask.
+ * block — the server's waiters just re-schedule their openTask. A
+ * published machine is const and never advanced: any number of hits
+ * may fork from it at once.
  *
  * Capacity: an LRU byte budget over *ready* entries (pending entries
- * are pinned — a leader is mid-warmup for them). Budget 0 disables
- * the pool entirely: every acquire is a leader and publish is a
- * no-op, restoring the pre-pool daemon behavior byte-for-byte.
+ * are pinned — a leader is mid-warmup for them), charged each
+ * machine's host footprint plus its prefix. Budget 0 disables the
+ * pool entirely: every acquire is a leader and publish is a no-op,
+ * restoring the pre-pool daemon behavior byte-for-byte.
  */
 #pragma once
 
@@ -32,32 +35,34 @@
 #include <unordered_map>
 #include <vector>
 
-#include "workloads/trace.hpp"
+#include "harness/session.hpp"
+#include "service/stream_workload.hpp"
 
 namespace pythia::service {
 
 class WarmPool
 {
   public:
-    /** One published warm state: the post-warmup snapshot image plus
-     *  the warmup records the leader consumed producing it. Shared
-     *  immutably — hits alias the same buffers, no copies. */
+    /** One published warm state: the post-warmup machine and the
+     *  workload it runs on, which holds the warmup records the leader
+     *  consumed. prefix is owned by (aliases) session's machine. Shared
+     *  immutably — hits fork from it and never modify it. */
     struct Snapshot
     {
-        std::shared_ptr<const std::vector<std::uint8_t>> image;
-        std::shared_ptr<const std::vector<wl::TraceRecord>> prefix;
+        std::shared_ptr<const harness::SimSession> session;
+        std::shared_ptr<const StreamWorkload> prefix;
     };
 
     /** What acquire() decided for this caller. */
     enum class Role
     {
-        kHit,    ///< @p out filled; restore and skip warmup
+        kHit,    ///< @p out filled; fork from it and skip warmup
         kLeader, ///< run warmup, then publish() or abandon()
         kWaiter, ///< callback fires when the leader settles
     };
 
-    /** @p byte_budget caps ready-entry bytes (images + prefixes);
-     *  0 disables the pool. */
+    /** @p byte_budget caps ready-entry bytes (machine footprints +
+     *  prefixes, warmSnapshotBytes); 0 disables the pool. */
     explicit WarmPool(std::size_t byte_budget);
 
     /**
@@ -114,7 +119,17 @@ class WarmPool
     Stats stats_;
 };
 
-/** Approximate retained bytes of one snapshot (image + prefix). */
+/** Retained bytes of one entry: the machine's host footprint
+ *  (sim::System::footprintBytes) plus its prefix records. */
 std::size_t warmSnapshotBytes(const WarmPool::Snapshot& snap);
+
+/** Build a pool entry: fork @p leader's post-warmup session over a
+ *  pool-owned StreamWorkload holding the first @p consumed records of
+ *  @p records. @throws snap::UnsupportedError when a prefetcher of the
+ *  spec cannot serialize. */
+WarmPool::Snapshot
+forkWarmSnapshot(const harness::SimSession& leader,
+                 const std::vector<wl::TraceRecord>& records,
+                 std::size_t consumed);
 
 } // namespace pythia::service

@@ -142,7 +142,7 @@ struct HelloMsg
 struct HelloAckMsg
 {
     bool resumed = false; ///< session restored from evicted state
-    /** Session restored from the daemon's shared warm-snapshot pool:
+    /** Session forked from a machine in the daemon's shared warm pool:
      *  warmup was skipped bit-exactly, and records_received already
      *  covers the pooled warmup prefix. */
     bool warm = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
+#include <stdexcept>
 
 #include "sim/dram.hpp"
 #include "snapshot/codec.hpp"
@@ -380,6 +381,30 @@ Cache::loadState(snap::Reader& r)
             " MSHRs");
     repl_->loadState(r);
     stats_.loadState(r);
+}
+
+void
+Cache::copyStateFrom(const Cache& other)
+{
+    if (other.sets_ != sets_ || other.cfg_.ways != cfg_.ways)
+        throw std::invalid_argument(
+            "cache copy: '" + other.cfg_.name + "' geometry " +
+            std::to_string(other.sets_) + "x" +
+            std::to_string(other.cfg_.ways) + " does not match '" +
+            cfg_.name + "' (" + std::to_string(sets_) + "x" +
+            std::to_string(cfg_.ways) + ")");
+    blocks_ = other.blocks_;
+    tags_ = other.tags_;
+    inflight_ = other.inflight_;
+    repl_->copyStateFrom(*other.repl_);
+    stats_.copyStateFrom(other.stats_);
+}
+
+std::size_t
+Cache::footprintBytes() const
+{
+    return blocks_.size() * sizeof(Block) + tags_.size() * sizeof(Addr) +
+           inflight_.size() * sizeof(Cycle) + repl_->footprintBytes();
 }
 
 } // namespace pythia::sim

@@ -124,6 +124,16 @@ class Cache : public MemoryLevel
      *  geometry. @throws snap::CorruptError on shape mismatch. */
     void loadState(snap::Reader& r);
 
+    /** Copy contents, in-flight misses, replacement state and
+     *  statistics from @p other, a cache of identical geometry (machine
+     *  fork, System::copyStateFrom). Like saveState(), the attached
+     *  prefetcher is not included. @throws std::invalid_argument on
+     *  geometry mismatch. */
+    void copyStateFrom(const Cache& other);
+
+    /** Host bytes held by the state copyStateFrom() copies. */
+    std::size_t footprintBytes() const;
+
   private:
     struct Block
     {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "snapshot/codec.hpp"
 
@@ -164,7 +166,30 @@ Core::loadState(snap::Reader& r)
     last_retire_slot_ = last_retire_slot;
     last_load_done_ = last_load_done;
     rob_retire_slot_ = std::move(rob);
+    replayWorkload();
+}
 
+void
+Core::copyStateFrom(const Core& other)
+{
+    if (other.rob_retire_slot_.size() != rob_retire_slot_.size())
+        throw std::invalid_argument(
+            "core copy: ROB size " +
+            std::to_string(other.rob_retire_slot_.size()) +
+            " does not match " + std::to_string(rob_retire_slot_.size()));
+    instr_count_ = other.instr_count_;
+    records_consumed_ = other.records_consumed_;
+    next_dispatch_slot_ = other.next_dispatch_slot_;
+    last_retire_slot_ = other.last_retire_slot_;
+    last_load_done_ = other.last_load_done_;
+    rob_retire_slot_ = other.rob_retire_slot_;
+    stats_.copyStateFrom(other.stats_);
+    replayWorkload();
+}
+
+void
+Core::replayWorkload()
+{
     // Re-derive the workload's mid-stream position by replay: rewind to
     // the seed state, then discard exactly as many records as the saved
     // run had consumed. Generators are pure functions of their seed, so

@@ -15,6 +15,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -86,7 +87,25 @@ class Core
      */
     void loadState(snap::Reader& r);
 
+    /**
+     * Copy pipeline state, statistics and trace position from @p other
+     * (machine fork, System::copyStateFrom). The bound workload is
+     * positioned by the same reset-and-replay loadState() uses, so it
+     * must yield the records @p other's workload did.
+     * @throws std::invalid_argument on ROB mismatch.
+     */
+    void copyStateFrom(const Core& other);
+
+    /** Host bytes held by the pipeline state. */
+    std::size_t footprintBytes() const
+    {
+        return rob_retire_slot_.size() * sizeof(std::uint64_t);
+    }
+
   private:
+    /** Reset the workload and discard records_consumed_ records. */
+    void replayWorkload();
+
     /** Dispatch one instruction completing at @p completion_cycle
      *  (memory ops) or after the fixed execute latency (pass 0). */
     void dispatch(Cycle completion_cycle);

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "common/hashing.hpp"
 #include "snapshot/codec.hpp"
@@ -202,6 +205,26 @@ Dram::loadState(snap::Reader& r)
     for (auto& b : bucket_epochs_)
         b = r.u64();
     stats_.loadState(r);
+}
+
+void
+Dram::copyStateFrom(const Dram& other)
+{
+    if (other.banks_.size() != banks_.size() ||
+        other.bus_next_free_.size() != bus_next_free_.size())
+        throw std::invalid_argument(
+            "dram copy: " + std::to_string(other.banks_.size()) +
+            " banks / " + std::to_string(other.bus_next_free_.size()) +
+            " channels do not match " + std::to_string(banks_.size()) +
+            " / " + std::to_string(bus_next_free_.size()));
+    banks_ = other.banks_;
+    bus_next_free_ = other.bus_next_free_;
+    epoch_start_ = other.epoch_start_;
+    busy_in_epoch_ = other.busy_in_epoch_;
+    util_ = other.util_;
+    std::copy(std::begin(other.bucket_epochs_),
+              std::end(other.bucket_epochs_), bucket_epochs_);
+    stats_.copyStateFrom(other.stats_);
 }
 
 } // namespace pythia::sim

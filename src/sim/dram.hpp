@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -110,6 +111,18 @@ class Dram : public BandwidthInfo
     /** Restore a saveState() image from an identical DRAM geometry.
      *  @throws snap::CorruptError on shape mismatch. */
     void loadState(snap::Reader& r);
+
+    /** Copy the device and bandwidth-monitor state plus statistics from
+     *  @p other, a DRAM of identical geometry (machine fork).
+     *  @throws std::invalid_argument on geometry mismatch. */
+    void copyStateFrom(const Dram& other);
+
+    /** Host bytes held by the bank and bus state. */
+    std::size_t footprintBytes() const
+    {
+        return banks_.size() * sizeof(Bank) +
+               bus_next_free_.size() * sizeof(Cycle);
+    }
 
   private:
     struct Bank

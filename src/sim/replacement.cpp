@@ -22,6 +22,20 @@ requireSize(const char* what, std::size_t got, std::size_t want)
             "geometry " + std::to_string(want));
 }
 
+/** Downcast guard shared by the policies' copyStateFrom: @p other
+ *  must be the same kind of policy as @p self. */
+template <typename Policy>
+const Policy&
+sameKind(const ReplacementPolicy& self, const ReplacementPolicy& other)
+{
+    const auto* o = dynamic_cast<const Policy*>(&other);
+    if (!o)
+        throw std::invalid_argument("replacement copy: cannot copy '" +
+                                    other.name() + "' state into '" +
+                                    self.name() + "'");
+    return *o;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -87,6 +101,16 @@ LruPolicy::loadState(snap::Reader& r)
     requireSize("lru stamp", stamp.size(), stamp_.size());
     tick_ = tick;
     stamp_ = std::move(stamp);
+}
+
+void
+LruPolicy::copyStateFrom(const ReplacementPolicy& other)
+{
+    const LruPolicy& o = sameKind<LruPolicy>(*this, other);
+    if (o.stamp_.size() != stamp_.size() || o.ways_ != ways_)
+        throw std::invalid_argument("replacement copy: lru geometry "
+                                    "differs");
+    *this = o;
 }
 
 // ---------------------------------------------------------------------------
@@ -178,6 +202,16 @@ ShipPolicy::loadState(snap::Reader& r)
     rrpv_ = std::move(rrpv);
     line_sig_ = std::move(line_sig);
     shct_ = std::move(shct);
+}
+
+void
+ShipPolicy::copyStateFrom(const ReplacementPolicy& other)
+{
+    const ShipPolicy& o = sameKind<ShipPolicy>(*this, other);
+    if (o.rrpv_.size() != rrpv_.size() || o.shct_.size() != shct_.size())
+        throw std::invalid_argument("replacement copy: ship geometry "
+                                    "differs");
+    *this = o;
 }
 
 // ---------------------------------------------------------------------------

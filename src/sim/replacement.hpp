@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -64,6 +65,14 @@ class ReplacementPolicy
     /** Restore a saveState() image taken from a policy of the same kind
      *  and geometry. @throws snap::CorruptError on mismatch. */
     virtual void loadState(snap::Reader& r) = 0;
+
+    /** Copy all victim-selection state from @p other, a policy of the
+     *  same kind and geometry (machine fork, System::copyStateFrom).
+     *  @throws std::invalid_argument on mismatch. */
+    virtual void copyStateFrom(const ReplacementPolicy& other) = 0;
+
+    /** Host bytes held by the per-line and predictor state. */
+    virtual std::size_t footprintBytes() const = 0;
 };
 
 /** Classic least-recently-used stack implemented with a global timestamp.
@@ -84,6 +93,11 @@ class LruPolicy final : public ReplacementPolicy
     const std::string& name() const override { return name_; }
     void saveState(snap::Writer& w) const override;
     void loadState(snap::Reader& r) override;
+    void copyStateFrom(const ReplacementPolicy& other) override;
+    std::size_t footprintBytes() const override
+    {
+        return stamp_.size() * sizeof(std::uint64_t);
+    }
 
   private:
     void touch(std::uint32_t set, std::uint32_t way);
@@ -118,6 +132,12 @@ class ShipPolicy final : public ReplacementPolicy
     const std::string& name() const override { return name_; }
     void saveState(snap::Writer& w) const override;
     void loadState(snap::Reader& r) override;
+    void copyStateFrom(const ReplacementPolicy& other) override;
+    std::size_t footprintBytes() const override
+    {
+        return rrpv_.size() + line_sig_.size() * sizeof(std::uint32_t) +
+               shct_.size();
+    }
 
   private:
     static constexpr std::uint8_t kMaxRrpv = 3;

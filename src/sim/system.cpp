@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/table.hpp"
 #include "snapshot/codec.hpp"
@@ -351,6 +353,63 @@ System::loadState(snap::Reader& r)
         prefetchers_[i]->loadState(r);
         r.leaveSection();
     }
+}
+
+void
+System::copyStateFrom(const System& other)
+{
+    if (other.cfg_.num_cores != cfg_.num_cores ||
+        other.prefetchers_.size() != prefetchers_.size())
+        throw std::invalid_argument(
+            "machine copy: " + std::to_string(other.cfg_.num_cores) +
+            " cores / " + std::to_string(other.prefetchers_.size()) +
+            " prefetchers do not match " +
+            std::to_string(cfg_.num_cores) + " / " +
+            std::to_string(prefetchers_.size()));
+
+    // Prefetchers first: one without serialization fails before the
+    // bulk copies and the workload replay are paid for.
+    for (std::size_t i = 0; i < prefetchers_.size(); ++i) {
+        snap::Writer w;
+        other.prefetchers_[i]->saveState(w);
+        const std::vector<std::uint8_t>& buf = w.buffer();
+        snap::Reader r(buf.data(), buf.size());
+        prefetchers_[i]->loadState(r);
+        if (!r.atEnd())
+            throw std::invalid_argument(
+                "machine copy: prefetcher " + std::to_string(i) +
+                " left " + std::to_string(r.remaining()) +
+                " bytes of its state unread");
+    }
+
+    measuring_ = other.measuring_;
+    measured_instrs_ = other.measured_instrs_;
+    measure_origin_ = other.measure_origin_;
+    measured_cycles_ = other.measured_cycles_;
+    dram_->copyStateFrom(*other.dram_);
+    llc_->copyStateFrom(*other.llc_);
+    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c) {
+        l2_[c]->copyStateFrom(*other.l2_[c]);
+        l1_[c]->copyStateFrom(*other.l1_[c]);
+        cores_[c]->copyStateFrom(*other.cores_[c]);
+    }
+}
+
+std::size_t
+System::footprintBytes() const
+{
+    std::size_t n = (measure_origin_.size() + measured_cycles_.size()) *
+                        sizeof(std::uint64_t) +
+                    dram_->footprintBytes() + llc_->footprintBytes();
+    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c)
+        n += l2_[c]->footprintBytes() + l1_[c]->footprintBytes() +
+             cores_[c]->footprintBytes();
+    for (const auto& pf : prefetchers_) {
+        snap::Writer w;
+        pf->saveState(w);
+        n += w.size();
+    }
+    return n;
 }
 
 } // namespace pythia::sim

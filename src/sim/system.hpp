@@ -163,6 +163,30 @@ class System
      */
     void loadState(snap::Reader& r);
 
+    /**
+     * Make this machine a fork of @p other, an identically-configured
+     * machine with the same prefetchers attached: measurement
+     * bookkeeping, DRAM, every cache and core, and each prefetcher's
+     * state, copied in memory without the snapshot file codec.
+     * Prefetchers copy through their saveState()/loadState(), so one
+     * without serialization throws snap::UnsupportedError. Workload
+     * positions are re-derived by replay (see Core::copyStateFrom), so
+     * this machine's workloads must yield the records @p other's
+     * consumed. @throws std::invalid_argument on a configuration
+     * mismatch, snap::CorruptError when a prefetcher's state does not
+     * fit its counterpart. A throw leaves this machine partially
+     * copied.
+     */
+    void copyStateFrom(const System& other);
+
+    /**
+     * Host bytes of the state copyStateFrom() copies: the caches',
+     * replacement policies', DRAM's and cores' state vectors, plus each
+     * prefetcher's serialized state. Workload records are not
+     * included — their owner counts them.
+     */
+    std::size_t footprintBytes() const;
+
     Dram& dram() { return *dram_; }
     Cache& llc() { return *llc_; }
     Cache& l2(std::uint32_t core) { return *l2_[core]; }

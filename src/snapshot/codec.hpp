@@ -298,7 +298,7 @@ class Reader
     std::vector<std::uint32_t> vecU32()
     {
         const std::uint64_t n = u64();
-        need(n * 4);
+        needElems(n, 4);
         std::vector<std::uint32_t> v(static_cast<std::size_t>(n));
         for (auto& x : v)
             x = u32();
@@ -308,7 +308,7 @@ class Reader
     std::vector<std::uint64_t> vecU64()
     {
         const std::uint64_t n = u64();
-        need(n * 8);
+        needElems(n, 8);
         std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
         for (auto& x : v)
             x = u64();
@@ -318,7 +318,7 @@ class Reader
     std::vector<float> vecF32()
     {
         const std::uint64_t n = u64();
-        need(n * 4);
+        needElems(n, 4);
         std::vector<float> v(static_cast<std::size_t>(n));
         for (auto& x : v)
             x = f32();
@@ -328,7 +328,7 @@ class Reader
     std::vector<double> vecF64()
     {
         const std::uint64_t n = u64();
-        need(n * 8);
+        needElems(n, 8);
         std::vector<double> v(static_cast<std::size_t>(n));
         for (auto& x : v)
             x = f64();
@@ -392,6 +392,19 @@ class Reader
                 "snapshot corrupt: truncated (wanted " +
                 std::to_string(n) + " bytes, " +
                 std::to_string(end - pos_) + " available)");
+    }
+
+    /** need() for @p n elements of @p width bytes. The count is
+     *  bounded before any multiply: a hostile n such as 2^62 would
+     *  wrap n * width to a small value and pass need(). */
+    void needElems(std::uint64_t n, std::size_t width) const
+    {
+        if (n > remaining() / width)
+            throw CorruptError(
+                "snapshot corrupt: truncated (wanted " +
+                std::to_string(n) + " elements of " +
+                std::to_string(width) + " bytes, " +
+                std::to_string(remaining()) + " bytes available)");
     }
 
     std::uint64_t getLe(int width)

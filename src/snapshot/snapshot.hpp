@@ -52,10 +52,7 @@ void writeSnapshotFile(const std::string& path,
 /**
  * Serialize a snapshot into memory: the exact byte sequence
  * writeSnapshotFile() would put on disk (header + fingerprint + body
- * sections + trailing checksum), returned instead of written. The
- * daemon-side warm-snapshot pool (src/service/warm_pool.hpp) holds
- * these images so identical specs skip warmup without touching the
- * filesystem.
+ * sections + trailing checksum), returned instead of written.
  */
 std::vector<std::uint8_t>
 writeSnapshotBytes(const std::string& fingerprint,

@@ -1154,9 +1154,11 @@ TEST_F(ServiceTest, OutboxRingGatherResumesFromPartialOffset)
     OutboxRing ring;
     std::vector<std::uint8_t> expected; // exact wire stream
     for (std::size_t f = 0; f < 64; ++f) {
-        std::vector<std::uint8_t> payload(f % 6); // 0..5 bytes
-        for (std::size_t i = 0; i < payload.size(); ++i)
-            payload[i] = static_cast<std::uint8_t>(f * 31 + i);
+        // Built by push_back: a sized vector filled by index trips a
+        // gcc 12 -Wstringop-overflow false positive at -O3.
+        std::vector<std::uint8_t> payload; // 0..5 bytes
+        for (std::size_t i = 0; i < f % 6; ++i)
+            payload.push_back(static_cast<std::uint8_t>(f * 31 + i));
         const auto len = static_cast<std::uint32_t>(payload.size());
         for (int b = 0; b < 4; ++b)
             expected.push_back(
@@ -1259,22 +1261,22 @@ TEST_F(ServiceTest, OutboxRingShortWritesPreserveFramesAndByteCount)
 
 namespace {
 
+/** A pool entry forked the way the server publishes one, holding
+ *  @p prefix_records records. Entries of one spec share a footprint. */
 WarmPool::Snapshot
-fakeSnap(std::size_t image_bytes, std::size_t prefix_records)
+fakeSnap(std::size_t prefix_records)
 {
-    WarmPool::Snapshot s;
-    s.image = std::make_shared<const std::vector<std::uint8_t>>(
-        image_bytes, std::uint8_t{0xab});
-    s.prefix = std::make_shared<const std::vector<wl::TraceRecord>>(
+    const harness::SimSession leader(makeSpec("470.lbm-164B", "stride"));
+    return forkWarmSnapshot(
+        leader, std::vector<wl::TraceRecord>(prefix_records),
         prefix_records);
-    return s;
 }
 
 } // namespace
 
 TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
 {
-    const WarmPool::Snapshot proto = fakeSnap(1024, 8);
+    const WarmPool::Snapshot proto = fakeSnap(8);
     const std::size_t sz = warmSnapshotBytes(proto);
     ASSERT_GT(sz, 0u);
     WarmPool pool(2 * sz); // room for exactly two ready entries
@@ -1288,11 +1290,10 @@ TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
     ASSERT_EQ(pool.acquire("a", &out, [&] { ++woken; }),
               WarmPool::Role::kWaiter);
     EXPECT_EQ(woken, 0);
-    pool.publish("a", fakeSnap(1024, 8));
+    pool.publish("a", fakeSnap(8));
     EXPECT_EQ(woken, 1);
     ASSERT_EQ(pool.acquire("a", &out, {}), WarmPool::Role::kHit);
-    ASSERT_TRUE(out.image && out.prefix);
-    EXPECT_EQ(out.image->size(), 1024u);
+    ASSERT_TRUE(out.session && out.prefix);
     EXPECT_EQ(out.prefix->size(), 8u);
 
     // Abandon wakes waiters too, and the re-acquire takes over as the
@@ -1303,12 +1304,12 @@ TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
     pool.abandon("b");
     EXPECT_EQ(woken, 2);
     ASSERT_EQ(pool.acquire("b", &out, {}), WarmPool::Role::kLeader);
-    pool.publish("b", fakeSnap(1024, 8));
+    pool.publish("b", fakeSnap(8));
 
     // LRU: touch "a" so "b" is the eviction victim when "c" lands.
     ASSERT_EQ(pool.acquire("a", &out, {}), WarmPool::Role::kHit);
     ASSERT_EQ(pool.acquire("c", &out, {}), WarmPool::Role::kLeader);
-    pool.publish("c", fakeSnap(1024, 8));
+    pool.publish("c", fakeSnap(8));
     EXPECT_EQ(pool.acquire("b", &out, {}), WarmPool::Role::kLeader)
         << "LRU should have evicted b, the least recently used entry";
     pool.abandon("b");
@@ -1325,8 +1326,40 @@ TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
     WarmPool off(0);
     EXPECT_FALSE(off.enabled());
     EXPECT_EQ(off.acquire("a", &out, {}), WarmPool::Role::kLeader);
-    off.publish("a", fakeSnap(64, 1));
+    off.publish("a", fakeSnap(1));
     EXPECT_EQ(off.acquire("a", &out, {}), WarmPool::Role::kLeader);
+}
+
+TEST_F(ServiceTest, WarmPoolEntryIsAForkChargedItsFootprint)
+{
+    // A published entry is a copy of the leader's post-warmup machine:
+    // a session forked from it serializes like the leader. Its charge
+    // is never below what the snapshot image plus prefix cost, so a
+    // byte budget sized in images cannot hold more machines.
+    const auto spec = makeSpec("470.lbm-164B", "pythia");
+    const auto records = captureRecords(spec);
+    std::vector<std::unique_ptr<wl::Workload>> workloads;
+    auto stream = std::make_unique<StreamWorkload>("leader", records);
+    const StreamWorkload* leader_stream = stream.get();
+    workloads.push_back(std::move(stream));
+    harness::SimSession leader(spec, std::move(workloads));
+    leader.runWarmup();
+
+    const std::size_t consumed = leader_stream->consumed();
+    const WarmPool::Snapshot entry =
+        forkWarmSnapshot(leader, records, consumed);
+    ASSERT_EQ(entry.prefix->size(), consumed);
+    const std::vector<std::uint8_t> image = leader.snapshotBytes();
+    EXPECT_EQ(entry.session->snapshotBytes(), image);
+    EXPECT_GE(warmSnapshotBytes(entry),
+              image.size() + consumed * sizeof(wl::TraceRecord));
+
+    std::vector<std::unique_ptr<wl::Workload>> hit;
+    hit.push_back(std::make_unique<StreamWorkload>(
+        "hit", entry.prefix->records()));
+    const harness::SimSession tenant =
+        entry.session->fork(std::move(hit));
+    EXPECT_EQ(tenant.snapshotBytes(), image);
 }
 
 TEST_F(ServiceTest, WarmPoolHitRestoresBitExact)

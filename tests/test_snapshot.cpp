@@ -26,6 +26,7 @@
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
+#include "sim/prefetcher_registry.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace pythia {
@@ -219,6 +220,42 @@ TEST(SnapCodec, TruncatedBufferThrows)
     w.u32(7);
     snap::Reader r(w.buffer().data(), 2); // half the u32
     EXPECT_THROW((void)r.u32(), snap::CorruptError);
+}
+
+TEST(SnapCodec, HostileVectorCountIsCorruptError)
+{
+    // Counts whose byte size wraps 64 bits (2^62 * 4 and 2^61 * 8 are
+    // both 0 mod 2^64) must fail the bounds check as CorruptError, not
+    // reach the vector constructor and throw std::length_error.
+    const auto countOnly = [](std::uint64_t n) {
+        snap::Writer w;
+        w.u64(n);
+        w.u64(0); // a little payload, far short of n elements
+        return w.buffer();
+    };
+    const std::vector<std::uint8_t> wrap4 = countOnly(1ull << 62);
+    const std::vector<std::uint8_t> wrap8 = countOnly(1ull << 61);
+    {
+        snap::Reader r(wrap4.data(), wrap4.size());
+        EXPECT_THROW((void)r.vecU32(), snap::CorruptError);
+    }
+    {
+        snap::Reader r(wrap4.data(), wrap4.size());
+        EXPECT_THROW((void)r.vecF32(), snap::CorruptError);
+    }
+    {
+        snap::Reader r(wrap8.data(), wrap8.size());
+        EXPECT_THROW((void)r.vecU64(), snap::CorruptError);
+    }
+    {
+        snap::Reader r(wrap8.data(), wrap8.size());
+        EXPECT_THROW((void)r.vecF64(), snap::CorruptError);
+    }
+    // A count that fits the remaining bytes still decodes.
+    snap::Writer ok;
+    ok.vecU32({1, 2});
+    snap::Reader r(ok.buffer().data(), ok.buffer().size());
+    EXPECT_EQ(r.vecU32(), (std::vector<std::uint32_t>{1, 2}));
 }
 
 TEST(SnapCodec, UnclosedSectionIsALogicError)
@@ -525,6 +562,78 @@ TEST(SnapSession, PrefetcherWithoutSerializationIsUnsupportedError)
                   std::string::npos)
             << e.what();
     }
+}
+
+// ------------------------------------------------------------------ fork
+
+/** Runs @p a and @p b window by window to the end of their budget and
+ *  expects every window sample to match bit for bit. */
+void
+expectSameWindows(harness::SimSession& a, harness::SimSession& b,
+                  std::uint64_t window, const std::string& what)
+{
+    while (!a.done()) {
+        ASSERT_FALSE(b.done()) << what;
+        a.advance(window);
+        b.advance(window);
+        snap::Writer wa, wb;
+        harness::writeWindowSample(wa, a.lastWindow());
+        harness::writeWindowSample(wb, b.lastWindow());
+        ASSERT_EQ(wa.buffer(), wb.buffer())
+            << what << ": window " << a.windowsCompleted() - 1;
+    }
+    EXPECT_TRUE(b.done()) << what;
+}
+
+TEST(SnapFork, CopyCoversAllStateForEveryPrefetcher)
+{
+    // For every registered prefetcher that can serialize, at 1 and 4
+    // cores: a fork taken mid-run serializes to the same bytes as its
+    // source (session body and whole machine), and both then run
+    // bit-identical windows. A prefetcher without serialization makes
+    // the fork throw UnsupportedError, like snapshotBytes().
+    std::size_t forked = 0;
+    for (const std::string& pf : sim::PrefetcherRegistry::instance().names()) {
+        for (const std::uint32_t cores : {1u, 4u}) {
+            const std::string what =
+                pf + " @ " + std::to_string(cores) + " cores";
+            const harness::ExperimentSpec spec =
+                harness::Experiment("462.libquantum-1343B")
+                    .cores(cores)
+                    .l2(pf)
+                    .warmup(4'000)
+                    .measure(6'000)
+                    .spec();
+            harness::SimSession source(spec);
+            source.advance(2'000);
+            std::vector<std::uint8_t> image;
+            try {
+                image = source.snapshotBytes();
+            } catch (const snap::UnsupportedError&) {
+                EXPECT_THROW((void)source.fork(harness::workloadsFor(spec)),
+                             snap::UnsupportedError)
+                    << what;
+                continue;
+            }
+            harness::SimSession copy =
+                source.fork(harness::workloadsFor(spec));
+            EXPECT_EQ(copy.snapshotBytes(), image) << what;
+            expectSameWindows(source, copy, 2'000, what);
+            ++forked;
+        }
+    }
+    EXPECT_GE(forked, 2u * 6u) << "most prefetchers serialize";
+}
+
+TEST(SnapFork, ForkRejectsAMismatchedMachine)
+{
+    // A machine without the source's prefetcher is not a fork target.
+    harness::SimSession source(smallPythiaSpec());
+    harness::ExperimentSpec bare = smallPythiaSpec();
+    bare.prefetcher = "none";
+    harness::SimSession target(bare);
+    EXPECT_THROW(target.system().copyStateFrom(source.system()),
+                 std::invalid_argument);
 }
 
 // ----------------------------------------------------------- warm cache

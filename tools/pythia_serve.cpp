@@ -21,9 +21,9 @@
  * scripts can scrape the bound address.
  *
  * io= selects the readiness backend (auto → epoll on Linux, poll
- * elsewhere). warm_pool_bytes= caps the shared warm-snapshot pool —
- * identical specs warm once and every later open restores the
- * post-warmup state bit-exactly; 0 disables the pool.
+ * elsewhere). warm_pool_bytes= caps the shared pool of post-warmup
+ * machines — identical specs warm once and every later open copies
+ * the pooled machine's state bit-exactly; 0 disables the pool.
  */
 #include <csignal>
 #include <cstdlib>
