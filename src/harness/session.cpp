@@ -61,9 +61,110 @@ hashPythiaConfig(const rl::PythiaConfig& cfg)
     return hex.str();
 }
 
+void
+writePythiaConfig(snap::Writer& w, const rl::PythiaConfig& cfg)
+{
+    w.str(cfg.name);
+    w.u64(cfg.features.size());
+    for (const auto& f : cfg.features) {
+        w.u8(static_cast<std::uint8_t>(f.control));
+        w.u8(static_cast<std::uint8_t>(f.data));
+    }
+    w.u64(cfg.actions.size());
+    for (std::int32_t a : cfg.actions)
+        w.i32(a);
+    w.f64(cfg.rewards.r_at);
+    w.f64(cfg.rewards.r_al);
+    w.f64(cfg.rewards.r_cl);
+    w.f64(cfg.rewards.r_in_high);
+    w.f64(cfg.rewards.r_in_low);
+    w.f64(cfg.rewards.r_np_high);
+    w.f64(cfg.rewards.r_np_low);
+    w.f64(cfg.alpha);
+    w.f64(cfg.gamma);
+    w.f64(cfg.epsilon);
+    w.u64(cfg.eq_size);
+    w.u32(cfg.degree);
+    w.u32(cfg.planes);
+    w.u32(cfg.plane_index_bits);
+    w.u64(cfg.seed);
+}
+
+rl::PythiaConfig
+readPythiaConfig(snap::Reader& r)
+{
+    rl::PythiaConfig cfg;
+    cfg.name = r.str();
+    cfg.features.resize(r.count(2));
+    for (auto& f : cfg.features) {
+        f.control = static_cast<rl::ControlKind>(r.u8());
+        f.data = static_cast<rl::DataKind>(r.u8());
+    }
+    cfg.actions.resize(r.count(4));
+    for (auto& a : cfg.actions)
+        a = r.i32();
+    cfg.rewards.r_at = r.f64();
+    cfg.rewards.r_al = r.f64();
+    cfg.rewards.r_cl = r.f64();
+    cfg.rewards.r_in_high = r.f64();
+    cfg.rewards.r_in_low = r.f64();
+    cfg.rewards.r_np_high = r.f64();
+    cfg.rewards.r_np_low = r.f64();
+    cfg.alpha = r.f64();
+    cfg.gamma = r.f64();
+    cfg.epsilon = r.f64();
+    cfg.eq_size = static_cast<std::size_t>(r.u64());
+    cfg.degree = r.u32();
+    cfg.planes = r.u32();
+    cfg.plane_index_bits = r.u32();
+    cfg.seed = r.u64();
+    return cfg;
+}
+
 } // namespace
 
-// --------------------------------------------------- result wire codec
+// ------------------------------------------------------ wire codecs
+
+void
+writeSpec(snap::Writer& w, const ExperimentSpec& spec)
+{
+    w.str(spec.workload);
+    w.u64(spec.mix.size());
+    for (const auto& m : spec.mix)
+        w.str(m);
+    w.str(spec.prefetcher);
+    w.str(spec.l1_prefetcher);
+    w.u32(spec.num_cores);
+    w.u32(spec.mtps);
+    w.u64(spec.llc_bytes_per_core);
+    w.u64(spec.warmup_instrs);
+    w.u64(spec.sim_instrs);
+    w.u64(spec.workload_seed);
+    w.boolean(spec.pythia_cfg.has_value());
+    if (spec.pythia_cfg)
+        writePythiaConfig(w, *spec.pythia_cfg);
+}
+
+ExperimentSpec
+readSpec(snap::Reader& r)
+{
+    ExperimentSpec spec;
+    spec.workload = r.str();
+    spec.mix.resize(r.count(8)); // a string is at least its u64 length
+    for (auto& m : spec.mix)
+        m = r.str();
+    spec.prefetcher = r.str();
+    spec.l1_prefetcher = r.str();
+    spec.num_cores = r.u32();
+    spec.mtps = r.u32();
+    spec.llc_bytes_per_core = r.u64();
+    spec.warmup_instrs = r.u64();
+    spec.sim_instrs = r.u64();
+    spec.workload_seed = r.u64();
+    if (r.boolean())
+        spec.pythia_cfg = readPythiaConfig(r);
+    return spec;
+}
 
 void
 writeRunResult(snap::Writer& w, const sim::RunResult& r)

@@ -79,11 +79,15 @@ struct WindowSample
 };
 
 /**
- * Result codec shared by every wire/journal/snapshot consumer
+ * Spec and result codec shared by every wire/journal/snapshot consumer
  * (snapshot files, the pythia-shard-v1 frames, the pythia-serve-v1
  * service protocol): fixed-width little-endian via the snap codec,
- * floats as IEEE-754 bit patterns — a round trip is bit-exact.
+ * floats as IEEE-754 bit patterns — a round trip is bit-exact. The
+ * readers throw snap::CorruptError on truncated or hostile bytes,
+ * including element counts larger than the bytes left.
  */
+void writeSpec(snap::Writer& w, const ExperimentSpec& spec);
+ExperimentSpec readSpec(snap::Reader& r);
 void writeRunResult(snap::Writer& w, const sim::RunResult& r);
 sim::RunResult readRunResult(snap::Reader& r);
 void writeWindowSample(snap::Writer& w, const WindowSample& s);

@@ -13,16 +13,17 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <system_error>
 #include <thread>
 #include <utility>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/transport.hpp"
 #include "harness/session.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -30,81 +31,8 @@ namespace pythia::harness {
 
 namespace {
 
-/** Upper bound on any wire frame or journal record payload: a Result
- *  carries two RunResults plus metrics — kilobytes, not megabytes — so
- *  anything near this limit is corruption, not data. */
-constexpr std::uint32_t kMaxPayload = 64u << 20;
-
-// ------------------------------------------------------------ raw I/O
-
-/** write() the whole buffer, retrying EINTR. False on EPIPE/any error. */
-bool
-writeFull(int fd, const void* data, std::size_t n)
-{
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += w;
-        n -= static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
-/** read() exactly @p n bytes. 1 = ok, 0 = clean EOF before any byte,
- *  -1 = error or EOF mid-read. */
-int
-readFull(int fd, void* data, std::size_t n)
-{
-    auto* p = static_cast<std::uint8_t*>(data);
-    std::size_t got = 0;
-    while (got < n) {
-        const ssize_t r = ::read(fd, p + got, n - got);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return -1;
-        }
-        if (r == 0)
-            return got == 0 ? 0 : -1;
-        got += static_cast<std::size_t>(r);
-    }
-    return 1;
-}
-
-/** Frame = u32 little-endian payload length + payload bytes. */
-bool
-writeFrame(int fd, const std::vector<std::uint8_t>& payload)
-{
-    std::uint8_t hdr[4];
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i)
-        hdr[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    return writeFull(fd, hdr, 4) &&
-           writeFull(fd, payload.data(), payload.size());
-}
-
-/** Blocking frame read (worker side). 1 = frame in @p payload,
- *  0 = clean EOF at a frame boundary, -1 = error / truncated frame. */
-int
-readFrame(int fd, std::vector<std::uint8_t>& payload)
-{
-    std::uint8_t hdr[4];
-    const int r = readFull(fd, hdr, 4);
-    if (r <= 0)
-        return r;
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
-    if (len > kMaxPayload)
-        return -1;
-    payload.resize(len);
-    return readFull(fd, payload.data(), len) == 1 ? 1 : -1;
-}
+using transport::FrameError;
+using transport::Payload;
 
 // ------------------------------------------------------- frame types
 
@@ -123,79 +51,6 @@ enum : std::uint8_t
     kErrOther = 3,
 };
 
-// --------------------------------------------------- spec (de)coding
-
-void
-writePythiaConfig(snap::Writer& w, const rl::PythiaConfig& cfg)
-{
-    w.str(cfg.name);
-    w.u64(cfg.features.size());
-    for (const auto& f : cfg.features) {
-        w.u8(static_cast<std::uint8_t>(f.control));
-        w.u8(static_cast<std::uint8_t>(f.data));
-    }
-    w.u64(cfg.actions.size());
-    for (std::int32_t a : cfg.actions)
-        w.i32(a);
-    w.f64(cfg.rewards.r_at);
-    w.f64(cfg.rewards.r_al);
-    w.f64(cfg.rewards.r_cl);
-    w.f64(cfg.rewards.r_in_high);
-    w.f64(cfg.rewards.r_in_low);
-    w.f64(cfg.rewards.r_np_high);
-    w.f64(cfg.rewards.r_np_low);
-    w.f64(cfg.alpha);
-    w.f64(cfg.gamma);
-    w.f64(cfg.epsilon);
-    w.u64(cfg.eq_size);
-    w.u32(cfg.degree);
-    w.u32(cfg.planes);
-    w.u32(cfg.plane_index_bits);
-    w.u64(cfg.seed);
-}
-
-rl::PythiaConfig
-readPythiaConfig(snap::Reader& r)
-{
-    rl::PythiaConfig cfg;
-    cfg.name = r.str();
-    cfg.features.clear();
-    const std::uint64_t nf = r.u64();
-    cfg.features.reserve(static_cast<std::size_t>(nf));
-    for (std::uint64_t i = 0; i < nf; ++i) {
-        rl::FeatureSpec f;
-        f.control = static_cast<rl::ControlKind>(r.u8());
-        f.data = static_cast<rl::DataKind>(r.u8());
-        cfg.features.push_back(f);
-    }
-    cfg.actions.clear();
-    const std::uint64_t na = r.u64();
-    cfg.actions.reserve(static_cast<std::size_t>(na));
-    for (std::uint64_t i = 0; i < na; ++i)
-        cfg.actions.push_back(r.i32());
-    cfg.rewards.r_at = r.f64();
-    cfg.rewards.r_al = r.f64();
-    cfg.rewards.r_cl = r.f64();
-    cfg.rewards.r_in_high = r.f64();
-    cfg.rewards.r_in_low = r.f64();
-    cfg.rewards.r_np_high = r.f64();
-    cfg.rewards.r_np_low = r.f64();
-    cfg.alpha = r.f64();
-    cfg.gamma = r.f64();
-    cfg.epsilon = r.f64();
-    cfg.eq_size = static_cast<std::size_t>(r.u64());
-    cfg.degree = r.u32();
-    cfg.planes = r.u32();
-    cfg.plane_index_bits = r.u32();
-    cfg.seed = r.u64();
-    return cfg;
-}
-
-// RunResult framing reuses the public session-layer codec
-// (harness::writeRunResult / readRunResult in session.hpp) — one
-// definition shared by snapshot files, shard frames and the service
-// protocol.
-
 // -------------------------------------------------- journal encoding
 
 /** Serialized journal header: magic + version + fingerprint + FNV of
@@ -213,8 +68,8 @@ encodeJournalHeader(const std::string& fingerprint)
     return w.buffer();
 }
 
-/** One journal record: u32 payload length + payload + u64 FNV-1a of
- *  the payload. Payload = kind(u8=1) + job id + outcome + seconds. */
+/** One journal record: frame header + payload + u64 FNV-1a of the
+ *  payload. Payload = kind(u8=1) + job id + outcome + seconds. */
 std::vector<std::uint8_t>
 encodeJournalRecord(std::size_t job, const Runner::Outcome& o,
                     double seconds)
@@ -226,7 +81,8 @@ encodeJournalRecord(std::size_t job, const Runner::Outcome& o,
     p.f64(seconds);
 
     snap::Writer rec;
-    rec.u32(static_cast<std::uint32_t>(p.size()));
+    const transport::FrameHeader h = transport::encodeFrameHeader(p.size());
+    rec.bytes(h.data(), h.size());
     rec.bytes(p.buffer().data(), p.size());
     rec.u64(snap::fnv1a(p.buffer().data(), p.size()));
     return rec.buffer();
@@ -284,51 +140,6 @@ class ScopedSigpipeIgnore
 } // namespace
 
 // --------------------------------------------------- public payloads
-
-void
-writeSpec(snap::Writer& w, const ExperimentSpec& spec)
-{
-    w.str(spec.workload);
-    w.u64(spec.mix.size());
-    for (const auto& m : spec.mix)
-        w.str(m);
-    w.str(spec.prefetcher);
-    w.str(spec.l1_prefetcher);
-    w.u32(spec.num_cores);
-    w.u32(spec.mtps);
-    w.u64(spec.llc_bytes_per_core);
-    w.u64(spec.warmup_instrs);
-    w.u64(spec.sim_instrs);
-    w.u64(spec.workload_seed);
-    w.boolean(spec.pythia_cfg.has_value());
-    if (spec.pythia_cfg)
-        writePythiaConfig(w, *spec.pythia_cfg);
-}
-
-ExperimentSpec
-readSpec(snap::Reader& r)
-{
-    ExperimentSpec spec;
-    spec.workload = r.str();
-    const std::uint64_t nm = r.u64();
-    spec.mix.clear();
-    spec.mix.reserve(static_cast<std::size_t>(nm));
-    for (std::uint64_t i = 0; i < nm; ++i)
-        spec.mix.push_back(r.str());
-    spec.prefetcher = r.str();
-    spec.l1_prefetcher = r.str();
-    spec.num_cores = r.u32();
-    spec.mtps = r.u32();
-    spec.llc_bytes_per_core = r.u64();
-    spec.warmup_instrs = r.u64();
-    spec.sim_instrs = r.u64();
-    spec.workload_seed = r.u64();
-    if (r.boolean())
-        spec.pythia_cfg = readPythiaConfig(r);
-    else
-        spec.pythia_cfg.reset();
-    return spec;
-}
 
 void
 writeOutcome(snap::Writer& w, const Runner::Outcome& o)
@@ -450,28 +261,28 @@ scanJournal(const std::string& path,
     std::size_t index = 0;
     while (p < bytes.size()) {
         const std::size_t rem = bytes.size() - p;
-        if (rem < 4) {
+        if (rem < transport::kFrameHeaderBytes) {
             scan.discarded_tail_bytes = rem;
             break;
         }
         std::uint32_t len = 0;
-        for (int i = 0; i < 4; ++i)
-            len |= static_cast<std::uint32_t>(bytes[p + i]) << (8 * i);
-        if (len > kMaxPayload)
+        try {
+            len = transport::decodeFrameHeader(bytes.data() + p);
+        } catch (const FrameError& e) {
             throw JournalCorruptError(
                 "journal corrupt: record " + std::to_string(index) +
-                " at byte offset " + std::to_string(p) +
-                ": implausible length " + std::to_string(len));
-        if (rem < 4ull + len + 8) {
+                " at byte offset " + std::to_string(p) + ": " + e.what());
+        }
+        const std::size_t record_bytes =
+            transport::kFrameHeaderBytes + len + 8;
+        if (rem < record_bytes) {
             // Crash mid-append: the tail record never completed.
             scan.discarded_tail_bytes = rem;
             break;
         }
-        const std::uint8_t* payload = bytes.data() + p + 4;
-        std::uint64_t stored = 0;
-        for (int i = 0; i < 8; ++i)
-            stored |= static_cast<std::uint64_t>(payload[len + i])
-                      << (8 * i);
+        const std::uint8_t* payload =
+            bytes.data() + p + transport::kFrameHeaderBytes;
+        const std::uint64_t stored = snap::Reader(payload + len, 8).u64();
         const std::uint64_t computed = snap::fnv1a(payload, len);
         if (stored != computed)
             throw JournalCorruptError(
@@ -507,7 +318,7 @@ scanJournal(const std::string& path,
                 "journal corrupt: record " + std::to_string(index) +
                 ": " + e.what());
         }
-        p += 4ull + len + 8;
+        p += record_bytes;
         scan.valid_bytes = p;
         ++index;
     }
@@ -555,13 +366,12 @@ shardWorkerMain(int argc, char** argv)
     if (kill_me && kill_point == "start")
         ::raise(SIGKILL);
 
-    // Handshake.
-    std::vector<std::uint8_t> payload;
-    if (readFrame(in_fd, payload) != 1)
-        return 1;
-    std::string snapshot_dir;
     try {
-        snap::Reader r(payload.data(), payload.size());
+        // Handshake.
+        const std::optional<Payload> hello = transport::readFrame(in_fd);
+        if (!hello)
+            return 1;
+        snap::Reader r(hello->data(), hello->size());
         if (r.u8() != kFrameHello)
             throw WireError("worker: first frame is not Hello");
         const std::string schema = r.str();
@@ -572,84 +382,72 @@ shardWorkerMain(int argc, char** argv)
                             ", want " + kWireSchemaName + " v" +
                             std::to_string(kWireVersion) + ")");
         (void)r.u32(); // worker index, informational (argv is binding)
-        snapshot_dir = r.str();
+        const std::string snapshot_dir = r.str();
+
+        snap::Writer ack;
+        ack.u8(kFrameHelloAck);
+        ack.str(kWireSchemaName);
+        ack.u32(kWireVersion);
+        transport::writeFrame(out_fd, ack.buffer());
+
+        Runner runner;
+        if (!snapshot_dir.empty() &&
+            std::filesystem::is_directory(snapshot_dir))
+            runner.setSnapshotDir(snapshot_dir);
+
+        std::size_t jobs_seen = 0;
+        // Until the coordinator closes the pipe: clean shutdown.
+        while (const auto frame = transport::readFrame(in_fd)) {
+            snap::Reader rd(frame->data(), frame->size());
+            if (rd.u8() != kFrameJob)
+                throw WireError("worker: expected a Job frame");
+            const std::uint64_t job = rd.u64();
+            const ExperimentSpec spec = readSpec(rd);
+
+            ++jobs_seen;
+            if (kill_me && kill_point == "recv" && jobs_seen == kill_after)
+                ::raise(SIGKILL);
+            if (slow_me)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(slow_ms));
+
+            snap::Writer w;
+            w.u8(kFrameResult);
+            w.u64(job);
+            try {
+                const auto t0 = std::chrono::steady_clock::now();
+                const Runner::Outcome outcome = runner.evaluate(spec);
+                const double seconds =
+                    std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+                w.u8(1);
+                writeOutcome(w, outcome);
+                w.f64(seconds);
+            } catch (const std::invalid_argument& e) {
+                w.u8(0);
+                w.u8(kErrInvalidArgument);
+                w.str(e.what());
+            } catch (const std::runtime_error& e) {
+                w.u8(0);
+                w.u8(kErrRuntime);
+                w.str(e.what());
+            } catch (const std::exception& e) {
+                w.u8(0);
+                w.u8(kErrOther);
+                w.str(e.what());
+            }
+            if (kill_me && kill_point == "pre_send" &&
+                jobs_seen == kill_after)
+                ::raise(SIGKILL);
+            transport::writeFrame(out_fd, w.buffer());
+        }
+        return 0;
+    } catch (const std::system_error&) {
+        return 1; // pipe I/O failed: the coordinator is gone
     } catch (const std::exception& e) {
         std::fprintf(stderr, "[sweep_worker %u] %s\n", index, e.what());
         return 1;
-    }
-    {
-        snap::Writer w;
-        w.u8(kFrameHelloAck);
-        w.str(kWireSchemaName);
-        w.u32(kWireVersion);
-        if (!writeFrame(out_fd, w.buffer()))
-            return 1;
-    }
-
-    Runner runner;
-    if (!snapshot_dir.empty() &&
-        std::filesystem::is_directory(snapshot_dir))
-        runner.setSnapshotDir(snapshot_dir);
-
-    std::size_t jobs_seen = 0;
-    for (;;) {
-        const int r = readFrame(in_fd, payload);
-        if (r == 0)
-            return 0; // coordinator closed the pipe: clean shutdown
-        if (r < 0)
-            return 1;
-        std::uint64_t job = 0;
-        ExperimentSpec spec;
-        try {
-            snap::Reader rd(payload.data(), payload.size());
-            if (rd.u8() != kFrameJob)
-                return 1;
-            job = rd.u64();
-            spec = readSpec(rd);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "[sweep_worker %u] bad job frame: %s\n",
-                         index, e.what());
-            return 1;
-        }
-
-        ++jobs_seen;
-        if (kill_me && kill_point == "recv" && jobs_seen == kill_after)
-            ::raise(SIGKILL);
-        if (slow_me)
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(slow_ms));
-
-        snap::Writer w;
-        w.u8(kFrameResult);
-        w.u64(job);
-        try {
-            const auto t0 = std::chrono::steady_clock::now();
-            const Runner::Outcome outcome = runner.evaluate(spec);
-            const double seconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            w.u8(1);
-            writeOutcome(w, outcome);
-            w.f64(seconds);
-        } catch (const std::invalid_argument& e) {
-            w.u8(0);
-            w.u8(kErrInvalidArgument);
-            w.str(e.what());
-        } catch (const std::runtime_error& e) {
-            w.u8(0);
-            w.u8(kErrRuntime);
-            w.str(e.what());
-        } catch (const std::exception& e) {
-            w.u8(0);
-            w.u8(kErrOther);
-            w.str(e.what());
-        }
-        if (kill_me && kill_point == "pre_send" &&
-            jobs_seen == kill_after)
-            ::raise(SIGKILL);
-        if (!writeFrame(out_fd, w.buffer()))
-            return 1;
     }
 }
 
@@ -688,7 +486,7 @@ struct WorkerSlot
     bool acked = false;
     std::optional<std::size_t> job; ///< currently dispatched job
     std::chrono::steady_clock::time_point dispatched_at{};
-    std::vector<std::uint8_t> buf;  ///< partial-frame accumulator
+    transport::FrameReader reader; ///< Result frames from from_fd
 };
 
 /** Mutable run state shared by the coordinator loop helpers. */
@@ -756,12 +554,13 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
 
     // ---- journal pre-scan: recover completed jobs, drop a torn tail.
     int journal_fd = -1;
+    bool need_header = false;
     if (!opt_.journal_path.empty()) {
         std::error_code ec;
         const bool exists =
             std::filesystem::exists(opt_.journal_path, ec) && !ec &&
             std::filesystem::file_size(opt_.journal_path, ec) > 0 && !ec;
-        bool need_header = true;
+        need_header = true;
         if (exists) {
             const JournalScan scan =
                 scanJournal(opt_.journal_path, fingerprint, st.n);
@@ -795,15 +594,6 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             throw snap::IoError("cannot open journal " +
                                 opt_.journal_path + ": " +
                                 std::strerror(errno));
-        if (need_header) {
-            const auto hdr = encodeJournalHeader(fingerprint);
-            if (!writeFull(journal_fd, hdr.data(), hdr.size())) {
-                ::close(journal_fd);
-                throw snap::IoError("cannot write journal header to " +
-                                    opt_.journal_path);
-            }
-            ::fdatasync(journal_fd);
-        }
     }
     // Close the journal fd on every exit path.
     struct FdCloser
@@ -815,6 +605,19 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                 ::close(fd);
         }
     } journal_closer{journal_fd};
+    // One write() sequence then fdatasync: a crash leaves either
+    // nothing or a truncated (recoverable) tail.
+    const auto journalWrite = [&](const std::vector<std::uint8_t>& b) {
+        try {
+            transport::writeAll(journal_fd, b.data(), b.size());
+        } catch (const std::system_error& e) {
+            throw snap::IoError("cannot write journal " +
+                                opt_.journal_path + ": " + e.what());
+        }
+        ::fdatasync(journal_fd);
+    };
+    if (need_header)
+        journalWrite(encodeJournalHeader(fingerprint));
 
     // ---- classify jobs.
     for (std::size_t i = 0; i < st.n; ++i) {
@@ -837,11 +640,22 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         std::filesystem::create_directories(opt_.snapshot_dir, ec);
     }
     std::vector<WorkerSlot> workers;
+    transport::EventLoop loop; // every live worker's from_fd
     std::size_t total_spawns = 0;
     const std::size_t spawn_cap =
         static_cast<std::size_t>(opt_.workers) *
             (opt_.max_job_restarts + 2) +
         8;
+
+    // Blocking write down a worker's pipe; false when it is gone.
+    const auto sendFrame = [](WorkerSlot& wk, const transport::Payload& p) {
+        try {
+            transport::writeFrame(wk.to_fd, p);
+            return true;
+        } catch (const std::system_error&) {
+            return false;
+        }
+    };
 
     const auto spawn = [&](WorkerSlot& wk) {
         if (++total_spawns > spawn_cap)
@@ -880,8 +694,8 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         }
         ::close(to_pipe[0]);
         ::close(from_pipe[1]);
-        // Non-blocking reads: the poll loop drains whatever is buffered
-        // and must not hang when a read() lands between two frames.
+        // Non-blocking reads: the loop drains whatever is buffered and
+        // must not hang when a read() lands between two frames.
         ::fcntl(from_pipe[0], F_SETFL, O_NONBLOCK);
         wk.pid = pid;
         wk.to_fd = to_pipe[1];
@@ -889,7 +703,8 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         wk.alive = true;
         wk.acked = false;
         wk.job.reset();
-        wk.buf.clear();
+        wk.reader.clear();
+        loop.add(wk.from_fd, &wk, true, false);
 
         snap::Writer hello;
         hello.u8(kFrameHello);
@@ -897,19 +712,25 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         hello.u32(kWireVersion);
         hello.u32(wk.index);
         hello.str(opt_.snapshot_dir);
-        (void)writeFrame(wk.to_fd, hello.buffer());
+        // A worker dead on arrival shows up as EOF in the loop.
+        sendFrame(wk, hello.buffer());
+    };
+
+    const auto closeWorker = [&](WorkerSlot& wk) {
+        loop.del(wk.from_fd);
+        ::close(wk.to_fd);
+        ::close(wk.from_fd);
+        wk.alive = false;
     };
 
     const auto teardown = [&] {
         for (auto& wk : workers) {
             if (!wk.alive)
                 continue;
-            ::close(wk.to_fd);
-            ::close(wk.from_fd);
+            closeWorker(wk);
             ::kill(wk.pid, SIGKILL);
             int status = 0;
             ::waitpid(wk.pid, &status, 0);
-            wk.alive = false;
         }
     };
 
@@ -918,17 +739,25 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         if (crash.at_result && crash.pre_flush &&
             st.arrivals == crash.at_result)
             ::_exit(137); // simulated SIGKILL before the flush
-        if (journal_fd >= 0) {
-            const auto rec = encodeJournalRecord(
-                job, st.results[job], st.job_seconds[job]);
-            if (!writeFull(journal_fd, rec.data(), rec.size()))
-                throw snap::IoError("cannot append to journal " +
-                                    opt_.journal_path);
-            ::fdatasync(journal_fd);
-        }
+        if (journal_fd >= 0)
+            journalWrite(encodeJournalRecord(job, st.results[job],
+                                             st.job_seconds[job]));
         if (crash.at_result && crash.post_flush &&
             st.arrivals == crash.at_result)
             ::_exit(137); // simulated SIGKILL after the flush
+    };
+
+    const auto sendJob = [&](WorkerSlot& wk, std::size_t job) {
+        snap::Writer w;
+        w.u8(kFrameJob);
+        w.u64(job);
+        writeSpec(w, sweep.specs_[job]);
+        if (!sendFrame(wk, w.buffer()))
+            return false; // died between loop rounds; EOF handles it
+        wk.job = job;
+        wk.dispatched_at = std::chrono::steady_clock::now();
+        ++st.inflight[job];
+        return true;
     };
 
     const auto dispatch = [&](WorkerSlot& wk) {
@@ -937,23 +766,10 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             st.pending.pop_front();
             if (st.have[job] || st.errors.count(job))
                 continue; // completed by a stolen duplicate meanwhile
-            snap::Writer w;
-            w.u8(kFrameJob);
-            w.u64(job);
-            writeSpec(w, sweep.specs_[job]);
-            if (!writeFrame(wk.to_fd, w.buffer())) {
-                // Worker died between poll rounds; the death handler
-                // will requeue and respawn. Put the job back first.
-                st.pending.push_front(job);
-                return;
-            }
-            wk.job = job;
-            wk.dispatched_at = std::chrono::steady_clock::now();
-            ++st.inflight[job];
+            if (!sendJob(wk, job))
+                st.pending.push_front(job); // the death handler respawns
             return;
         }
-        if (!opt_.steal)
-            return;
         // Work stealing: the pending queue is dry but stragglers still
         // hold jobs — speculatively re-dispatch the longest-in-flight
         // incomplete job (at most one duplicate per job; first result
@@ -973,34 +789,24 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                 victim = job;
             }
         }
-        if (victim == st.n)
-            return;
-        snap::Writer w;
-        w.u8(kFrameJob);
-        w.u64(victim);
-        writeSpec(w, sweep.specs_[victim]);
-        if (!writeFrame(wk.to_fd, w.buffer()))
-            return;
-        wk.job = victim;
-        wk.dispatched_at = std::chrono::steady_clock::now();
-        ++st.inflight[victim];
-        ++report_.stolen_jobs;
+        if (victim != st.n && sendJob(wk, victim))
+            ++report_.stolen_jobs;
     };
 
-    // Parse every complete frame in a worker's accumulator.
+    // Handle every complete frame in a worker's reader.
     const auto drainFrames = [&](WorkerSlot& wk) {
-        std::size_t off = 0;
-        while (wk.buf.size() - off >= 4) {
-            std::uint32_t len = 0;
-            for (int i = 0; i < 4; ++i)
-                len |= static_cast<std::uint32_t>(wk.buf[off + i])
-                       << (8 * i);
-            if (len > kMaxPayload)
-                throw WireError("shard: oversized frame from worker " +
-                                std::to_string(wk.index));
-            if (wk.buf.size() - off - 4 < len)
-                break;
-            snap::Reader r(wk.buf.data() + off + 4, len);
+        for (;;) {
+            std::optional<transport::Payload> frame;
+            try {
+                frame = wk.reader.next();
+            } catch (const FrameError& e) {
+                throw WireError("shard: worker " +
+                                std::to_string(wk.index) + ": " +
+                                e.what());
+            }
+            if (!frame)
+                return;
+            snap::Reader r(frame->data(), frame->size());
             const std::uint8_t type = r.u8();
             if (type == kFrameHelloAck) {
                 const std::string schema = r.str();
@@ -1047,21 +853,14 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                                 std::to_string(type) + " from worker " +
                                 std::to_string(wk.index));
             }
-            off += 4ull + len;
         }
-        if (off > 0)
-            wk.buf.erase(wk.buf.begin(),
-                         wk.buf.begin() +
-                             static_cast<std::ptrdiff_t>(off));
     };
 
     const auto onWorkerDeath = [&](WorkerSlot& wk) {
         drainFrames(wk); // results already buffered still count
-        ::close(wk.to_fd);
-        ::close(wk.from_fd);
+        closeWorker(wk);
         int status = 0;
         ::waitpid(wk.pid, &status, 0);
-        wk.alive = false;
         const bool exec_failed = !wk.acked && WIFEXITED(status) &&
                                  WEXITSTATUS(status) == 127;
         if (exec_failed)
@@ -1127,65 +926,21 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         }
 
         // Event loop: drain results, feed idle workers, survive deaths.
+        // A respawn re-registers the slot's new pipe, so an event for
+        // an fd the slot no longer holds is stale and skipped.
+        std::vector<transport::IoEvent> events;
         while (st.spec_done < st.spec_total) {
-            std::vector<pollfd> fds;
-            std::vector<std::size_t> slot_of;
-            for (std::size_t i = 0; i < workers.size(); ++i) {
-                if (!workers[i].alive)
+            loop.wait(events, -1);
+            for (const transport::IoEvent& ev : events) {
+                auto& wk = *static_cast<WorkerSlot*>(ev.ud);
+                if (!wk.alive || ev.fd != wk.from_fd)
                     continue;
-                fds.push_back({workers[i].from_fd, POLLIN, 0});
-                slot_of.push_back(i);
-            }
-            if (fds.empty())
-                throw ShardError("shard: no live workers but " +
-                                 std::to_string(st.spec_total -
-                                                st.spec_done) +
-                                 " jobs incomplete");
-            const int pr = ::poll(fds.data(),
-                                  static_cast<nfds_t>(fds.size()), -1);
-            if (pr < 0) {
-                if (errno == EINTR)
-                    continue;
-                throw ShardError(std::string("shard: poll failed: ") +
-                                 std::strerror(errno));
-            }
-            for (std::size_t k = 0; k < fds.size(); ++k) {
-                if (fds[k].revents == 0)
-                    continue;
-                WorkerSlot& wk = workers[slot_of[k]];
-                if (!wk.alive)
-                    continue;
-                bool dead = false;
-                if (fds[k].revents & (POLLIN | POLLHUP)) {
-                    std::uint8_t tmp[65536];
-                    for (;;) {
-                        const ssize_t r =
-                            ::read(wk.from_fd, tmp, sizeof tmp);
-                        if (r > 0) {
-                            wk.buf.insert(
-                                wk.buf.end(), tmp,
-                                tmp + static_cast<std::size_t>(r));
-                            continue;
-                        }
-                        if (r == 0) {
-                            dead = true;
-                            break;
-                        }
-                        if (errno == EINTR)
-                            continue;
-                        if (errno == EAGAIN || errno == EWOULDBLOCK)
-                            break;
-                        dead = true;
-                        break;
-                    }
-                    if (!dead)
-                        drainFrames(wk);
-                } else if (fds[k].revents & (POLLERR | POLLNVAL)) {
-                    dead = true;
-                }
-                if (dead)
+                if (!wk.reader.fill(wk.from_fd) || (ev.err && !ev.in)) {
                     onWorkerDeath(wk);
-                else if (!wk.job)
+                    continue;
+                }
+                drainFrames(wk);
+                if (!wk.job)
                     dispatch(wk); // idle worker: try to steal
             }
         }

@@ -8,25 +8,29 @@
  *
  * Three layers, each versioned and testable on its own:
  *
- *  1. **Wire format** (`pythia-shard-v1`): length-prefixed frames over
- *     anonymous pipes. The coordinator sends a Hello (schema name +
- *     version + worker index + shared snapshot dir) and then Job frames
- *     (job id + full ExperimentSpec); the worker answers each with a
- *     Result frame (job id + Runner::Outcome + wall seconds, or a typed
- *     error). All payloads ride the snap::Writer/Reader codec, so every
- *     value is fixed-width little-endian and floats travel as IEEE-754
- *     bit patterns — a Result deserializes bit-identically on the
+ *  1. **Wire format** (`pythia-shard-v1`): frames of the shared
+ *     transport (common/transport.hpp) over anonymous pipes, the same
+ *     codec and payload cap as pythia-serve-v1. The coordinator
+ *     watches every worker's pipe on the transport's EventLoop and
+ *     sends a Hello (schema name + version + worker index + shared
+ *     snapshot dir) and then Job frames (job id + full
+ *     ExperimentSpec); the worker answers each with a Result frame
+ *     (job id + Runner::Outcome + wall seconds, or a typed error).
+ *     All payloads ride the snap::Writer/Reader codec (specs via
+ *     harness::writeSpec/readSpec in session.hpp), so every value is
+ *     fixed-width little-endian and floats travel as IEEE-754 bit
+ *     patterns — a Result deserializes bit-identically on the
  *     coordinator.
  *
  *  2. **Durable journal** (`pythia-journal-v1`): an append-only file of
- *     per-job result records, each length-prefixed and FNV-1a-64
- *     checksummed, under a header carrying a sweep fingerprint built
- *     from the same canonical spec fingerprints the snapshot subsystem
- *     uses. A coordinator killed mid-sweep resumes from its last
- *     *flushed* record: completed jobs replay from the journal
- *     bit-identically, only the missing ones re-execute. A truncated
- *     tail record (the crash landed mid-append) is discarded with a
- *     warning and its job re-runs; a corrupted checksum or a
+ *     per-job result records, each framed by the transport header and
+ *     FNV-1a-64 checksummed, under a header carrying a sweep
+ *     fingerprint built from the same canonical spec fingerprints the
+ *     snapshot subsystem uses. A coordinator killed mid-sweep resumes
+ *     from its last *flushed* record: completed jobs replay from the
+ *     journal bit-identically, only the missing ones re-execute. A
+ *     truncated tail record (the crash landed mid-append) is discarded
+ *     with a warning and its job re-runs; a corrupted checksum or a
  *     fingerprint mismatch fails loudly with a typed error naming the
  *     offending record (mirroring the snapshot subsystem's field-diff
  *     diagnostics).
@@ -131,13 +135,6 @@ inline constexpr const char* kJournalSchemaName = "pythia-journal-v1";
 
 // ----------------------------------------------------- wire payloads
 
-/** Serialize @p spec into the wire/journal codec (every field,
- *  including the optional explicit PythiaConfig). */
-void writeSpec(snap::Writer& w, const ExperimentSpec& spec);
-
-/** Inverse of writeSpec(). @throws snap::CorruptError on truncation. */
-ExperimentSpec readSpec(snap::Reader& r);
-
 /** Serialize a full Outcome (run + baseline + metrics), bit-exactly. */
 void writeOutcome(snap::Writer& w, const Runner::Outcome& o);
 
@@ -229,10 +226,6 @@ struct ShardOptions
     /** Warm-state snapshot cache directory forwarded to every worker
      *  (DESIGN.md §9); empty = cold runs. */
     std::string snapshot_dir;
-
-    /** Speculatively re-dispatch in-flight stragglers to idle workers
-     *  once the pending queue drains (first result wins). */
-    bool steal = true;
 
     /** Times one job may see its worker die before the sweep fails. */
     unsigned max_job_restarts = 3;

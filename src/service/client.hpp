@@ -7,7 +7,8 @@
  * poll loop that always keeps reading while it writes — so a client
  * streaming records can never deadlock against a daemon that is
  * simultaneously throttling its input (inflight cap) and emitting
- * windows.
+ * windows. Frames go out through the shared transport's OutboxRing
+ * and come in through its FrameReader (common/transport.hpp).
  *
  * Flow control: streamRun() keeps at most
  * (warmup + window + 2·kGateSlack) records ahead of the daemon's
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/transport.hpp"
 #include "harness/spec.hpp"
 #include "harness/timeseries.hpp"
 #include "service/wire.hpp"
@@ -87,18 +89,18 @@ class ServeClient
 
   private:
     void ensureConnected();
-    void queueFrame(const std::vector<std::uint8_t>& payload);
     /** Flush pending output and wait for the next complete frame.
      *  @throws ServeWireError on EOF or @p timeout_ms expiry. */
-    std::vector<std::uint8_t> waitFrame(int timeout_ms = 120'000);
+    transport::Payload waitFrame(int timeout_ms = 120'000);
     /** One poll round; returns a frame if one completed. */
-    std::optional<std::vector<std::uint8_t>> pollOnce(int timeout_ms);
+    std::optional<transport::Payload> pollOnce(int timeout_ms);
+    /** The next whole buffered frame, if any. */
+    std::optional<transport::Payload> nextFrame();
 
     std::string address_;
     int fd_ = -1;
-    std::vector<std::uint8_t> inbuf_;
-    std::vector<std::uint8_t> outbuf_;
-    std::size_t out_off_ = 0;
+    transport::FrameReader in_;
+    transport::OutboxRing out_;
     std::uint64_t records_consumed_ = 0; ///< daemon's last ack
     harness::ExperimentSpec spec_;
     std::uint64_t window_instrs_ = 0;

@@ -27,10 +27,10 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/transport.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
 #include "harness/timeseries.hpp"
-#include "service/event_loop.hpp"
 #include "service/stream_workload.hpp"
 #include "service/warm_pool.hpp"
 #include "service/wire.hpp"
@@ -42,6 +42,8 @@ namespace pythia::service {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using transport::FlushResult;
+using transport::IoEvent;
 
 void
 setNonBlocking(int fd)
@@ -77,14 +79,14 @@ tenantKeyHex(const std::string& tenant)
 
 // --------------------------------------------------------- Connection
 
-/** One client socket. The loop thread owns fd/inbuf/outbox and the
+/** One client socket. The loop thread owns fd/reader/outbox and the
  *  event-loop registration; workers hand frames over via the
  *  mutex-guarded staging buffer plus the server's dirty list. */
 struct Connection : std::enable_shared_from_this<Connection>
 {
     int fd = -1;
-    std::vector<std::uint8_t> inbuf;
-    OutboxRing outbox;      ///< staged wire frames, flushed vectored
+    transport::FrameReader reader;
+    transport::OutboxRing outbox; ///< staged wire frames, flushed vectored
     bool got_hello = false;
     bool closing = false;   ///< flush outbox, then close
     bool paused_in = false; ///< inflight cap reached; read interest off
@@ -113,7 +115,7 @@ struct Connection : std::enable_shared_from_this<Connection>
         std::lock_guard<std::mutex> lk(mu);
         if (dead)
             return;
-        out_bytes += payload.size() + 4;
+        out_bytes += payload.size() + transport::kFrameHeaderBytes;
         staged.push_back(std::move(payload));
     }
 };
@@ -172,9 +174,9 @@ struct ServeServer::Impl
     int wake_w = -1;
     std::string bound_address;
 
-    /** Readiness backend; created in start() so an explicit io=epoll
-     *  on a platform without it fails there, not inside the thread. */
-    std::unique_ptr<EventLoop> loop;
+    /** Readiness over the wake pipe, the listen socket and every
+     *  connection; owned by the loop thread once started. */
+    transport::EventLoop loop;
 
     /** Connections with worker-staged frames (or other state the loop
      *  must service); populated by markDirty(), drained each tick so
@@ -651,8 +653,6 @@ struct ServeServer::Impl
         const WarmPool::Stats wp = warm_pool.stats();
         std::ostringstream os;
         os << "{\n  \"schema\": \"pythia-serve-stats-v1\",\n"
-           << "  \"io_backend\": \""
-           << (loop ? loop->name() : "unset") << "\",\n"
            << "  \"active_tenants\": " << active << ",\n"
            << "  \"connections_accepted\": " << connections_accepted
            << ",\n"
@@ -856,10 +856,10 @@ struct ServeServer::Impl
         const bool want_in = !c->closing && !c->paused_in;
         const bool want_out = !c->outbox.empty();
         if (!c->registered) {
-            loop->add(c->fd, c.get(), want_in, want_out);
+            loop.add(c->fd, c.get(), want_in, want_out);
             c->registered = true;
         } else if (want_in != c->reg_in || want_out != c->reg_out) {
-            loop->mod(c->fd, want_in, want_out);
+            loop.mod(c->fd, want_in, want_out);
         } else {
             return;
         }
@@ -890,7 +890,7 @@ struct ServeServer::Impl
         if (c->outbox.empty())
             return true;
         const std::size_t before = c->outbox.bytes();
-        const FlushResult r = flushOutbox(c->fd, c->outbox);
+        const FlushResult r = transport::flushOutbox(c->fd, c->outbox);
         c->out_bytes -= before - c->outbox.bytes();
         return r != FlushResult::kDead;
     }
@@ -939,29 +939,18 @@ struct ServeServer::Impl
     /** @return false when the connection died (EOF or error). */
     bool readIn(const std::shared_ptr<Connection>& c)
     {
-        for (;;) {
-            std::uint8_t buf[65536];
-            const ssize_t n = ::recv(c->fd, buf, sizeof buf, 0);
-            if (n < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK ||
-                    errno == EINTR)
-                    break;
-                return false;
-            }
-            if (n == 0)
-                return false; // EOF
-            c->inbuf.insert(c->inbuf.end(), buf, buf + n);
-            if (static_cast<std::size_t>(n) < sizeof buf)
-                break;
-        }
+        if (!c->reader.fill(c->fd))
+            return false; // EOF or error
         try {
-            while (auto frame = extractFrame(c->inbuf)) {
+            while (auto frame = c->reader.next()) {
                 handleFrame(c, *frame);
                 if (c->closing || c->close_after_flush)
                     break;
             }
         } catch (const ServeWireError& e) {
             protocolError(c, e.what());
+        } catch (const transport::FrameError& e) {
+            protocolError(c, std::string("serve wire: ") + e.what());
         }
         return true;
     }
@@ -974,7 +963,7 @@ struct ServeServer::Impl
             c->staged.clear();
         }
         if (c->registered) {
-            loop->del(c->fd);
+            loop.del(c->fd);
             c->registered = false;
         }
         ::close(c->fd);
@@ -1018,9 +1007,9 @@ struct ServeServer::Impl
         std::vector<std::shared_ptr<Connection>> dirty_now;
         std::vector<std::shared_ptr<Connection>> dead;
 
-        loop->add(wake_r, nullptr, true, false);
+        loop.add(wake_r, nullptr, true, false);
         if (listen_fd >= 0)
-            loop->add(listen_fd, nullptr, true, false);
+            loop.add(listen_fd, nullptr, true, false);
 
         while (true) {
             // Service only the connections workers flagged since the
@@ -1046,7 +1035,7 @@ struct ServeServer::Impl
                     Clock::now() +
                     std::chrono::milliseconds(kDrainGraceMs);
                 if (listen_fd >= 0) {
-                    loop->del(listen_fd);
+                    loop.del(listen_fd);
                     ::close(listen_fd);
                     listen_fd = -1;
                 }
@@ -1111,7 +1100,7 @@ struct ServeServer::Impl
             else if (opt.idle_evict_ms > 0)
                 timeout_ms = static_cast<int>(std::min<std::uint64_t>(
                     opt.idle_evict_ms / 2 + 1, 1000));
-            loop->wait(events, timeout_ms);
+            loop.wait(events, timeout_ms);
 
             for (const IoEvent& ev : events) {
                 if (ev.fd == wake_r) {
@@ -1196,9 +1185,6 @@ ServeServer::start()
     setCloexec(impl_->wake_r);
     setCloexec(impl_->wake_w);
     impl_->bindAndListen();
-    // Created here, not in the loop thread, so an explicit io=epoll
-    // on a platform without it fails the start() call directly.
-    impl_->loop = makeEventLoop(impl_->opt.io);
     const unsigned workers = std::max(1u, impl_->opt.workers);
     for (unsigned i = 0; i < workers; ++i)
         impl_->pool.emplace_back([impl = impl_.get()] {

@@ -2,9 +2,9 @@
  * @file
  * ServeServer — the prefetch-as-a-service daemon core (DESIGN.md §12).
  *
- * A single-threaded connection loop — epoll on Linux, poll() fallback,
- * selected at runtime (event_loop.hpp) — accepts clients on a Unix
- * or loopback-TCP socket and speaks pythia-serve-v1 (wire.hpp). Each
+ * A single-threaded connection loop on the shared transport's epoll
+ * EventLoop (common/transport.hpp) accepts clients on a Unix or
+ * loopback-TCP socket and speaks pythia-serve-v1 (wire.hpp). Each
  * client attaches a *tenant*: an id + ExperimentSpec whose access
  * stream the client feeds in kAccess frames and whose SimSession runs
  * on a worker thread pool, emitting kWindow metrics as measurement
@@ -20,7 +20,7 @@
  *    on the connection plus a dirty-connection list and self-pipe
  *    wakeup; the loop splices staged frames into the connection's
  *    iovec outbox ring and flushes it with one vectored write per
- *    batch (event_loop.hpp).
+ *    batch (common/transport.hpp).
  *
  * Resource caps (per tenant / connection):
  *  - inflight records: when streamed-but-unconsumed records exceed
@@ -57,7 +57,6 @@
 #include <memory>
 #include <string>
 
-#include "service/event_loop.hpp"
 
 namespace pythia::service {
 
@@ -87,10 +86,6 @@ struct ServeOptions
     /** Evict sessions idle for this long and close their connection;
      *  0 disables idle eviction. */
     std::uint64_t idle_evict_ms = 0;
-
-    /** Readiness backend for the connection loop (`io=` knob):
-     *  kAuto resolves to epoll on Linux, poll elsewhere. */
-    IoBackend io = IoBackend::kAuto;
 
     /** Byte budget of the shared warm pool (`warm_pool_bytes=` knob),
      *  charged each pooled machine's host footprint plus its warmup

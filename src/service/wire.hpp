@@ -2,12 +2,14 @@
  * @file
  * pythia-serve-v1 — the prefetch-as-a-service wire protocol.
  *
- * Framing follows the shard transport (DESIGN.md §11): every frame is
- * a u32 little-endian payload length followed by the payload, whose
- * first byte is the FrameType. Payloads ride the snap::Writer/Reader
- * codec, so integers are fixed-width little-endian and floats travel
- * as IEEE-754 bit patterns — windowed metrics deserialize on the
- * client bit-identically to what the server measured.
+ * Frames are those of the shared transport (common/transport.hpp),
+ * the same codec and payload cap as pythia-shard-v1: a u32
+ * little-endian payload length followed by the payload, whose first
+ * byte is the FrameType. This file holds only the payloads. They ride
+ * the snap::Writer/Reader codec, so integers are fixed-width
+ * little-endian and floats travel as IEEE-754 bit patterns — windowed
+ * metrics deserialize on the client bit-identically to what the
+ * server measured.
  *
  * Conversation (client ↔ daemon):
  *
@@ -36,13 +38,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "harness/session.hpp"
-#include "harness/shard.hpp"
 #include "harness/spec.hpp"
 #include "workloads/trace.hpp"
 
@@ -84,10 +84,6 @@ class ServeRemoteError : public ServeError
 
 inline constexpr const char* kServeSchemaName = "pythia-serve-v1";
 inline constexpr std::uint32_t kServeVersion = 1;
-
-/** Hard ceiling on one frame's payload (anti-DoS, like the shard
- *  transport's cap). */
-inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
 /**
  * Gating slack, in records: the pump advances a window of W instrs
@@ -214,25 +210,5 @@ RunEndMsg decodeRunEnd(const std::vector<std::uint8_t>& payload);
 DetachAckMsg decodeDetachAck(const std::vector<std::uint8_t>& payload);
 std::string decodeStatsAck(const std::vector<std::uint8_t>& payload);
 ErrorMsg decodeError(const std::vector<std::uint8_t>& payload);
-
-// -------------------------------------------------------- frame I/O
-
-/** Write one length-prefixed frame to @p fd (blocking, EINTR-safe).
- *  @throws ServeWireError on oversized payload or write failure. */
-void writeFrame(int fd, const std::vector<std::uint8_t>& payload);
-
-/** Read one frame from @p fd (blocking). Returns nullopt on clean EOF
- *  at a frame boundary. @throws ServeWireError on truncation, bad
- *  length or read failure. */
-std::optional<std::vector<std::uint8_t>> readFrame(int fd);
-
-/**
- * Extract the next complete frame from an accumulator buffer (the
- * nonblocking server path), erasing its bytes. Returns nullopt while
- * the frame is still partial. @throws ServeWireError when the length
- * prefix exceeds kMaxFramePayload or is zero.
- */
-std::optional<std::vector<std::uint8_t>>
-extractFrame(std::vector<std::uint8_t>& buf);
 
 } // namespace pythia::service

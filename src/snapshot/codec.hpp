@@ -297,9 +297,8 @@ class Reader
 
     std::vector<std::uint32_t> vecU32()
     {
-        const std::uint64_t n = u64();
-        needElems(n, 4);
-        std::vector<std::uint32_t> v(static_cast<std::size_t>(n));
+        const std::size_t n = count(4);
+        std::vector<std::uint32_t> v(n);
         for (auto& x : v)
             x = u32();
         return v;
@@ -307,9 +306,8 @@ class Reader
 
     std::vector<std::uint64_t> vecU64()
     {
-        const std::uint64_t n = u64();
-        needElems(n, 8);
-        std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
+        const std::size_t n = count(8);
+        std::vector<std::uint64_t> v(n);
         for (auto& x : v)
             x = u64();
         return v;
@@ -317,9 +315,8 @@ class Reader
 
     std::vector<float> vecF32()
     {
-        const std::uint64_t n = u64();
-        needElems(n, 4);
-        std::vector<float> v(static_cast<std::size_t>(n));
+        const std::size_t n = count(4);
+        std::vector<float> v(n);
         for (auto& x : v)
             x = f32();
         return v;
@@ -327,12 +324,30 @@ class Reader
 
     std::vector<double> vecF64()
     {
-        const std::uint64_t n = u64();
-        needElems(n, 8);
-        std::vector<double> v(static_cast<std::size_t>(n));
+        const std::size_t n = count(8);
+        std::vector<double> v(n);
         for (auto& x : v)
             x = f64();
         return v;
+    }
+
+    /**
+     * Read a u64 element count, bounded by the bytes left at @p width
+     * bytes per element (the least one element encodes to). The bound
+     * is checked before any multiply or allocation: a hostile count
+     * such as 2^62 would wrap n * width to a small value, or ask
+     * reserve() for more than max_size().
+     */
+    std::size_t count(std::size_t width)
+    {
+        const std::uint64_t n = u64();
+        if (n > remaining() / width)
+            throw CorruptError(
+                "snapshot corrupt: truncated (wanted " +
+                std::to_string(n) + " elements of " +
+                std::to_string(width) + " bytes, " +
+                std::to_string(remaining()) + " bytes available)");
+        return static_cast<std::size_t>(n);
     }
 
     /**
@@ -392,19 +407,6 @@ class Reader
                 "snapshot corrupt: truncated (wanted " +
                 std::to_string(n) + " bytes, " +
                 std::to_string(end - pos_) + " available)");
-    }
-
-    /** need() for @p n elements of @p width bytes. The count is
-     *  bounded before any multiply: a hostile n such as 2^62 would
-     *  wrap n * width to a small value and pass need(). */
-    void needElems(std::uint64_t n, std::size_t width) const
-    {
-        if (n > remaining() / width)
-            throw CorruptError(
-                "snapshot corrupt: truncated (wanted " +
-                std::to_string(n) + " elements of " +
-                std::to_string(width) + " bytes, " +
-                std::to_string(remaining()) + " bytes available)");
     }
 
     std::uint64_t getLe(int width)

@@ -34,11 +34,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include "common/transport.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
 #include "harness/timeseries.hpp"
 #include "service/client.hpp"
-#include "service/event_loop.hpp"
 #include "service/server.hpp"
 #include "service/stream_workload.hpp"
 #include "service/warm_pool.hpp"
@@ -52,6 +52,13 @@ namespace {
 
 namespace fs = std::filesystem;
 using namespace std::chrono_literals;
+using transport::FlushResult;
+using transport::FrameError;
+using transport::FrameReader;
+using transport::kMaxFramePayload;
+using transport::OutboxRing;
+using transport::readFrame;
+using transport::writeFrame;
 
 // --------------------------------------------------------------- helpers
 
@@ -221,6 +228,49 @@ waitFor(const std::function<bool()>& pred, std::chrono::milliseconds max)
     return pred();
 }
 
+/** A Hello whose @p field count ("mix", "features" or "actions")
+ *  claims 2^62 elements in a body of a few bytes: the decoder must
+ *  bound it by the bytes left, not hand it to reserve(). */
+std::vector<std::uint8_t>
+hostileHello(const std::string& field)
+{
+    constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+    snap::Writer w;
+    w.u8(static_cast<std::uint8_t>(FrameType::kHello));
+    w.str(kServeSchemaName);
+    w.u32(kServeVersion);
+    w.str("hostile-" + field);
+    if (field == "mix") {
+        w.str("470.lbm-164B"); // ExperimentSpec::workload
+        w.u64(kHuge);          // ExperimentSpec::mix count
+        return w.buffer();
+    }
+    // A spec without PythiaConfig ends in its has-config flag: flip
+    // it and start a config whose features or actions count is huge.
+    harness::writeSpec(w, makeSpec("470.lbm-164B", "pythia"));
+    std::vector<std::uint8_t> bytes = w.buffer();
+    bytes.back() = 1;
+    snap::Writer cfg;
+    cfg.str("custom"); // PythiaConfig::name
+    if (field == "actions")
+        cfg.u64(0); // no features
+    cfg.u64(kHuge);
+    bytes.insert(bytes.end(), cfg.buffer().begin(), cfg.buffer().end());
+    return bytes;
+}
+
+/** An Access frame whose record count n = 21^-1 mod 2^64 makes
+ *  n * 21 wrap to exactly its 1-byte body. */
+std::vector<std::uint8_t>
+hostileAccess()
+{
+    snap::Writer w;
+    w.u8(static_cast<std::uint8_t>(FrameType::kAccess));
+    w.u64(0xcf3cf3cf3cf3cf3dull);
+    w.u8(0);
+    return w.buffer();
+}
+
 /** Fresh per-test scratch dir; servers bind ephemeral loopback ports. */
 class ServiceTest : public ::testing::Test
 {
@@ -387,20 +437,46 @@ TEST_F(ServiceTest, WireRejectsMalformedFrames)
     auto access = encodeAccess(&rec, 1);
     access.back() |= 0x80;
     EXPECT_THROW(decodeAccess(access), ServeWireError);
+    // Hostile element counts are malformed frames, not allocation
+    // requests.
+    for (const char* field : {"mix", "features", "actions"})
+        EXPECT_THROW(decodeHello(hostileHello(field)), ServeWireError)
+            << field;
+    EXPECT_THROW(decodeAccess(hostileAccess()), ServeWireError);
 
     // Framing: zero and oversized length prefixes are hostile input.
-    std::vector<std::uint8_t> buf = {0, 0, 0, 0};
-    EXPECT_THROW(extractFrame(buf), ServeWireError);
+    // Each reader gets its bytes through a pipe, as from a socket.
+    const auto readerOver = [](const std::vector<std::uint8_t>& bytes,
+                               FrameReader& reader) {
+        int p[2];
+        ASSERT_EQ(::pipe(p), 0);
+        ASSERT_EQ(::write(p[1], bytes.data(), bytes.size()),
+                  static_cast<ssize_t>(bytes.size()));
+        EXPECT_TRUE(reader.fill(p[0]));
+        ::close(p[0]);
+        ::close(p[1]);
+    };
+    FrameReader empty;
+    readerOver({0, 0, 0, 0}, empty);
+    EXPECT_THROW(empty.next(), FrameError);
     const std::uint32_t huge = kMaxFramePayload + 1;
-    buf.clear();
+    std::vector<std::uint8_t> buf;
     for (int i = 0; i < 4; ++i)
         buf.push_back(static_cast<std::uint8_t>(huge >> (8 * i)));
-    EXPECT_THROW(extractFrame(buf), ServeWireError);
+    FrameReader oversized;
+    readerOver(buf, oversized);
+    EXPECT_THROW(oversized.next(), FrameError);
     // A partial frame is not an error — it is "keep reading".
-    buf = {5, 0, 0, 0, 1, 2};
-    auto partial = extractFrame(buf);
-    EXPECT_FALSE(partial.has_value());
-    EXPECT_EQ(buf.size(), 6u);
+    FrameReader partial;
+    readerOver({5, 0, 0, 0, 1, 2}, partial);
+    EXPECT_FALSE(partial.next().has_value());
+    EXPECT_EQ(partial.buffered(), 6u);
+    // The rest of it completes the frame.
+    readerOver({3, 4, 5}, partial);
+    const auto whole = partial.next();
+    ASSERT_TRUE(whole.has_value());
+    EXPECT_EQ(*whole, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(partial.buffered(), 0u);
 }
 
 // --------------------------------------------------------- StreamWorkload
@@ -1009,21 +1085,65 @@ TEST_F(ServiceTest, ResumeWithDifferentSpecFailsTyped)
     EXPECT_EQ(server.stop(), 0);
 }
 
+/** The next frame on @p fd must be a typed kErrProtocol, then EOF. */
+void
+expectProtocolErrorAndClose(int fd, const std::string& what)
+{
+    const auto frame = readFrame(fd);
+    ASSERT_TRUE(frame.has_value()) << what;
+    ASSERT_EQ(frameType(*frame), FrameType::kError) << what;
+    EXPECT_EQ(decodeError(*frame).kind, kErrProtocol) << what;
+    EXPECT_FALSE(readFrame(fd).has_value())
+        << what << ": expected EOF after kError";
+}
+
 TEST_F(ServiceTest, MalformedFirstFrameGetsProtocolErrorAndClose)
 {
     ServeServer server(baseOptions());
     server.start();
-    const int fd = connectToServe(server.boundAddress());
-    writeFrame(fd, {0x63}); // unknown frame type
-    const auto frame = readFrame(fd);
-    ASSERT_TRUE(frame.has_value());
-    ASSERT_EQ(frameType(*frame), FrameType::kError);
-    EXPECT_EQ(decodeError(*frame).kind, kErrProtocol);
-    EXPECT_FALSE(readFrame(fd).has_value()) << "expected EOF after kError";
-    ::close(fd);
+    const std::string addr = server.boundAddress();
+    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+        hostile = {{"unknown frame type", {0x63}}};
+    for (const char* field : {"mix", "features", "actions"})
+        hostile.push_back({std::string("hello with huge ") + field +
+                               " count",
+                           hostileHello(field)});
+    for (const auto& [what, payload] : hostile) {
+        const int fd = connectToServe(addr);
+        writeFrame(fd, payload);
+        expectProtocolErrorAndClose(fd, what);
+        ::close(fd);
+    }
 
-    const auto s = server.stats();
-    EXPECT_GE(s.frames_rejected, 1u);
+    // An access frame whose record count wraps, after a valid hello.
+    constexpr std::uint64_t kWindow = 2000;
+    const auto spec = makeSpec("470.lbm-164B", "pythia");
+    {
+        const int fd = connectToServe(addr);
+        HelloMsg m;
+        m.tenant = "wrapping-access";
+        m.spec = spec;
+        m.window_instrs = kWindow;
+        writeFrame(fd, encodeHello(m));
+        const auto ack = readFrame(fd);
+        ASSERT_TRUE(ack.has_value());
+        ASSERT_EQ(frameType(*ack), FrameType::kHelloAck);
+        writeFrame(fd, hostileAccess());
+        expectProtocolErrorAndClose(fd, "access with wrapping count");
+        ::close(fd);
+    }
+    EXPECT_GE(server.stats().frames_rejected, hostile.size() + 1);
+
+    // The daemon is still up and serves the next tenant bit-exactly.
+    const OfflineRun off = runOffline(spec, kWindow);
+    ServeClient client(addr);
+    client.open("after-hostile", spec, kWindow);
+    const auto progress = client.streamRun(captureRecords(spec));
+    ASSERT_TRUE(progress.final_result.has_value());
+    EXPECT_EQ(resultBits(*progress.final_result),
+              resultBits(off.final_result));
+    expectSeriesEqual(progress.series.samples(), off.series.samples(),
+                      "after hostile frames");
     EXPECT_EQ(server.stop(), 0);
 }
 
@@ -1084,66 +1204,6 @@ TEST_F(ServiceTest, StatsEndpointAggregatesAcrossTenants)
     EXPECT_EQ(server.stop(), 0);
 }
 
-// ------------------------------------------------- event-loop backends
-
-namespace {
-
-/** One spec served end to end under @p opt; asserts bit-exactness
- *  against the offline run and that the stats document names the
- *  expected readiness backend. */
-void
-expectBackendServesBitExact(ServeOptions opt, const char* backend)
-{
-    opt.io = parseIoBackend(backend);
-    ServeServer server(opt);
-    server.start();
-    constexpr std::uint64_t kWindow = 2000;
-    const auto spec = makeSpec("470.lbm-164B", "pythia");
-    const auto records = captureRecords(spec);
-    const OfflineRun off = runOffline(spec, kWindow);
-
-    ServeClient client(server.boundAddress());
-    client.open(std::string("io-") + backend, spec, kWindow);
-    const auto progress = client.streamRun(records);
-    ASSERT_TRUE(progress.final_result.has_value()) << backend;
-    EXPECT_EQ(resultBits(*progress.final_result),
-              resultBits(off.final_result))
-        << backend;
-    expectSeriesEqual(progress.series.samples(), off.series.samples(),
-                      std::string("io=") + backend);
-
-    ServeClient probe(server.boundAddress());
-    const std::string json = probe.stats();
-    EXPECT_NE(json.find(std::string("\"io_backend\": \"") + backend +
-                        "\""),
-              std::string::npos)
-        << json;
-    EXPECT_EQ(server.stop(), 0);
-}
-
-} // namespace
-
-TEST_F(ServiceTest, PollBackendServesBitExact)
-{
-    expectBackendServesBitExact(baseOptions(), "poll");
-}
-
-#ifdef __linux__
-TEST_F(ServiceTest, EpollBackendServesBitExact)
-{
-    expectBackendServesBitExact(baseOptions(), "epoll");
-}
-#endif
-
-TEST_F(ServiceTest, ParseIoBackendRejectsUnknownNames)
-{
-    EXPECT_EQ(parseIoBackend("auto"), IoBackend::kAuto);
-    EXPECT_EQ(parseIoBackend("poll"), IoBackend::kPoll);
-    EXPECT_EQ(parseIoBackend("epoll"), IoBackend::kEpoll);
-    EXPECT_THROW(parseIoBackend("kqueue"), ServeError);
-    EXPECT_THROW(parseIoBackend(""), ServeError);
-}
-
 // ---------------------------------------------------------- outbox ring
 
 TEST_F(ServiceTest, OutboxRingGatherResumesFromPartialOffset)
@@ -1152,12 +1212,13 @@ TEST_F(ServiceTest, OutboxRingGatherResumesFromPartialOffset)
     // headers as well as payloads — every partial-write resume point
     // the flush path can hit.
     OutboxRing ring;
+    EXPECT_THROW(ring.push({}), FrameError); // empty frames are invalid
     std::vector<std::uint8_t> expected; // exact wire stream
     for (std::size_t f = 0; f < 64; ++f) {
         // Built by push_back: a sized vector filled by index trips a
         // gcc 12 -Wstringop-overflow false positive at -O3.
-        std::vector<std::uint8_t> payload; // 0..5 bytes
-        for (std::size_t i = 0; i < f % 6; ++i)
+        std::vector<std::uint8_t> payload; // 1..6 bytes
+        for (std::size_t i = 0; i <= f % 6; ++i)
             payload.push_back(static_cast<std::uint8_t>(f * 31 + i));
         const auto len = static_cast<std::uint32_t>(payload.size());
         for (int b = 0; b < 4; ++b)

@@ -383,19 +383,6 @@ TEST_F(ShardService, SlowWorkerIsStolenFrom)
     EXPECT_GE(report.stolen_jobs, 1u);
 }
 
-TEST_F(ShardService, StealingCanBeDisabled)
-{
-    EnvGuard slow_worker("PYTHIA_SHARD_SLOW_WORKER", "0");
-    EnvGuard slow_ms("PYTHIA_SHARD_SLOW_MS", "100");
-    ShardOptions opt;
-    opt.workers = 2;
-    opt.steal = false;
-    ShardReport report;
-    const auto outcomes = runSharded(opt, testSweep(), &report);
-    expectBitIdentical(outcomes, reference());
-    EXPECT_EQ(report.stolen_jobs, 0u);
-}
-
 TEST_F(ShardService, MissingWorkerBinaryIsATypedError)
 {
     ShardOptions opt;
