@@ -20,7 +20,6 @@
  * instrs) extend the measure end, so values match to within that <=3
  * instruction boundary shift — byte-identical at the default
  * sim_scale, and within one 3rd-decimal rounding step elsewhere.
- * Before/after throughput is recorded in BENCH_session.json.
  *
  * Extra flags: windows= / window_instrs= add uniform observation
  * boundaries on top of the required ones (finer series_out

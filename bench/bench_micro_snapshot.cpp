@@ -3,7 +3,7 @@
  * Microbenchmark of the snapshot subsystem (DESIGN.md §9).
  *
  * Three parts, all landing in the pythia-perf-v1 artifact
- * (--perf-out=BENCH_snapshot.json) as one sweep row each:
+ * (--perf-out=<path>) as one sweep row each:
  *
  *  1. save — snapshotTo() wall time of a warmed single-core Pythia
  *     session ("experiments" counts save operations, so sims_per_sec

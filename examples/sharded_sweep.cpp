@@ -71,8 +71,7 @@ main(int argc, char** argv)
     const auto& r = coordinator.lastReport();
     std::cout << "\n" << r.sweep.experiments << " experiments on "
               << r.sweep.jobs << " worker process(es); " << r.resumed_jobs
-              << " resumed from the journal, " << r.stolen_jobs
-              << " stolen, " << r.worker_restarts
+              << " resumed from the journal, " << r.worker_restarts
               << " worker restarts.\n";
     return 0;
 }

@@ -51,6 +51,9 @@ enum : std::uint8_t
     kErrOther = 3,
 };
 
+/** Times one job may see its worker die before the sweep fails. */
+constexpr unsigned kMaxJobRestarts = 3;
+
 // -------------------------------------------------- journal encoding
 
 /** Serialized journal header: magic + version + fingerprint + FNV of
@@ -485,7 +488,6 @@ struct WorkerSlot
     bool alive = false;
     bool acked = false;
     std::optional<std::size_t> job; ///< currently dispatched job
-    std::chrono::steady_clock::time_point dispatched_at{};
     transport::FrameReader reader; ///< Result frames from from_fd
 };
 
@@ -497,7 +499,6 @@ struct RunState
     std::vector<char> have;
     std::vector<double> job_seconds;
     std::deque<std::size_t> pending; ///< spec jobs awaiting dispatch
-    std::vector<unsigned> inflight;  ///< concurrent dispatches per job
     std::vector<unsigned> restarts;  ///< worker deaths charged per job
     /** First error per job: wire kind + what (workers) or the live
      *  exception (in-coordinator task jobs). */
@@ -544,7 +545,6 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
     st.results.resize(st.n);
     st.have.assign(st.n, 0);
     st.job_seconds.assign(st.n, 0.0);
-    st.inflight.assign(st.n, 0);
     st.restarts.assign(st.n, 0);
     if (st.n == 0)
         return {};
@@ -644,7 +644,7 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
     std::size_t total_spawns = 0;
     const std::size_t spawn_cap =
         static_cast<std::size_t>(opt_.workers) *
-            (opt_.max_job_restarts + 2) +
+            (kMaxJobRestarts + 2) +
         8;
 
     // Blocking write down a worker's pipe; false when it is gone.
@@ -655,6 +655,21 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         } catch (const std::system_error&) {
             return false;
         }
+    };
+
+    // Pull: an idle worker takes the next pending job, if any.
+    const auto dispatch = [&](WorkerSlot& wk) {
+        if (st.pending.empty())
+            return;
+        const std::size_t job = st.pending.front();
+        snap::Writer w;
+        w.u8(kFrameJob);
+        w.u64(job);
+        writeSpec(w, sweep.specs_[job]);
+        if (!sendFrame(wk, w.buffer()))
+            return; // died between loop rounds; its EOF respawns it
+        st.pending.pop_front();
+        wk.job = job;
     };
 
     const auto spawn = [&](WorkerSlot& wk) {
@@ -712,8 +727,10 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         hello.u32(kWireVersion);
         hello.u32(wk.index);
         hello.str(opt_.snapshot_dir);
-        // A worker dead on arrival shows up as EOF in the loop.
-        sendFrame(wk, hello.buffer());
+        // A worker dead on arrival shows up as EOF in the loop. Its
+        // first job queues behind the Hello, ahead of the HelloAck.
+        if (sendFrame(wk, hello.buffer()))
+            dispatch(wk);
     };
 
     const auto closeWorker = [&](WorkerSlot& wk) {
@@ -723,14 +740,19 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         wk.alive = false;
     };
 
+    // Kill every live worker before reaping any, so their exits overlap.
     const auto teardown = [&] {
+        std::vector<pid_t> killed;
         for (auto& wk : workers) {
             if (!wk.alive)
                 continue;
             closeWorker(wk);
             ::kill(wk.pid, SIGKILL);
+            killed.push_back(wk.pid);
+        }
+        for (const pid_t pid : killed) {
             int status = 0;
-            ::waitpid(wk.pid, &status, 0);
+            ::waitpid(pid, &status, 0);
         }
     };
 
@@ -745,52 +767,6 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         if (crash.at_result && crash.post_flush &&
             st.arrivals == crash.at_result)
             ::_exit(137); // simulated SIGKILL after the flush
-    };
-
-    const auto sendJob = [&](WorkerSlot& wk, std::size_t job) {
-        snap::Writer w;
-        w.u8(kFrameJob);
-        w.u64(job);
-        writeSpec(w, sweep.specs_[job]);
-        if (!sendFrame(wk, w.buffer()))
-            return false; // died between loop rounds; EOF handles it
-        wk.job = job;
-        wk.dispatched_at = std::chrono::steady_clock::now();
-        ++st.inflight[job];
-        return true;
-    };
-
-    const auto dispatch = [&](WorkerSlot& wk) {
-        while (!st.pending.empty()) {
-            const std::size_t job = st.pending.front();
-            st.pending.pop_front();
-            if (st.have[job] || st.errors.count(job))
-                continue; // completed by a stolen duplicate meanwhile
-            if (!sendJob(wk, job))
-                st.pending.push_front(job); // the death handler respawns
-            return;
-        }
-        // Work stealing: the pending queue is dry but stragglers still
-        // hold jobs — speculatively re-dispatch the longest-in-flight
-        // incomplete job (at most one duplicate per job; first result
-        // wins, bit-identical by the determinism rule).
-        std::size_t victim = st.n;
-        auto oldest = std::chrono::steady_clock::time_point::max();
-        for (const auto& other : workers) {
-            if (&other == &wk || !other.alive || !other.job)
-                continue;
-            const std::size_t job = *other.job;
-            if (st.have[job] || st.errors.count(job))
-                continue;
-            if (st.inflight[job] >= 2)
-                continue;
-            if (other.dispatched_at < oldest) {
-                oldest = other.dispatched_at;
-                victim = job;
-            }
-        }
-        if (victim != st.n && sendJob(wk, victim))
-            ++report_.stolen_jobs;
     };
 
     // Handle every complete frame in a worker's reader.
@@ -818,35 +794,26 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                 wk.acked = true;
             } else if (type == kFrameResult) {
                 const auto job = static_cast<std::size_t>(r.u64());
-                if (job >= st.n)
-                    throw WireError("shard: result for unknown job " +
-                                    std::to_string(job));
-                const bool ok = r.u8() != 0;
-                if (wk.job && *wk.job == job)
-                    wk.job.reset();
-                if (st.inflight[job] > 0)
-                    --st.inflight[job];
-                if (ok) {
-                    Runner::Outcome outcome = readOutcome(r);
-                    const double seconds = r.f64();
-                    if (!st.have[job] && !st.errors.count(job)) {
-                        st.results[job] = std::move(outcome);
-                        st.job_seconds[job] = seconds;
-                        st.have[job] = 1;
-                        ++st.spec_done;
-                        appendJournal(job);
-                    }
+                if (!wk.job || *wk.job != job)
+                    throw WireError("shard: worker " +
+                                    std::to_string(wk.index) +
+                                    " sent a result for job " +
+                                    std::to_string(job) +
+                                    ", which it does not hold");
+                wk.job.reset();
+                if (r.u8() != 0) {
+                    st.results[job] = readOutcome(r);
+                    st.job_seconds[job] = r.f64();
+                    st.have[job] = 1;
+                    appendJournal(job);
                 } else {
                     const std::uint8_t kind = r.u8();
-                    const std::string what = r.str();
-                    if (!st.have[job] && !st.errors.count(job)) {
-                        st.errors[job] = {kind, what, nullptr};
-                        ++st.spec_done;
-                        // Errors are deliberately not journaled: a
-                        // resumed sweep re-runs the job and reproduces
-                        // the same (deterministic) failure.
-                    }
+                    // Errors are deliberately not journaled: a resumed
+                    // sweep re-runs the job and reproduces the same
+                    // (deterministic) failure.
+                    st.errors[job] = {kind, r.str(), nullptr};
                 }
+                ++st.spec_done;
                 dispatch(wk);
             } else {
                 throw WireError("shard: unexpected frame type " +
@@ -871,19 +838,13 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         if (wk.job) {
             const std::size_t job = *wk.job;
             wk.job.reset();
-            if (st.inflight[job] > 0)
-                --st.inflight[job];
-            if (!st.have[job] && !st.errors.count(job) &&
-                st.inflight[job] == 0) {
-                if (++st.restarts[job] > opt_.max_job_restarts)
-                    throw ShardError(
-                        "shard: job " + std::to_string(job) +
-                        " lost its worker " +
-                        std::to_string(st.restarts[job]) +
-                        " times (max_job_restarts=" +
-                        std::to_string(opt_.max_job_restarts) + ")");
-                st.pending.push_front(job);
-            }
+            if (++st.restarts[job] > kMaxJobRestarts)
+                throw ShardError("shard: job " + std::to_string(job) +
+                                 " lost its worker " +
+                                 std::to_string(st.restarts[job]) +
+                                 " times (max " +
+                                 std::to_string(kMaxJobRestarts) + ")");
+            st.pending.push_front(job);
         }
         if (st.spec_done < st.spec_total) {
             wk.generation += 1;
@@ -901,8 +862,6 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             workers[i].index = i;
             spawn(workers[i]);
         }
-        for (auto& wk : workers)
-            dispatch(wk);
 
         // Task jobs carry closures, which cannot cross the process
         // boundary: run them here while the fleet crunches spec jobs.
@@ -925,9 +884,10 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             }
         }
 
-        // Event loop: drain results, feed idle workers, survive deaths.
-        // A respawn re-registers the slot's new pipe, so an event for
-        // an fd the slot no longer holds is stale and skipped.
+        // Event loop: drain results (each pulls the worker's next job)
+        // and survive deaths. A respawn re-registers the slot's new
+        // pipe, so an event for an fd the slot no longer holds is stale
+        // and skipped.
         std::vector<transport::IoEvent> events;
         while (st.spec_done < st.spec_total) {
             loop.wait(events, -1);
@@ -940,8 +900,6 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                     continue;
                 }
                 drainFrames(wk);
-                if (!wk.job)
-                    dispatch(wk); // idle worker: try to steal
             }
         }
     } catch (...) {
@@ -967,26 +925,15 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         char line[192];
         std::snprintf(line, sizeof line,
                       "[shard] %zu experiments in %.3f s — %.2f exp/s "
-                      "(workers=%u, resumed=%zu, stolen=%zu, "
-                      "restarts=%zu)\n",
+                      "(workers=%u, resumed=%zu, restarts=%zu)\n",
                       st.n, report_.sweep.seconds,
                       report_.sweep.experimentsPerSecond(), n_workers,
-                      report_.resumed_jobs, report_.stolen_jobs,
-                      report_.worker_restarts);
+                      report_.resumed_jobs, report_.worker_restarts);
         *opt_.report_os << line << std::flush;
     }
 
-    // Ordered replay: declaration order, coordinator thread — the same
-    // contract as ParallelRunner, so tables and CSVs are byte-identical
-    // whatever the topology.
-    for (const Sweep::Action& a : sweep.actions_) {
-        if (a.is_job) {
-            if (a.on_job)
-                a.on_job(st.results[a.job]);
-        } else if (a.plain) {
-            a.plain();
-        }
-    }
+    // Same ordered replay as ParallelRunner, on the coordinator thread.
+    sweep.replay(st.results);
     return st.results;
 }
 

@@ -35,15 +35,13 @@
  *     offending record (mirroring the snapshot subsystem's field-diff
  *     diagnostics).
  *
- *  3. **Scheduling**: workers pull — each Result frees the worker for
- *     the next pending job, so fast workers naturally take more of the
- *     grid. When the pending queue drains while stragglers still hold
- *     jobs, idle workers *steal*: the coordinator speculatively
- *     re-dispatches the longest-in-flight incomplete job and the first
- *     result wins (results are bit-identical by the determinism rule,
- *     so the race is benign). A worker that dies (SIGKILL, OOM, crash)
- *     is respawned and its job re-queued, up to a per-job restart
- *     budget.
+ *  3. **Scheduling**: workers pull. Each spawn takes the next pending
+ *     job and each Result frees its worker for the next one, so fast
+ *     workers naturally take more of the grid, and a job is in flight
+ *     on at most one worker at a time. A Result must name the job its
+ *     worker holds (anything else is a WireError). A worker that dies
+ *     (SIGKILL, OOM, crash) is respawned and its job goes back to the
+ *     front of the queue, up to a fixed per-job restart budget.
  *
  * The determinism rule stays absolute: `jobs=1` inline, `jobs=N`
  * threads and `workers=N` processes produce bit-identical
@@ -227,9 +225,6 @@ struct ShardOptions
      *  (DESIGN.md §9); empty = cold runs. */
     std::string snapshot_dir;
 
-    /** Times one job may see its worker die before the sweep fails. */
-    unsigned max_job_restarts = 3;
-
     /** Destination of the per-sweep summary line (nullptr = silent). */
     std::ostream* report_os = nullptr;
 };
@@ -239,7 +234,9 @@ struct ShardReport
 {
     SweepReport sweep;            ///< feeds PerfReport like a pool run
     std::size_t resumed_jobs = 0; ///< satisfied from the journal
-    std::size_t stolen_jobs = 0;  ///< speculative duplicate dispatches
+    /** Always 0: scheduling is pull-only, with no duplicate dispatch.
+     *  Kept because perfbench publishes it. */
+    std::size_t stolen_jobs = 0;
     std::size_t worker_restarts = 0; ///< workers respawned after death
     std::size_t discarded_tail_bytes = 0; ///< journal tail dropped
 };

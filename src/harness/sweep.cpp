@@ -74,6 +74,19 @@ Sweep::grid(const std::vector<std::string>& workloads,
     }
 }
 
+void
+Sweep::replay(const std::vector<Runner::Outcome>& results) const
+{
+    for (const Action& a : actions_) {
+        if (a.is_job) {
+            if (a.on_job)
+                a.on_job(results[a.job]);
+        } else if (a.plain) {
+            a.plain();
+        }
+    }
+}
+
 // --------------------------------------------------------- ParallelRunner
 
 unsigned
@@ -167,14 +180,7 @@ ParallelRunner::run(Runner& runner, const Sweep& sweep)
     }
 
     // Ordered replay: declaration order, calling thread, no locking.
-    for (const Sweep::Action& a : sweep.actions_) {
-        if (a.is_job) {
-            if (a.on_job)
-                a.on_job(results[a.job]);
-        } else if (a.plain) {
-            a.plain();
-        }
-    }
+    sweep.replay(results);
     return results;
 }
 

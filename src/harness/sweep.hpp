@@ -131,6 +131,10 @@ class Sweep
         std::function<void()> plain;  ///< valid when !is_job
     };
 
+    /** Run every job callback and then() action in declaration order
+     *  on the calling thread, with @p results indexed by JobId. */
+    void replay(const std::vector<Runner::Outcome>& results) const;
+
     std::vector<ExperimentSpec> specs_;
     std::vector<TaskFn> tasks_; ///< parallel to specs_; empty = spec job
     std::vector<Action> actions_;

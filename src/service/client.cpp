@@ -33,71 +33,53 @@ setNonBlocking(int fd)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/** Connect @p fd to @p addr, closing it on failure. */
+int
+connectOrClose(int fd, const sockaddr* addr, socklen_t len,
+               const std::string& address)
+{
+    if (::connect(fd, addr, len) < 0) {
+        const int err = errno;
+        ::close(fd);
+        throw ServeError("connect " + address + ": " + std::strerror(err));
+    }
+    return fd;
+}
+
 } // namespace
 
 int
 connectToServe(const std::string& address)
 {
+    const ServeAddress a = parseServeAddress(address);
     std::signal(SIGPIPE, SIG_IGN);
-    if (address.rfind("unix:", 0) == 0) {
-        const std::string path = address.substr(5);
+    if (a.is_unix) {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        if (a.unix_path.size() >= sizeof(addr.sun_path))
+            throw ServeError("unix socket path too long: " + a.unix_path);
+        std::strncpy(addr.sun_path, a.unix_path.c_str(),
+                     sizeof(addr.sun_path) - 1);
         const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
         if (fd < 0)
             throw ServeError(std::string("socket: ") +
                              std::strerror(errno));
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (path.size() >= sizeof(addr.sun_path)) {
-            ::close(fd);
-            throw ServeError("unix socket path too long: " + path);
-        }
-        std::strncpy(addr.sun_path, path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) < 0) {
-            const int err = errno;
-            ::close(fd);
-            throw ServeError("connect " + address + ": " +
-                             std::strerror(err));
-        }
-        return fd;
+        return connectOrClose(fd, reinterpret_cast<sockaddr*>(&addr),
+                              sizeof(addr), address);
     }
-    if (address.rfind("tcp:", 0) == 0) {
-        const std::string hostport = address.substr(4);
-        const std::size_t colon = hostport.rfind(':');
-        if (colon == std::string::npos)
-            throw ServeError("bad tcp address (want tcp:host:port): " +
-                             address);
-        const std::string host = hostport.substr(0, colon);
-        const int port = std::atoi(hostport.c_str() + colon + 1);
-        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd < 0)
-            throw ServeError(std::string("socket: ") +
-                             std::strerror(errno));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-            ::close(fd);
-            throw ServeError("bad tcp host (want a dotted quad): " +
-                             address);
-        }
-        // Small frames fly in both directions; Nagle would hold them
-        // back against the daemon's window stream.
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                      sizeof(addr)) < 0) {
-            const int err = errno;
-            ::close(fd);
-            throw ServeError("connect " + address + ": " +
-                             std::strerror(err));
-        }
-        return fd;
-    }
-    throw ServeError("bad serve address (want unix:<path> or "
-                     "tcp:<host>:<port>): " +
-                     address);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(a.tcp_port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        throw ServeError(std::string("socket: ") + std::strerror(errno));
+    // Small frames fly in both directions; Nagle would hold them back
+    // against the daemon's window stream.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    return connectOrClose(fd, reinterpret_cast<sockaddr*>(&addr),
+                          sizeof(addr), address);
 }
 
 ServeClient::ServeClient(std::string address)

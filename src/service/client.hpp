@@ -33,8 +33,8 @@ namespace pythia::service {
 class ServeClient
 {
   public:
-    /** @p address is "unix:<path>" or "tcp:<host>:<port>" (as printed
-     *  by ServeServer::boundAddress() / pythia_serve). Does not
+    /** @p address is a parseServeAddress() address, e.g. as printed
+     *  by ServeServer::boundAddress() / pythia_serve. Does not
      *  connect yet; open()/stats() connect on demand. */
     explicit ServeClient(std::string address);
     ~ServeClient();
@@ -106,8 +106,9 @@ class ServeClient
     std::uint64_t window_instrs_ = 0;
 };
 
-/** Connect a blocking socket to a serve address ("unix:..."/"tcp:...").
- *  @throws ServeError on failure. */
+/** Connect a blocking socket to a parseServeAddress() address.
+ *  @throws ServeError on a bad address (before any connect) or a
+ *  failed connect. */
 int connectToServe(const std::string& address);
 
 } // namespace pythia::service

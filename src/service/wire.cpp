@@ -1,6 +1,38 @@
 #include "service/wire.hpp"
 
+#include <cstdlib>
+
 namespace pythia::service {
+
+ServeAddress
+parseServeAddress(const std::string& address)
+{
+    ServeAddress a;
+    if (address.rfind("unix:", 0) == 0) {
+        a.is_unix = true;
+        a.unix_path = address.substr(5);
+        return a;
+    }
+    if (address.rfind("tcp:", 0) != 0)
+        throw ServeError("serve address must be unix:<path> or "
+                         "tcp:[<host>:]<port>, got '" +
+                         address + "'");
+    std::string port = address.substr(4);
+    const std::size_t colon = port.rfind(':');
+    if (colon != std::string::npos) {
+        const std::string host = port.substr(0, colon);
+        if (host != "127.0.0.1" && host != "localhost")
+            throw ServeError("serve address is loopback only; got host '" +
+                             host + "' in " + address);
+        port = port.substr(colon + 1);
+    }
+    char* end = nullptr;
+    const long n = std::strtol(port.c_str(), &end, 10);
+    if (port.empty() || *end != '\0' || n < 0 || n > 65535)
+        throw ServeError("bad tcp port '" + port + "' in " + address);
+    a.tcp_port = static_cast<std::uint16_t>(n);
+    return a;
+}
 
 namespace {
 

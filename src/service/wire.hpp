@@ -80,6 +80,26 @@ class ServeRemoteError : public ServeError
     std::uint32_t kind_;
 };
 
+// ---------------------------------------------------------- addresses
+
+/** A daemon endpoint. The daemon binds only loopback, so a TCP address
+ *  carries just a port. */
+struct ServeAddress
+{
+    bool is_unix = false;
+    std::string unix_path;      ///< valid when is_unix
+    std::uint16_t tcp_port = 0; ///< loopback port when !is_unix
+};
+
+/**
+ * Parse `unix:<path>`, `tcp:<port>` or `tcp:<host>:<port>`, the one
+ * syntax of `pythia_serve listen=` and ServeClient. The host must be
+ * 127.0.0.1 or localhost; the port must be decimal in [0, 65535] with
+ * nothing after it.
+ * @throws ServeError naming the bad part.
+ */
+ServeAddress parseServeAddress(const std::string& address);
+
 // ---------------------------------------------------------- constants
 
 inline constexpr const char* kServeSchemaName = "pythia-serve-v1";

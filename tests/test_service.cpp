@@ -29,7 +29,9 @@
 #include <thread>
 #include <vector>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -1003,6 +1005,54 @@ TEST_F(ServiceTest, TinyOutboxThrottleKeepsResultsExact)
 }
 
 // ------------------------------------------------------ typed failures
+
+TEST_F(ServiceTest, BadServeAddressesFailBeforeAnyConnect)
+{
+    // A bare loopback listener stands in for the daemon: an address
+    // whose port wraps or truncates onto it must still never reach it.
+    const int lfd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+              0);
+    ASSERT_EQ(::listen(lfd, 8), 0);
+    socklen_t len = sizeof addr;
+    ASSERT_EQ(
+        ::getsockname(lfd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    const unsigned port = ntohs(addr.sin_port);
+    const std::string p = std::to_string(port);
+    const std::string wrapped = std::to_string(port + 65536);
+
+    for (const std::string& bad : std::vector<std::string>{
+             "tcp:127.0.0.1:" + wrapped, "tcp:127.0.0.1:" + p + "abc",
+             "tcp:" + wrapped, "tcp:127.0.0.1:", "tcp:127.0.0.1:-1",
+             "tcp:10.0.0.1:" + p, "tcp:example.com:" + p, "tcp:",
+             "udp:" + p, p}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(parseServeAddress(bad), ServeError);
+        EXPECT_THROW(connectToServe(bad), ServeError);
+        ServeClient client(bad);
+        EXPECT_THROW(client.stats(), ServeError);
+    }
+    EXPECT_LT(::accept(lfd, nullptr, nullptr), 0)
+        << "a bad address reached the listener";
+
+    // Every form valid before still parses.
+    ServeAddress a = parseServeAddress("unix:/tmp/pythia.sock");
+    EXPECT_TRUE(a.is_unix);
+    EXPECT_EQ(a.unix_path, "/tmp/pythia.sock");
+    a = parseServeAddress("tcp:0");
+    EXPECT_FALSE(a.is_unix);
+    EXPECT_EQ(a.tcp_port, 0u);
+    EXPECT_EQ(parseServeAddress("tcp:localhost:65535").tcp_port, 65535u);
+    EXPECT_EQ(parseServeAddress("tcp:127.0.0.1:" + p).tcp_port, port);
+    const int fd = connectToServe("tcp:127.0.0.1:" + p);
+    EXPECT_GE(fd, 0);
+    ::close(fd);
+    ::close(lfd);
+}
 
 TEST_F(ServiceTest, SecondHelloForLiveTenantIsBusy)
 {

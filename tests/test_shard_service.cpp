@@ -29,6 +29,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/transport.hpp"
 #include "harness/session.hpp"
 #include "harness/shard.hpp"
 
@@ -127,8 +128,9 @@ expectBitIdentical(const std::vector<Runner::Outcome>& a,
 }
 
 /** The test grid: two workloads x three prefetchers, small windows.
- *  Six spec jobs is enough to exercise dispatch, stealing and resume
- *  while keeping every adversarial scenario re-runnable in seconds. */
+ *  Six spec jobs is enough to exercise pull dispatch, respawn and
+ *  resume while keeping every adversarial scenario re-runnable in
+ *  seconds. */
 Sweep
 testSweep()
 {
@@ -368,19 +370,58 @@ INSTANTIATE_TEST_SUITE_P(KillPoints, ShardKillPoint,
                              return std::string(info.param);
                          });
 
-TEST_F(ShardService, SlowWorkerIsStolenFrom)
+TEST_F(ShardService, SlowWorkerConvergesBitIdentically)
 {
-    // Worker 0 sleeps 400ms per job; with 2 workers on 6 jobs the
-    // pending queue drains while it crawls, so the idle worker must
-    // steal its in-flight job instead of serializing the tail.
+    // Worker 0 sleeps 400ms per job; with 2 workers on 6 jobs the fast
+    // worker pulls most of the grid and results arrive out of order,
+    // yet the outcomes must still be the reference bits.
     EnvGuard slow_worker("PYTHIA_SHARD_SLOW_WORKER", "0");
     EnvGuard slow_ms("PYTHIA_SHARD_SLOW_MS", "400");
     ShardOptions opt;
     opt.workers = 2;
-    ShardReport report;
-    const auto outcomes = runSharded(opt, testSweep(), &report);
+    const auto outcomes = runSharded(opt, testSweep());
     expectBitIdentical(outcomes, reference());
-    EXPECT_GE(report.stolen_jobs, 1u);
+}
+
+TEST_F(ShardService, ResultForJobNotHeldIsAWireError)
+{
+    // A stand-in worker acks the Hello, then answers for the grid's
+    // last job while the coordinator has handed it job 0.
+    snap::Writer ack;
+    ack.u8(2); // HelloAck
+    ack.str(kWireSchemaName);
+    ack.u32(kWireVersion);
+    snap::Writer result;
+    result.u8(4); // Result
+    result.u64(testSweep().size() - 1);
+    result.u8(0); // error outcome
+    result.u8(2);
+    result.str("not my job");
+    {
+        std::ofstream frames(path("frames.bin"), std::ios::binary);
+        for (const snap::Writer* w : {&ack, &result}) {
+            const auto h = transport::encodeFrameHeader(w->size());
+            frames.write(reinterpret_cast<const char*>(h.data()),
+                         static_cast<std::streamsize>(h.size()));
+            frames.write(
+                reinterpret_cast<const char*>(w->buffer().data()),
+                static_cast<std::streamsize>(w->size()));
+        }
+    }
+    // argv = {in_fd, out_fd, index, generation}. The coordinator reads
+    // buffered frames before it handles the worker's exit.
+    const std::string worker = path("rogue_worker.sh");
+    {
+        std::ofstream sh(worker);
+        sh << "#!/bin/sh\ncat '" << fs::absolute(path("frames.bin")).string()
+           << "' >&\"$2\"\n";
+    }
+    fs::permissions(worker, fs::perms::owner_all);
+
+    ShardOptions opt;
+    opt.workers = 1;
+    opt.worker_path = worker;
+    EXPECT_THROW(runSharded(opt, testSweep()), WireError);
 }
 
 TEST_F(ShardService, MissingWorkerBinaryIsATypedError)

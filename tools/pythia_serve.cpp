@@ -16,7 +16,8 @@
  *                [idle_evict_ms=0] [warm_pool_bytes=67108864]
  *                [quiet=0]
  *
- * listen=tcp:<port> binds 127.0.0.1:<port> (0 picks an ephemeral port);
+ * listen=tcp:<port> (or tcp:127.0.0.1:<port>, tcp:localhost:<port>)
+ * binds 127.0.0.1:<port> (0 picks an ephemeral port);
  * the daemon prints "listening on <address>" on stdout either way, so
  * scripts can scrape the bound address.
  *
@@ -26,12 +27,12 @@
  * machine's state bit-exactly; 0 disables the pool.
  */
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "common/config.hpp"
 #include "service/server.hpp"
+#include "service/wire.hpp"
 
 namespace {
 
@@ -64,39 +65,13 @@ main(int argc, char** argv)
 
     try {
         service::ServeOptions opt;
-        const std::string listen =
-            cli.getString("listen", "tcp:0");
-        if (listen.rfind("unix:", 0) == 0) {
-            opt.unix_path = listen.substr(5);
-        } else if (listen.rfind("tcp:", 0) == 0) {
-            // tcp:<port> or tcp:127.0.0.1:<port> — the daemon only
-            // binds loopback, so any other host is an error, and a
-            // malformed port must not silently atoi to garbage.
-            std::string rest = listen.substr(4);
-            const std::size_t colon = rest.rfind(':');
-            if (colon != std::string::npos) {
-                const std::string host = rest.substr(0, colon);
-                if (host != "127.0.0.1" && host != "localhost") {
-                    std::cerr << "pythia_serve: listen only binds "
-                                 "loopback; got host '"
-                              << host << "'\n";
-                    return 2;
-                }
-                rest = rest.substr(colon + 1);
-            }
-            char* end = nullptr;
-            const long port = std::strtol(rest.c_str(), &end, 10);
-            if (rest.empty() || *end != '\0' || port < 0 ||
-                port > 65535) {
-                std::cerr << "pythia_serve: bad tcp port '" << rest
-                          << "' in listen=" << listen << "\n";
-                return 2;
-            }
-            opt.tcp_port = static_cast<std::uint16_t>(port);
-        } else {
-            std::cerr << "pythia_serve: listen must be unix:<path> or "
-                         "tcp:<port>, got '"
-                      << listen << "'\n";
+        try {
+            const service::ServeAddress listen =
+                service::parseServeAddress(cli.getString("listen", "tcp:0"));
+            opt.unix_path = listen.unix_path;
+            opt.tcp_port = listen.tcp_port;
+        } catch (const service::ServeError& e) {
+            std::cerr << "pythia_serve: listen: " << e.what() << "\n";
             return 2;
         }
         opt.workers = static_cast<unsigned>(cli.getInt("workers", 2));
