@@ -28,18 +28,11 @@
  * Profiling (DESIGN.md §10): profile=1 wraps the bench's measured
  * region in a harness::ScopedProfiler — gperftools CPU profile when
  * libprofiler is linked/preloaded, perf-marker stderr lines otherwise.
- *
- * Warm-state caching (DESIGN.md §9): snapshot_dir=<dir> persists every
- * post-warmup machine state as a pythia-snap-v1 file in <dir> and
- * restores it on later runs with the same configuration fingerprint,
- * skipping the warmup simulation entirely. Restored runs are
- * bit-identical to cold ones.
  */
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -76,7 +69,6 @@ struct BenchOptions
     bool quiet = false;     ///< suppress the stderr throughput line
     bool profile = false;   ///< profile=1: profile the measured region
     std::string perf_out;   ///< perf JSON path; empty = no artifact
-    std::string snapshot_dir; ///< warm-state cache dir; empty = off
     Config cli;             ///< full parse, for bench-specific keys
     harness::PerfReport perf; ///< accumulated by runSweep()
     std::size_t sweeps_run = 0; ///< runSweep() calls so far (journal names)
@@ -93,9 +85,9 @@ inline BenchOptions
 parseBenchArgs(int argc, char** argv,
                const std::vector<std::string>& extra_keys = {})
 {
-    std::vector<std::string> allowed = {"sim_scale", "jobs", "workers",
-                                        "journal",   "quiet", "perf_out",
-                                        "snapshot_dir", "profile"};
+    std::vector<std::string> allowed = {"sim_scale", "jobs",    "workers",
+                                        "journal",   "quiet",   "perf_out",
+                                        "profile"};
     allowed.insert(allowed.end(), extra_keys.begin(), extra_keys.end());
     BenchOptions opt;
     {
@@ -147,7 +139,6 @@ parseBenchArgs(int argc, char** argv,
         opt.quiet = opt.cli.getBool("quiet", false);
         opt.profile = opt.cli.getBool("profile", false);
         opt.perf_out = opt.cli.getString("perf_out", "");
-        opt.snapshot_dir = opt.cli.getString("snapshot_dir", "");
     } catch (const std::exception& e) {
         std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what()
                   << "\n";
@@ -173,19 +164,9 @@ inline std::vector<harness::Runner::Outcome>
 runSweep(harness::Sweep& sweep, harness::Runner& runner,
          BenchOptions& opt)
 {
-    if (!opt.snapshot_dir.empty() && runner.snapshotDir().empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opt.snapshot_dir, ec);
-        if (ec)
-            std::cerr << "[snapshot] cannot create " << opt.snapshot_dir
-                      << ": " << ec.message() << " (running cold)\n";
-        else
-            runner.setSnapshotDir(opt.snapshot_dir);
-    }
     if (opt.workers > 0) {
         harness::ShardOptions shard;
         shard.workers = opt.workers;
-        shard.snapshot_dir = opt.snapshot_dir;
         if (!opt.journal.empty())
             shard.journal_path =
                 opt.sweeps_run == 0

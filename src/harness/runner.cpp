@@ -1,15 +1,11 @@
 #include "harness/runner.hpp"
 
-#include <cassert>
-#include <iomanip>
-#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/hashing.hpp"
 #include "harness/session.hpp"
 #include "sim/prefetcher_registry.hpp"
-#include "snapshot/snapshot.hpp"
 #include "workloads/suites.hpp"
 
 namespace pythia::harness {
@@ -29,14 +25,62 @@ streamSeries(SimSession session,
     return series;
 }
 
-/** Cache file for a fingerprint: warm-<fnv1a hex>.snap in @p dir. */
-std::string
-warmCachePath(const std::string& dir, const std::string& fingerprint)
+/** Open @p spec the paper's way: construct, warm up, ready to measure. */
+SimSession
+warmSession(const ExperimentSpec& spec)
 {
-    std::ostringstream os;
-    os << dir << "/warm-" << std::hex << std::setw(16)
-       << std::setfill('0') << snap::fnv1a(fingerprint) << ".snap";
-    return os.str();
+    SimSession session(spec);
+    session.runWarmup();
+    return session;
+}
+
+/** True when @p spec runs no prefetcher, i.e. is its own baseline. */
+bool
+isBaseline(const ExperimentSpec& spec)
+{
+    return spec.prefetcher == "none" && spec.l1_prefetcher == "none";
+}
+
+/** The no-prefetching baseline of @p spec: same machine, workload and
+ *  windows, prefetchers "none" and no pythia_cfg. */
+ExperimentSpec
+baselineSpec(const ExperimentSpec& spec)
+{
+    ExperimentSpec base = spec;
+    base.prefetcher = "none";
+    base.l1_prefetcher = "none";
+    base.pythia_cfg.reset();
+    return base;
+}
+
+/**
+ * Per-key once-semantics over @p cache: exactly one thread claims
+ * @p key under @p mutex and runs @p compute outside it; everyone else
+ * waits on the shared future. A failed computation propagates its
+ * exception to every waiter (the spec is deterministic, so a retry
+ * would throw the same way).
+ */
+template <class T, class Compute>
+std::shared_future<T>
+computeOnce(std::mutex& mutex,
+            std::map<std::string, std::shared_future<T>>& cache,
+            const std::string& key, Compute compute)
+{
+    std::promise<T> promise;
+    std::shared_future<T> future;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto [it, claimed] = cache.try_emplace(key);
+        if (!claimed)
+            return it->second;
+        future = it->second = promise.get_future().share();
+    }
+    try {
+        promise.set_value(compute());
+    } catch (...) {
+        promise.set_exception(std::current_exception());
+    }
+    return future;
 }
 
 } // namespace
@@ -118,108 +162,18 @@ Runner::baselineKey(const ExperimentSpec& spec)
     return key.str();
 }
 
-void
-Runner::setSnapshotDir(std::string dir)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    snapshot_dir_ = std::move(dir);
-}
-
-std::string
-Runner::snapshotDir() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return snapshot_dir_;
-}
-
-SimSession
-Runner::openWarmSession(const ExperimentSpec& spec)
-{
-    std::string dir;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        dir = snapshot_dir_;
-    }
-    if (dir.empty()) {
-        SimSession session(spec);
-        session.runWarmup();
-        return session;
-    }
-
-    const std::string path = warmCachePath(dir, fingerprintFor(spec));
-    try {
-        SimSession session = SimSession::resumeFrom(spec, path);
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++warm_hits_;
-        return session;
-    } catch (const snap::IoError&) {
-        // No cache entry yet — the ordinary cold path, not a fault.
-    } catch (const snap::SnapshotError& e) {
-        // Stale fingerprint, corruption, unsupported version: never
-        // restore silently-wrong state. Warn loudly and re-warm cold.
-        std::cerr << "pythia: ignoring warm-state cache entry " << path
-                  << ":\n  " << e.what() << "\n";
-    }
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++warm_misses_;
-    }
-
-    SimSession session(spec);
-    session.runWarmup();
-    try {
-        session.snapshotTo(path);
-    } catch (const snap::UnsupportedError&) {
-        // A prefetcher without snapshot support runs cold, silently —
-        // the cache is an optimization, not a requirement.
-    } catch (const snap::SnapshotError& e) {
-        std::cerr << "pythia: cannot persist warm state to " << path
-                  << ":\n  " << e.what() << "\n";
-    }
-    return session;
-}
-
 Runner::Outcome
 Runner::evaluate(const ExperimentSpec& spec)
 {
-    const std::string key = baselineKey(spec);
-
-    // Per-key once-semantics: exactly one thread claims the key and
-    // simulates the baseline outside the lock; everyone else waits on
-    // the shared future. A failed baseline propagates its exception to
-    // every waiter (the spec is deterministic, so a retry would throw
-    // the same way).
-    std::shared_future<sim::RunResult> future;
-    std::promise<sim::RunResult> promise;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = baselines_.find(key);
-        if (it == baselines_.end()) {
-            future = promise.get_future().share();
-            baselines_.emplace(key, future);
-            owner = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (owner) {
-        try {
-            ExperimentSpec base = spec;
-            base.prefetcher = "none";
-            base.l1_prefetcher = "none";
-            base.pythia_cfg.reset();
-            promise.set_value(openWarmSession(base).runToCompletion());
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
+    const auto baseline =
+        computeOnce(mutex_, baselines_, baselineKey(spec), [&] {
+            return warmSession(baselineSpec(spec)).runToCompletion();
+        });
 
     Outcome out;
-    out.baseline = future.get();
-    out.run = (spec.prefetcher == "none" && spec.l1_prefetcher == "none")
-                  ? out.baseline
-                  : openWarmSession(spec).runToCompletion();
+    out.baseline = baseline.get();
+    out.run = isBaseline(spec) ? out.baseline
+                               : warmSession(spec).runToCompletion();
     out.metrics = computeMetrics(out.run, out.baseline);
     return out;
 }
@@ -252,41 +206,17 @@ Runner::evaluateWindowed(const ExperimentSpec& spec,
     key_os << baselineKey(spec);
     for (std::uint64_t end : window_ends)
         key_os << '\x1f' << end;
-    const std::string key = key_os.str();
-
-    // Same per-key once-semantics as the batch baseline cache.
-    std::shared_future<TimeSeries> future;
-    std::promise<TimeSeries> promise;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = windowed_baselines_.find(key);
-        if (it == windowed_baselines_.end()) {
-            future = promise.get_future().share();
-            windowed_baselines_.emplace(key, future);
-            owner = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (owner) {
-        try {
-            ExperimentSpec base = spec;
-            base.prefetcher = "none";
-            base.l1_prefetcher = "none";
-            base.pythia_cfg.reset();
-            promise.set_value(
-                streamSeries(openWarmSession(base), window_ends));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
+    const auto baseline =
+        computeOnce(mutex_, windowed_baselines_, key_os.str(), [&] {
+            return streamSeries(warmSession(baselineSpec(spec)),
+                                window_ends);
+        });
 
     WindowedOutcome out;
-    out.baseline = future.get();
-    out.run = (spec.prefetcher == "none" && spec.l1_prefetcher == "none")
+    out.baseline = baseline.get();
+    out.run = isBaseline(spec)
                   ? out.baseline
-                  : streamSeries(openWarmSession(spec), window_ends);
+                  : streamSeries(warmSession(spec), window_ends);
     out.final.run = out.run.finalResult();
     out.final.baseline = out.baseline.finalResult();
     out.final.metrics = computeMetrics(out.final.run, out.final.baseline);

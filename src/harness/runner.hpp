@@ -93,36 +93,6 @@ class Runner
     Outcome evaluate(const ExperimentSpec& spec);
 
     /**
-     * Enable the warm-state cache: every session this runner opens
-     * (runs and baselines alike) snapshots its post-warmup machine
-     * state into @p dir as a pythia-snap-v1 file keyed by the spec's
-     * configuration fingerprint, and later sessions with the same
-     * fingerprint restore it instead of re-simulating the warmup. A
-     * restored run is bit-identical to a cold one (DESIGN.md §9).
-     * Stale or corrupt cache entries are ignored with a warning and
-     * re-warmed cold; prefetchers that cannot serialize simply skip
-     * persistence. Pass "" to disable. The directory must exist.
-     */
-    void setSnapshotDir(std::string dir);
-
-    /** The warm-state cache directory ("" when disabled). */
-    std::string snapshotDir() const;
-
-    /** Sessions restored from the warm-state cache. */
-    std::size_t warmHits() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return warm_hits_;
-    }
-
-    /** Sessions warmed cold while the cache was enabled. */
-    std::size_t warmMisses() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return warm_misses_;
-    }
-
-    /**
      * Evaluate @p spec as a streamed session observed at
      * @p window_ends — strictly increasing cumulative measured-instr
      * boundaries whose last entry must equal spec.sim_instrs (throws
@@ -161,17 +131,10 @@ class Runner
     static std::string baselineKey(const ExperimentSpec& spec);
 
   private:
-    /** Open a post-warmup session for @p spec, restoring from the
-     *  warm-state cache when possible (and populating it when not). */
-    SimSession openWarmSession(const ExperimentSpec& spec);
-
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_future<sim::RunResult>> baselines_;
     std::map<std::string, std::shared_future<TimeSeries>>
         windowed_baselines_;
-    std::string snapshot_dir_;
-    std::size_t warm_hits_ = 0;
-    std::size_t warm_misses_ = 0;
 };
 
 } // namespace pythia::harness

@@ -385,7 +385,9 @@ shardWorkerMain(int argc, char** argv)
                             ", want " + kWireSchemaName + " v" +
                             std::to_string(kWireVersion) + ")");
         (void)r.u32(); // worker index, informational (argv is binding)
-        const std::string snapshot_dir = r.str();
+        if (!r.atEnd())
+            throw WireError("worker: " + std::to_string(r.remaining()) +
+                            " trailing byte(s) after the Hello fields");
 
         snap::Writer ack;
         ack.u8(kFrameHelloAck);
@@ -394,9 +396,6 @@ shardWorkerMain(int argc, char** argv)
         transport::writeFrame(out_fd, ack.buffer());
 
         Runner runner;
-        if (!snapshot_dir.empty() &&
-            std::filesystem::is_directory(snapshot_dir))
-            runner.setSnapshotDir(snapshot_dir);
 
         std::size_t jobs_seen = 0;
         // Until the coordinator closes the pipe: clean shutdown.
@@ -635,10 +634,6 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
 
     // ---- workers.
     const std::string worker_path = resolveWorkerPath(opt_.worker_path);
-    if (!opt_.snapshot_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opt_.snapshot_dir, ec);
-    }
     std::vector<WorkerSlot> workers;
     transport::EventLoop loop; // every live worker's from_fd
     std::size_t total_spawns = 0;
@@ -726,7 +721,6 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         hello.str(kWireSchemaName);
         hello.u32(kWireVersion);
         hello.u32(wk.index);
-        hello.str(opt_.snapshot_dir);
         // A worker dead on arrival shows up as EOF in the loop. Its
         // first job queues behind the Hello, ahead of the HelloAck.
         if (sendFrame(wk, hello.buffer()))

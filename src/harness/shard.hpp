@@ -12,10 +12,10 @@
  *     transport (common/transport.hpp) over anonymous pipes, the same
  *     codec and payload cap as pythia-serve-v1. The coordinator
  *     watches every worker's pipe on the transport's EventLoop and
- *     sends a Hello (schema name + version + worker index + shared
- *     snapshot dir) and then Job frames (job id + full
- *     ExperimentSpec); the worker answers each with a Result frame
- *     (job id + Runner::Outcome + wall seconds, or a typed error).
+ *     sends a Hello (schema name + version + worker index) and then
+ *     Job frames (job id + full ExperimentSpec); the worker answers
+ *     each with a Result frame (job id + Runner::Outcome + wall
+ *     seconds, or a typed error).
  *     All payloads ride the snap::Writer/Reader codec (specs via
  *     harness::writeSpec/readSpec in session.hpp), so every value is
  *     fixed-width little-endian and floats travel as IEEE-754 bit
@@ -117,7 +117,7 @@ class JournalFingerprintError : public JournalError
 inline constexpr const char* kWireSchemaName = "pythia-shard-v1";
 
 /** Current wire-protocol version. */
-inline constexpr std::uint32_t kWireVersion = 1;
+inline constexpr std::uint32_t kWireVersion = 2;
 
 // -------------------------------------------------- journal constants
 
@@ -221,10 +221,6 @@ struct ShardOptions
      */
     std::string journal_path;
 
-    /** Warm-state snapshot cache directory forwarded to every worker
-     *  (DESIGN.md §9); empty = cold runs. */
-    std::string snapshot_dir;
-
     /** Destination of the per-sweep summary line (nullptr = silent). */
     std::ostream* report_os = nullptr;
 };
@@ -248,8 +244,7 @@ struct ShardReport
  *
  * @p runner is used for task jobs (executed in-coordinator) only; spec
  * jobs evaluate in worker processes, each with its own Runner whose
- * baseline cache is per-process (bit-identical, merely recomputed —
- * share ShardOptions::snapshot_dir to amortize warmup instead).
+ * baseline cache is per-process (bit-identical, merely recomputed).
  *
  * Test hooks (used by tests/test_shard_service.cpp and the CI
  * crash-resume job; ignored otherwise):

@@ -92,7 +92,10 @@ class ServeClient
     /** Flush pending output and wait for the next complete frame.
      *  @throws ServeWireError on EOF or @p timeout_ms expiry. */
     transport::Payload waitFrame(int timeout_ms = 120'000);
-    /** One poll round; returns a frame if one completed. */
+    /** One poll round; returns a frame if one completed. Waits with
+     *  ::poll, not transport::EventLoop: the client watches one fd,
+     *  so each wait is one call with no epoll fd to create or keep
+     *  in sync. */
     std::optional<transport::Payload> pollOnce(int timeout_ms);
     /** The next whole buffered frame, if any. */
     std::optional<transport::Payload> nextFrame();

@@ -91,7 +91,7 @@ fnv1a(const void* data, std::size_t n, std::uint64_t seed = kFnvOffset)
     return h;
 }
 
-/** FNV-1a 64-bit of a string (fingerprint hashing, cache file names). */
+/** FNV-1a 64-bit of a string (fingerprint hashing, file names). */
 inline std::uint64_t
 fnv1a(const std::string& s, std::uint64_t seed = kFnvOffset)
 {

@@ -14,7 +14,7 @@
  * ExperimentSpec field that can change simulated state. Loading a
  * snapshot under a different configuration throws FingerprintError
  * whose message diffs the two fingerprints field by field — the
- * did-you-mean diagnostic that makes a stale cache obvious instead of
+ * did-you-mean diagnostic that makes a stale snapshot obvious instead of
  * silently mis-restoring.
  */
 #pragma once
@@ -41,9 +41,9 @@ inline constexpr const char* kSchemaName = "pythia-snap-v1";
 /**
  * Serialize a snapshot: header + fingerprint, then whatever sections
  * @p body writes, then the trailing checksum. The file is written
- * atomically (temp file + rename) so concurrent readers — e.g. sweep
- * workers sharing one warm-state cache directory — never observe a
- * partial snapshot. @throws IoError on any filesystem failure.
+ * atomically (temp file + rename) so a crash mid-write — e.g. while
+ * the daemon evicts a tenant to its state_dir — never leaves a partial
+ * .snap behind. @throws IoError on any filesystem failure.
  */
 void writeSnapshotFile(const std::string& path,
                        const std::string& fingerprint,

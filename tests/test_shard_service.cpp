@@ -17,6 +17,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +25,8 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
@@ -242,6 +245,62 @@ TEST_F(ShardService, WireOutcomeRoundTripsBitExactly)
         EXPECT_TRUE(r.atEnd());
         expectBitIdentical(back, outcome);
     }
+}
+
+/** Feed @p hello to an in-process shardWorkerMain over two pipes and
+ *  close its input. Returns the exit code and whether the worker wrote
+ *  a frame (its HelloAck) back. */
+std::pair<int, bool>
+runWorkerOnHello(const snap::Writer& hello)
+{
+    int to_worker[2];
+    int from_worker[2];
+    if (::pipe(to_worker) != 0 || ::pipe(from_worker) != 0)
+        throw std::system_error(errno, std::generic_category(), "pipe");
+    transport::writeFrame(to_worker[1], hello.buffer());
+    ::close(to_worker[1]);
+    std::vector<std::string> args = {"sweep_worker",
+                                     std::to_string(to_worker[0]),
+                                     std::to_string(from_worker[1]), "0",
+                                     "0"};
+    std::vector<char*> argv;
+    for (auto& a : args)
+        argv.push_back(a.data());
+    const int rc = shardWorkerMain(static_cast<int>(argv.size()),
+                                   argv.data());
+    ::close(to_worker[0]);
+    ::close(from_worker[1]);
+    const bool replied = transport::readFrame(from_worker[0]).has_value();
+    ::close(from_worker[0]);
+    return {rc, replied};
+}
+
+TEST_F(ShardService, WireHelloRejectsV1LayoutAndTrailingBytes)
+{
+    const auto helloV2 = [] {
+        snap::Writer w;
+        w.u8(1); // Hello
+        w.str(kWireSchemaName);
+        w.u32(kWireVersion);
+        w.u32(0); // worker index
+        return w;
+    };
+    // Control: a well-formed Hello is acked, and EOF ends the worker.
+    EXPECT_EQ(runWorkerOnHello(helloV2()), std::make_pair(0, true));
+
+    // The v1 layout: version 1 plus its trailing cache-directory string.
+    snap::Writer v1;
+    v1.u8(1);
+    v1.str(kWireSchemaName);
+    v1.u32(1);
+    v1.u32(0);
+    v1.str("warm_cache");
+    EXPECT_EQ(runWorkerOnHello(v1), std::make_pair(1, false));
+
+    // A v2 Hello with one byte past its last field.
+    snap::Writer extra = helloV2();
+    extra.u8(0);
+    EXPECT_EQ(runWorkerOnHello(extra), std::make_pair(1, false));
 }
 
 TEST_F(ShardService, SweepFingerprintBindsTheGrid)

@@ -7,9 +7,8 @@
  * and corruption taxonomy (each failure mode its own typed error),
  * configuration fingerprints, StatGroup serialization, SimSession
  * snapshot/resume equivalence (post-warmup and mid-run), the
- * UnsupportedError contract for prefetchers without serialization,
- * and the Runner warm-state cache — including byte-identical warm
- * results and the loud-fallback path for corrupt cache entries.
+ * and the UnsupportedError contract for prefetchers without
+ * serialization.
  * The full golden-grid restore→advance gate lives in
  * test_snapshot_golden.cpp (label: golden).
  */
@@ -38,17 +37,6 @@ std::string
 tmpPath(const std::string& name)
 {
     return (fs::path(::testing::TempDir()) / name).string();
-}
-
-/** A guaranteed-fresh cache directory (runs must not inherit entries
- *  from an earlier test invocation sharing the temp directory). */
-std::string
-freshDir(const std::string& name)
-{
-    const std::string dir = tmpPath(name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    return dir;
 }
 
 std::vector<std::uint8_t>
@@ -463,8 +451,8 @@ TEST(SnapFingerprint, CoversEveryStateShapingField)
 TEST(SnapFingerprint, CanonicalizesWorkloadSpellings)
 {
     // Two spellings of one parameterized workload spec construct the
-    // same stream and must share one fingerprint (and so one warm
-    // cache entry).
+    // same stream and must share one fingerprint (and so restore each
+    // other's snapshots).
     harness::ExperimentSpec a = smallPythiaSpec();
     a.workload = "stream:footprint=4M,mem_ratio=0.4";
     harness::ExperimentSpec b = a;
@@ -634,102 +622,6 @@ TEST(SnapFork, ForkRejectsAMismatchedMachine)
     harness::SimSession target(bare);
     EXPECT_THROW(target.system().copyStateFrom(source.system()),
                  std::invalid_argument);
-}
-
-// ----------------------------------------------------------- warm cache
-
-TEST(SnapWarmCache, WarmRunReproducesColdRunByteIdentically)
-{
-    const harness::ExperimentSpec spec = smallPythiaSpec();
-    const std::string dir = freshDir("warm-cache-a");
-
-    harness::Runner uncached;
-    const harness::Runner::Outcome want = uncached.evaluate(spec);
-
-    harness::Runner cold_runner;
-    cold_runner.setSnapshotDir(dir);
-    const harness::Runner::Outcome cold = cold_runner.evaluate(spec);
-    EXPECT_EQ(cold_runner.warmHits(), 0u);
-    EXPECT_EQ(cold_runner.warmMisses(), 2u); // run + baseline
-
-    harness::Runner warm_runner;
-    warm_runner.setSnapshotDir(dir);
-    const harness::Runner::Outcome warm = warm_runner.evaluate(spec);
-    EXPECT_EQ(warm_runner.warmHits(), 2u);
-    EXPECT_EQ(warm_runner.warmMisses(), 0u);
-
-    expectSameResult(want.run, cold.run, "cold run, cache populating");
-    expectSameResult(want.baseline, cold.baseline, "cold baseline");
-    expectSameResult(want.run, warm.run, "warm run");
-    expectSameResult(want.baseline, warm.baseline, "warm baseline");
-}
-
-TEST(SnapWarmCache, CorruptCacheEntryFallsBackCold)
-{
-    const harness::ExperimentSpec spec = smallPythiaSpec();
-    const std::string dir = freshDir("warm-cache-b");
-
-    harness::Runner populate;
-    populate.setSnapshotDir(dir);
-    const harness::Runner::Outcome want = populate.evaluate(spec);
-
-    // Flip one byte in every cache entry: the next runner must warn,
-    // re-warm cold, and still produce the identical outcome (and leave
-    // repaired cache entries behind).
-    std::size_t corrupted = 0;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-        auto bytes = readFileBytes(entry.path().string());
-        bytes[bytes.size() / 2] ^= 0x01;
-        writeFileBytes(entry.path().string(), bytes);
-        ++corrupted;
-    }
-    ASSERT_EQ(corrupted, 2u); // run + baseline entries
-
-    harness::Runner recover;
-    recover.setSnapshotDir(dir);
-    const harness::Runner::Outcome got = recover.evaluate(spec);
-    EXPECT_EQ(recover.warmHits(), 0u);
-    EXPECT_EQ(recover.warmMisses(), 2u);
-    expectSameResult(want.run, got.run, "corrupt-cache fallback run");
-    expectSameResult(want.baseline, got.baseline,
-                     "corrupt-cache fallback baseline");
-
-    harness::Runner repaired;
-    repaired.setSnapshotDir(dir);
-    const harness::Runner::Outcome again = repaired.evaluate(spec);
-    EXPECT_EQ(repaired.warmHits(), 2u);
-    expectSameResult(want.run, again.run, "repaired cache run");
-}
-
-TEST(SnapWarmCache, UnsupportedPrefetcherRunsColdWithoutCacheEntry)
-{
-    harness::ExperimentSpec spec = smallPythiaSpec();
-    spec.prefetcher = "dspatch";
-    const std::string dir = freshDir("warm-cache-c");
-
-    harness::Runner uncached;
-    const harness::Runner::Outcome want = uncached.evaluate(spec);
-
-    harness::Runner runner;
-    runner.setSnapshotDir(dir);
-    const harness::Runner::Outcome got = runner.evaluate(spec);
-    expectSameResult(want.run, got.run, "unsupported prefetcher run");
-
-    // The baseline (prefetcher "none") caches fine; the dspatch run
-    // must not leave an entry behind.
-    std::size_t entries = 0;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-        (void)entry;
-        ++entries;
-    }
-    EXPECT_EQ(entries, 1u);
-
-    harness::Runner warm;
-    warm.setSnapshotDir(dir);
-    const harness::Runner::Outcome again = warm.evaluate(spec);
-    EXPECT_EQ(warm.warmHits(), 1u);  // baseline only
-    EXPECT_EQ(warm.warmMisses(), 1u);
-    expectSameResult(want.run, again.run, "unsupported prefetcher rerun");
 }
 
 } // namespace

@@ -6,10 +6,7 @@
  * suite checks the snapshot subsystem's core contract: a session
  * restored from a post-warmup snapshot and advanced to completion is
  * bit-identical — every RunResult field, doubles compared with == —
- * to the session that ran straight through. It also gates the Runner
- * warm-state cache end to end: a warm-started sweep cell reproduces
- * the cold cell's Outcome byte-identically while skipping the warmup
- * simulation.
+ * to the session that ran straight through.
  *
  * OneCell is a cheap standalone version of the grid test
  * (--gtest_filter='*OneCell*') for the sanitizer CI job, where the
@@ -23,7 +20,6 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
-#include "harness/runner.hpp"
 #include "harness/session.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -124,38 +120,6 @@ TEST(SnapshotGolden, FullGridRestoreAdvanceIsBitExact)
     // covers the grid without depending on test ordering or filters.
     for (const GridCell& cell : kGrid)
         checkRestoreAdvance(cell);
-}
-
-TEST(SnapshotGolden, WarmSweepCellMatchesColdOutcome)
-{
-    // End-to-end warm-state cache gate on a multi-core Pythia cell:
-    // a warm-started evaluation must reproduce the cold Outcome
-    // byte-identically while skipping both warmups (run + baseline).
-    const harness::ExperimentSpec spec = specFor(kGrid[5]);
-    const std::string dir =
-        (fs::path(::testing::TempDir()) / "golden-warm-cache").string();
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-
-    harness::Runner cold;
-    cold.setSnapshotDir(dir);
-    const harness::Runner::Outcome cold_out = cold.evaluate(spec);
-    EXPECT_EQ(cold.warmHits(), 0u);
-    EXPECT_EQ(cold.warmMisses(), 2u);
-
-    harness::Runner warm;
-    warm.setSnapshotDir(dir);
-    const harness::Runner::Outcome warm_out = warm.evaluate(spec);
-    EXPECT_EQ(warm.warmHits(), 2u);
-    EXPECT_EQ(warm.warmMisses(), 0u);
-
-    expectSameResult(cold_out.run, warm_out.run, "warm sweep run");
-    expectSameResult(cold_out.baseline, warm_out.baseline,
-                     "warm sweep baseline");
-    EXPECT_EQ(cold_out.metrics.speedup, warm_out.metrics.speedup);
-    EXPECT_EQ(cold_out.metrics.coverage, warm_out.metrics.coverage);
-    EXPECT_EQ(cold_out.metrics.accuracy, warm_out.metrics.accuracy);
-    fs::remove_all(dir);
 }
 
 } // namespace
