@@ -24,10 +24,6 @@
  * makes the bench write a pythia-perf-v1 JSON artifact covering every
  * sweep it ran; quiet=1 suppresses the per-sweep stderr throughput line
  * so redirecting both streams yields clean CSV.
- *
- * Profiling (DESIGN.md §10): profile=1 wraps the bench's measured
- * region in a harness::ScopedProfiler — gperftools CPU profile when
- * libprofiler is linked/preloaded, perf-marker stderr lines otherwise.
  */
 #pragma once
 
@@ -43,11 +39,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
+#include "common/spec.hpp"
 #include "common/table.hpp"
 #include "harness/experiment.hpp"
 #include "harness/perf.hpp"
-#include "harness/profiler.hpp"
 #include "harness/shard.hpp"
 #include "harness/sweep.hpp"
 #include "harness/timeseries.hpp"
@@ -67,37 +63,36 @@ struct BenchOptions
     unsigned workers = 0;   ///< worker processes; 0 = in-process pool
     std::string journal;    ///< shard journal path; empty = no journal
     bool quiet = false;     ///< suppress the stderr throughput line
-    bool profile = false;   ///< profile=1: profile the measured region
     std::string perf_out;   ///< perf JSON path; empty = no artifact
-    Config cli;             ///< full parse, for bench-specific keys
+    SpecParams cli;         ///< full parse, for bench-specific keys
     harness::PerfReport perf; ///< accumulated by runSweep()
     std::size_t sweeps_run = 0; ///< runSweep() calls so far (journal names)
 };
 
+/** Bench usage error: one stderr line, then exit status 2. */
+[[noreturn]] inline void
+usageError(const std::string& what)
+{
+    std::cerr << what << "\n";
+    std::exit(2);
+}
+
 /**
- * Parse the bench command line strictly: sim_scale=<f>, jobs=<n>,
- * quiet=<0|1> and perf_out=<path> (alias --perf-out=<path>) are always
- * accepted, @p extra_keys adds bench-specific ones. Malformed tokens
- * and unknown keys terminate the bench with a hint (a typo like
- * "sim_scal=2" must not silently run the defaults).
+ * Parse the bench command line strictly (SpecParams::fromArgs):
+ * sim_scale=<f>, jobs=<n>, workers=<n>, journal=<path>, quiet=<0|1>
+ * and perf_out=<path> (alias --perf-out=<path>) are always accepted,
+ * @p extra_keys adds bench-specific ones. Malformed tokens, unknown
+ * keys and ill-typed or out-of-range values terminate the bench with
+ * usageError() (a typo like "sim_scal=2" must not silently run the
+ * defaults).
  */
 inline BenchOptions
 parseBenchArgs(int argc, char** argv,
                const std::vector<std::string>& extra_keys = {})
 {
-    std::vector<std::string> allowed = {"sim_scale", "jobs",    "workers",
-                                        "journal",   "quiet",   "perf_out",
-                                        "profile"};
+    std::vector<std::string> allowed = {"sim_scale", "jobs",  "workers",
+                                        "journal",   "quiet", "perf_out"};
     allowed.insert(allowed.end(), extra_keys.begin(), extra_keys.end());
-    BenchOptions opt;
-    {
-        // Bench name for the perf artifact: basename of the binary.
-        std::string name = argc > 0 && argv[0] ? argv[0] : "bench";
-        const auto slash = name.find_last_of('/');
-        if (slash != std::string::npos)
-            name = name.substr(slash + 1);
-        opt.perf.setBench(name);
-    }
     // Translate the --perf-out=<path> alias into perf_out=<path> so the
     // strict parser sees only key=value tokens.
     std::vector<std::string> tokens;
@@ -113,37 +108,30 @@ parseBenchArgs(int argc, char** argv,
     cargv.reserve(tokens.size());
     for (const auto& t : tokens)
         cargv.push_back(t.c_str());
+    BenchOptions opt;
     try {
-        opt.cli.parseArgsStrict(static_cast<int>(cargv.size()),
-                                cargv.data(), allowed);
+        opt.cli = SpecParams::fromArgs(static_cast<int>(cargv.size()),
+                                       cargv.data(), allowed);
         opt.sim_scale = opt.cli.getDouble("sim_scale", 1.0);
-        const std::int64_t jobs = opt.cli.getInt("jobs", 0);
-        if (jobs < 0)
-            throw std::invalid_argument("jobs must be >= 0 (0 = auto)");
-        opt.jobs = static_cast<unsigned>(jobs);
-        const std::int64_t workers = opt.cli.getInt("workers", 0);
-        if (workers < 0)
-            throw std::invalid_argument(
-                "workers must be >= 0 (0 = in-process pool)");
-        opt.workers = static_cast<unsigned>(workers);
-        if (opt.workers > 0 && opt.jobs > 1)
-            throw std::invalid_argument(
-                "workers= (worker processes) and jobs=" +
-                std::to_string(opt.jobs) +
-                " (in-process pool) are mutually exclusive — sharded "
-                "execution runs one runner per worker process");
+        opt.jobs = opt.cli.getU32("jobs", 0, kMaxParallelism);
+        opt.workers = opt.cli.getU32("workers", 0, kMaxParallelism);
         opt.journal = opt.cli.getString("journal", "");
-        if (!opt.journal.empty() && opt.workers == 0)
-            throw std::invalid_argument(
-                "journal= requires workers=<n> (sharded execution)");
         opt.quiet = opt.cli.getBool("quiet", false);
-        opt.profile = opt.cli.getBool("profile", false);
         opt.perf_out = opt.cli.getString("perf_out", "");
-    } catch (const std::exception& e) {
-        std::cerr << (argc > 0 ? argv[0] : "bench") << ": " << e.what()
-                  << "\n";
-        std::exit(2);
+    } catch (const std::invalid_argument& e) {
+        usageError(e.what());
     }
+    const std::string& name = opt.cli.owner();
+    if (opt.workers > 0 && opt.jobs > 1)
+        usageError(name + ": workers= (worker processes) and jobs=" +
+                   std::to_string(opt.jobs) +
+                   " (in-process pool) are mutually exclusive — "
+                   "sharded execution runs one runner per worker "
+                   "process");
+    if (!opt.journal.empty() && opt.workers == 0)
+        usageError(name +
+                   ": journal= requires workers=<n> (sharded execution)");
+    opt.perf.setBench(name);
     return opt;
 }
 
@@ -231,29 +219,14 @@ workloadsOrDefault(const BenchOptions& opt,
     const std::string value = opt.cli.getString("workload", "");
     if (value.empty())
         return defaults;
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= value.size(); ++i) {
-        if (i < value.size() && value[i] != ';')
-            continue;
-        std::string w = value.substr(start, i - start);
-        start = i + 1;
-        const auto b = w.find_first_not_of(" \t");
-        const auto e = w.find_last_not_of(" \t");
-        if (b == std::string::npos)
-            continue;
-        out.push_back(w.substr(b, e - b + 1));
-    }
-    if (out.empty()) {
-        std::cerr << "bench: workload= needs at least one spec\n";
-        std::exit(2);
-    }
+    const std::vector<std::string> out = splitSpecs(value);
+    if (out.empty())
+        usageError(opt.cli.owner() + ": workload= needs at least one spec");
     for (const auto& w : out) {
         try {
             (void)wl::makeWorkload(w);
         } catch (const std::exception& ex) {
-            std::cerr << "bench: workload=: " << ex.what() << "\n";
-            std::exit(2);
+            usageError(opt.cli.owner() + ": workload=: " + ex.what());
         }
     }
     return out;
@@ -300,24 +273,18 @@ struct SessionOptions
 };
 
 /** Read the sessionFlagKeys() values out of an already-parsed bench
- *  command line; exits with status 2 on malformed values, like
+ *  command line; ill-typed values are a usageError(), like
  *  parseBenchArgs(). */
 inline SessionOptions
 parseSessionFlags(const BenchOptions& opt)
 {
     SessionOptions s;
     try {
-        const std::int64_t windows = opt.cli.getInt("windows", 0);
-        const std::int64_t stride = opt.cli.getInt("window_instrs", 0);
-        if (windows < 0 || stride < 0)
-            throw std::invalid_argument(
-                "windows/window_instrs must be >= 0");
-        s.windows = static_cast<std::uint64_t>(windows);
-        s.window_instrs = static_cast<std::uint64_t>(stride);
+        s.windows = opt.cli.getU64("windows", 0);
+        s.window_instrs = opt.cli.getU64("window_instrs", 0);
         s.series_out = opt.cli.getString("series_out", "");
-    } catch (const std::exception& e) {
-        std::cerr << "bench: " << e.what() << "\n";
-        std::exit(2);
+    } catch (const std::invalid_argument& e) {
+        usageError(e.what());
     }
     return s;
 }

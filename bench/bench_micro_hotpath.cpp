@@ -17,9 +17,6 @@
  *     in the pythia-perf-v1 JSON ("total.sims_per_sec"), which is the
  *     number the perf trajectory tracks PR over PR (DESIGN.md §7).
  *
- * profile=1 wraps the end-to-end sweep in a ScopedProfiler (gperftools
- * when linked, perf markers otherwise — DESIGN.md §10).
- *
  * jobs defaults to 1 here (unlike the figure benches): the artifact
  * tracks single-thread hot-path speed, not pool scaling.
  */
@@ -237,11 +234,7 @@ main(int argc, char** argv)
                       table.addRow({w, pf,
                                     Table::fmt(o.metrics.speedup)});
                   });
-    {
-        harness::ScopedProfiler prof("bench_micro_hotpath",
-                                     opt.profile);
-        bench::runSweep(sweep, runner, opt);
-    }
+    bench::runSweep(sweep, runner, opt);
     std::printf("end-to-end: %.2f sims/sec (jobs=%u)\n",
                 opt.perf.totalSimsPerSecond(), opt.jobs);
     bench::finish(table, "micro_hotpath");

@@ -9,7 +9,7 @@
  */
 #include <iostream>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "common/table.hpp"
 #include "core/configs.hpp"
 #include "harness/experiment.hpp"
@@ -21,12 +21,20 @@ main(int argc, char** argv)
 {
     using namespace pythia;
 
-    Config cli;
-    cli.parseArgs(argc, argv);
+    SpecParams cli;
+    std::uint32_t mtps = 0;
+    bool strict = false;
+    try {
+        cli = SpecParams::fromArgs(argc, argv,
+                                   {"workload", "mtps", "strict"});
+        mtps = cli.getU32("mtps", 2400);
+        strict = cli.getBool("strict", false);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
     const std::string workload =
         cli.getString("workload", "462.libquantum-1343B");
-    const auto mtps = static_cast<std::uint32_t>(cli.getInt("mtps", 2400));
-    const bool strict = cli.getBool("strict", false);
 
     const harness::ExperimentSpec spec =
         harness::Experiment(workload).mtps(mtps).build();

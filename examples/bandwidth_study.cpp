@@ -15,7 +15,7 @@
 #include <iostream>
 #include <memory>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "common/table.hpp"
 #include "harness/sweep.hpp"
 
@@ -23,16 +23,13 @@ int
 main(int argc, char** argv)
 {
     using namespace pythia;
-    Config cli;
+    SpecParams cli;
     unsigned jobs = 0;
     try {
-        cli.parseArgsStrict(argc, argv, {"workload", "jobs"});
-        const std::int64_t n = cli.getInt("jobs", 0);
-        if (n < 0)
-            throw std::invalid_argument("jobs must be >= 0 (0 = auto)");
-        jobs = static_cast<unsigned>(n);
-    } catch (const std::exception& e) {
-        std::cerr << "bandwidth_study: " << e.what() << "\n";
+        cli = SpecParams::fromArgs(argc, argv, {"workload", "jobs"});
+        jobs = cli.getU32("jobs", 0, kMaxParallelism);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
         return 2;
     }
     const std::string workload =

@@ -10,7 +10,7 @@
  */
 #include <iostream>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "common/table.hpp"
 #include "core/configs.hpp"
 #include "harness/experiment.hpp"
@@ -19,9 +19,14 @@ int
 main(int argc, char** argv)
 {
     using namespace pythia;
-    Config cli;
-    cli.parseArgs(argc, argv);
-    const std::string workload = cli.getString("workload", "Ligra-CC");
+    std::string workload;
+    try {
+        workload = SpecParams::fromArgs(argc, argv, {"workload"})
+                       .getString("workload", "Ligra-CC");
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
 
     // Variant 1: the paper's strict graph-processing rewards.
     auto strict = rl::scaledForSimLength(rl::strictPythiaConfig());

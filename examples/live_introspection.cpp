@@ -18,7 +18,7 @@
 #include <iostream>
 #include <memory>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "harness/experiment.hpp"
 #include "harness/metrics.hpp"
 #include "harness/timeseries.hpp"
@@ -71,13 +71,20 @@ main(int argc, char** argv)
 {
     using namespace pythia;
 
-    Config cli;
-    cli.parseArgs(argc, argv);
+    SpecParams cli;
+    std::uint64_t windows = 0;
+    try {
+        cli = SpecParams::fromArgs(
+            argc, argv,
+            {"workload", "prefetcher", "windows", "series_out"});
+        windows = std::max<std::uint64_t>(1, cli.getU64("windows", 8));
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
     const std::string workload =
         cli.getString("workload", "429.mcf-184B");
     const std::string prefetcher = cli.getString("prefetcher", "pythia");
-    const std::uint64_t windows = std::max<std::int64_t>(
-        1, cli.getInt("windows", 8));
     const std::string series_out = cli.getString("series_out", "");
 
     std::cout << "Live introspection: workload=" << workload

@@ -15,7 +15,7 @@
  */
 #include <iostream>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "common/table.hpp"
 #include "harness/sweep.hpp"
 
@@ -23,16 +23,12 @@ int
 main(int argc, char** argv)
 {
     using namespace pythia;
-    Config cli;
     unsigned jobs = 0;
     try {
-        cli.parseArgsStrict(argc, argv, {"jobs"});
-        const std::int64_t n = cli.getInt("jobs", 0);
-        if (n < 0)
-            throw std::invalid_argument("jobs must be >= 0 (0 = auto)");
-        jobs = static_cast<unsigned>(n);
-    } catch (const std::exception& e) {
-        std::cerr << "parallel_sweep: " << e.what() << "\n";
+        jobs = SpecParams::fromArgs(argc, argv, {"jobs"})
+                   .getU32("jobs", 0, kMaxParallelism);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
         return 2;
     }
 

@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "common/table.hpp"
 #include "harness/experiment.hpp"
 #include "workloads/suites.hpp"
@@ -22,12 +22,18 @@ main(int argc, char** argv)
 {
     using namespace pythia;
 
-    Config cli;
-    cli.parseArgs(argc, argv);
+    SpecParams cli;
+    std::uint32_t mtps = 0;
+    try {
+        cli = SpecParams::fromArgs(argc, argv,
+                                   {"workload", "prefetcher", "mtps"});
+        mtps = cli.getU32("mtps", 2400);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
     const std::string workload =
         cli.getString("workload", "459.GemsFDTD-765B");
-    const std::uint32_t mtps =
-        static_cast<std::uint32_t>(cli.getInt("mtps", 2400));
 
     std::cout << "Pythia quickstart: workload=" << workload
               << " mtps=" << mtps << "\n";

@@ -19,7 +19,7 @@
  */
 #include <iostream>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "common/table.hpp"
 #include "harness/shard.hpp"
 
@@ -27,17 +27,18 @@ int
 main(int argc, char** argv)
 {
     using namespace pythia;
-    Config cli;
     harness::ShardOptions opt;
     try {
-        cli.parseArgsStrict(argc, argv, {"workers", "journal"});
-        const std::int64_t n = cli.getInt("workers", 2);
-        if (n < 1)
-            throw std::invalid_argument("workers must be >= 1");
-        opt.workers = static_cast<unsigned>(n);
+        const SpecParams cli =
+            SpecParams::fromArgs(argc, argv, {"workers", "journal"});
+        opt.workers = cli.getU32("workers", 2, kMaxParallelism);
         opt.journal_path = cli.getString("journal", "");
-    } catch (const std::exception& e) {
-        std::cerr << "sharded_sweep: " << e.what() << "\n";
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
+    if (opt.workers == 0) {
+        std::cerr << "sharded_sweep: workers must be >= 1\n";
         return 2;
     }
     opt.report_os = &std::cerr;

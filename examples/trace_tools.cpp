@@ -18,7 +18,7 @@
 #include <iostream>
 #include <map>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "common/table.hpp"
 #include "sim/prefetcher_registry.hpp"
 #include "sim/system.hpp"
@@ -30,12 +30,10 @@ namespace {
 using namespace pythia;
 
 int
-generate(const Config& cli)
+generate(const SpecParams& cli, std::uint64_t records)
 {
     const std::string workload = cli.getString("workload");
     const std::string out = cli.getString("out", "trace.bin");
-    const auto records =
-        static_cast<std::size_t>(cli.getInt("records", 200000));
     auto w = wl::makeWorkload(workload);
     if (!wl::writeTraceFile(out, *w, records)) {
         std::cerr << "failed to write " << out << "\n";
@@ -47,7 +45,7 @@ generate(const Config& cli)
 }
 
 int
-inspect(const Config& cli)
+inspect(const SpecParams& cli)
 {
     const std::string in = cli.getString("in", "trace.bin");
     wl::FileWorkload trace(in);
@@ -78,7 +76,7 @@ inspect(const Config& cli)
 }
 
 int
-replay(const Config& cli)
+replay(const SpecParams& cli)
 {
     const std::string in = cli.getString("in", "trace.bin");
     const std::string pf = cli.getString("prefetcher", "pythia");
@@ -110,17 +108,28 @@ replay(const Config& cli)
 int
 main(int argc, char** argv)
 {
-    Config cli;
-    cli.parseArgs(argc, argv);
+    SpecParams cli;
+    std::uint64_t records = 0;
+    try {
+        cli = SpecParams::fromArgs(argc, argv,
+                                   {"mode", "workload", "out", "records",
+                                    "in", "prefetcher"});
+        records = cli.getU64("records", 200000);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    }
     const std::string mode = cli.getString("mode", "generate");
     try {
         if (mode == "generate")
-            return generate(cli);
+            return generate(cli, records);
         if (mode == "inspect")
             return inspect(cli);
         if (mode == "replay")
             return replay(cli);
-        std::cerr << "unknown mode: " << mode << "\n";
+        std::cerr << "trace_tools: unknown mode '" << mode
+                  << "' (generate, inspect, replay)\n";
+        return 2;
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
     }

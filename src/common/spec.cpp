@@ -104,6 +104,16 @@ parseSpecList(const std::string& spec)
     return out;
 }
 
+std::vector<std::string>
+splitSpecs(const std::string& list)
+{
+    std::vector<std::string> out;
+    for (const std::string& entry : split(list, ';'))
+        if (!trim(entry).empty())
+            out.push_back(trim(entry));
+    return out;
+}
+
 std::string
 closestMatch(const std::string& word,
              const std::vector<std::string>& candidates)

@@ -42,6 +42,13 @@ struct ParsedSpec
 std::vector<ParsedSpec> parseSpecList(const std::string& spec);
 
 /**
+ * Split a ';'-separated list of specs — ',' belongs to spec parameters,
+ * so list-valued options ("stream:footprint=256M,mem_ratio=0.4;spp")
+ * cannot use it. Entries are trimmed and empty ones dropped.
+ */
+std::vector<std::string> splitSpecs(const std::string& list);
+
+/**
  * Closest candidate to @p word by edit distance, or "" when nothing is
  * within distance 3 — used for "did you mean" hints in registry errors.
  */

@@ -4,6 +4,7 @@
 #include <string>
 #include <system_error>
 
+#include <fcntl.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
@@ -40,6 +41,22 @@ readUpTo(int fd, void* data, std::size_t n)
 }
 
 } // namespace
+
+void
+setNonBlocking(int fd)
+{
+    const int flags = ::fcntl(fd, F_GETFL, 0);
+    if (flags >= 0)
+        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+void
+setCloexec(int fd)
+{
+    const int flags = ::fcntl(fd, F_GETFD, 0);
+    if (flags >= 0)
+        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
+}
 
 // ---------------------------------------------------------- frame codec
 

@@ -79,6 +79,12 @@ void writeFrame(int fd, const Payload& payload);
  *  std::system_error on a failed read. */
 std::optional<Payload> readFrame(int fd);
 
+/** Add O_NONBLOCK to @p fd's status flags (best effort). */
+void setNonBlocking(int fd);
+
+/** Add FD_CLOEXEC to @p fd's descriptor flags (best effort). */
+void setCloexec(int fd);
+
 /** Frame accumulator over a non-blocking fd (socket or pipe). */
 class FrameReader
 {

@@ -706,7 +706,7 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         ::close(from_pipe[1]);
         // Non-blocking reads: the loop drains whatever is buffered and
         // must not hang when a read() lands between two frames.
-        ::fcntl(from_pipe[0], F_SETFL, O_NONBLOCK);
+        transport::setNonBlocking(from_pipe[0]);
         wk.pid = pid;
         wk.to_fd = to_pipe[1];
         wk.from_fd = from_pipe[0];

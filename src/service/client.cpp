@@ -8,7 +8,6 @@
 #include <thread>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -24,14 +23,6 @@ using Clock = std::chrono::steady_clock;
 
 /** Records per kAccess frame. */
 constexpr std::uint64_t kSendBatch = 4096;
-
-void
-setNonBlocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
 
 /** Connect @p fd to @p addr, closing it on failure. */
 int
@@ -110,7 +101,7 @@ ServeClient::ensureConnected()
     if (fd_ >= 0)
         return;
     fd_ = connectToServe(address_);
-    setNonBlocking(fd_);
+    transport::setNonBlocking(fd_);
 }
 
 std::optional<transport::Payload>

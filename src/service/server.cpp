@@ -20,7 +20,6 @@
 #include <vector>
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -44,22 +43,8 @@ namespace {
 using Clock = std::chrono::steady_clock;
 using transport::FlushResult;
 using transport::IoEvent;
-
-void
-setNonBlocking(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-}
-
-void
-setCloexec(int fd)
-{
-    const int flags = ::fcntl(fd, F_GETFD, 0);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
-}
+using transport::setCloexec;
+using transport::setNonBlocking;
 
 /** Windows the aggregate stats series retains (the tail half survives
  *  each compaction, bounding daemon memory over a long life). */

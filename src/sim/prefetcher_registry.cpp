@@ -1,6 +1,5 @@
 #include "sim/prefetcher_registry.hpp"
 
-#include <algorithm>
 #include <mutex>
 #include <stdexcept>
 
@@ -91,22 +90,8 @@ PrefetcherRegistry::make(const std::string& spec) const
                 " (known: " + joinKeys(names(), "(none)") + ")");
         }
 
-        std::map<std::string, std::string> kv;
-        for (const auto& [key, value] : part.params) {
-            const bool known =
-                std::find(entry->param_keys.begin(),
-                          entry->param_keys.end(),
-                          key) != entry->param_keys.end();
-            if (!known)
-                throw std::invalid_argument(
-                    entry->name + ": unknown parameter '" + key + "'" +
-                    didYouMean(key, entry->param_keys) + " (accepted: " +
-                    joinKeys(entry->param_keys, "(no parameters)") +
-                    ")");
-            kv[key] = value;
-        }
-        built.push_back(
-            entry->factory(PrefetcherParams(entry->name, kv)));
+        built.push_back(entry->factory(
+            PrefetcherParams(entry->name, part.params, entry->param_keys)));
         if (!built.back())
             throw std::logic_error("factory for '" + entry->name +
                                    "' returned null");

@@ -183,31 +183,16 @@ WorkloadRegistry::resolveOne(const std::string& spec) const
             "phase:child@len+child@len form");
     const ParsedSpec& part = parts[0];
 
-    Resolved out;
-    out.family = find(part.name);
-    if (!out.family)
+    const WorkloadFamily* family = find(part.name);
+    if (!family)
         throw std::invalid_argument(
             "unknown workload family '" + part.name + "'" +
             didYouMean(part.name, names()) +
             " (families: " + joinKeys(names()) + ")");
-
-    // Last assignment wins; the map also gives canonical() its sorted
-    // key order.
-    for (const auto& [key, value] : part.params) {
-        const bool known =
-            std::find(out.family->param_keys.begin(),
-                      out.family->param_keys.end(),
-                      key) != out.family->param_keys.end();
-        if (!known)
-            throw std::invalid_argument(
-                out.family->name + ": unknown parameter '" + key + "'" +
-                didYouMean(key, out.family->param_keys) +
-                " (accepted: " +
-                joinKeys(out.family->param_keys, "(no parameters)") +
-                ")");
-        out.kv[key] = value;
-    }
-    return out;
+    // The params view sorts its keys, which gives canonical() its key
+    // order.
+    return {family,
+            WorkloadParams(family->name, part.params, family->param_keys)};
 }
 
 std::unique_ptr<Workload>
@@ -215,8 +200,7 @@ WorkloadRegistry::makeOne(const std::string& spec, std::uint64_t seed,
                           const std::string& name) const
 {
     const Resolved r = resolveOne(spec);
-    auto built = r.family->factory(WorkloadParams(r.family->name, r.kv),
-                                   seed, name);
+    auto built = r.family->factory(r.params, seed, name);
     if (!built)
         throw std::logic_error("factory for workload family '" +
                                r.family->name + "' returned null");
@@ -256,9 +240,9 @@ WorkloadRegistry::canonicalOne(const std::string& spec) const
     const Resolved r = resolveOne(spec);
     std::string out = r.family->name;
     bool first = true;
-    for (const auto& [key, value] : r.kv) {
+    for (const std::string& key : r.params.keys()) {
         out += first ? ":" : ",";
-        out += key + "=" + value;
+        out += key + "=" + r.params.getString(key);
         first = false;
     }
     return out;

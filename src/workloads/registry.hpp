@@ -122,13 +122,13 @@ class WorkloadRegistry
     struct PhasePart; // parsed phase child (spec + phase length)
 
     /** A parsed, validated single-part spec: its family entry and its
-     *  key=value map (sorted, last assignment wins). Shared by make()
+     *  params (sorted, last assignment wins). Shared by make()
      *  and canonical() so the two can never diverge on what they
      *  accept. */
     struct Resolved
     {
         const WorkloadFamily* family = nullptr;
-        std::map<std::string, std::string> kv;
+        WorkloadParams params;
     };
 
     const WorkloadFamily* findLocked(const std::string& family) const;

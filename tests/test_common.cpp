@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utilities: address helpers, RNG determinism,
- * hashing, stats, tables and config parsing.
+ * hashing, stats, tables, the strict key=value layer (SpecParams) and
+ * the bench command line.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +13,8 @@
 #include <vector>
 
 #include "../bench/bench_common.hpp"
-#include "common/config.hpp"
+#include "common/params.hpp"
+#include "common/spec.hpp"
 #include "common/hashing.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -298,40 +300,153 @@ TEST(Table, GeomeanBasics)
     EXPECT_NEAR(geomean({2.0, 2.0, 2.0}), 2.0, 1e-12);
 }
 
-// -------------------------------------------------------------------- config
+// ---------------------------------------------------------------- params
 
-TEST(Config, TypedAccessors)
+SpecParams
+argsOf(std::vector<const char*> args,
+       const std::vector<std::string>& allowed)
 {
-    Config c;
-    c.set("s", "hello");
-    c.setInt("i", -7);
-    c.setDouble("d", 0.5);
-    c.set("b", "true");
-    EXPECT_EQ(c.getString("s"), "hello");
-    EXPECT_EQ(c.getInt("i"), -7);
-    EXPECT_DOUBLE_EQ(c.getDouble("d"), 0.5);
-    EXPECT_TRUE(c.getBool("b"));
-    EXPECT_EQ(c.getInt("missing", 9), 9);
+    args.insert(args.begin(), "/usr/bin/prog");
+    return SpecParams::fromArgs(static_cast<int>(args.size()), args.data(),
+                                allowed);
 }
 
-TEST(Config, RejectsMalformedValues)
+/** what() of the std::invalid_argument @p f throws, or "" if none. */
+template <class F>
+std::string
+errorOf(F&& f)
 {
-    Config c;
-    c.set("i", "12x");
-    EXPECT_THROW(c.getInt("i"), std::invalid_argument);
-    c.set("b", "maybe");
-    EXPECT_THROW(c.getBool("b"), std::invalid_argument);
+    try {
+        f();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
 }
 
-TEST(Config, ParseArgs)
+TEST(SpecParams, TypedAccessors)
 {
-    const char* argv[] = {"prog", "workload=mcf", "mtps=600", "--junk"};
-    Config c;
-    const auto ignored = c.parseArgs(4, argv);
-    EXPECT_EQ(c.getString("workload"), "mcf");
-    EXPECT_EQ(c.getInt("mtps"), 600);
-    ASSERT_EQ(ignored.size(), 1u);
-    EXPECT_EQ(ignored[0], "--junk");
+    const SpecParams p = argsOf(
+        {"s=hello", "i=-7", "d=0.5", "b=true", "empty="},
+        {"s", "i", "d", "b", "empty"});
+    EXPECT_EQ(p.owner(), "prog");
+    EXPECT_EQ(p.getString("s"), "hello");
+    EXPECT_EQ(p.getInt("i", 0), -7);
+    EXPECT_DOUBLE_EQ(p.getDouble("d", 0.0), 0.5);
+    EXPECT_TRUE(p.getBool("b", false));
+    EXPECT_EQ(p.getString("empty", "dflt"), "");
+    EXPECT_EQ(p.getInt("missing", 9), 9);
+    EXPECT_EQ(p.getU32("missing", 9, 4), 9u);
+}
+
+TEST(SpecParams, RejectsMalformedValues)
+{
+    const SpecParams p =
+        argsOf({"i=12x", "b=maybe", "e="}, {"i", "b", "e"});
+    EXPECT_THROW(p.getInt("i", 0), std::invalid_argument);
+    EXPECT_THROW(p.getBool("b", false), std::invalid_argument);
+    EXPECT_THROW(p.getInt("e", 0), std::invalid_argument);
+    const std::string err = errorOf([&] { p.getBool("b", false); });
+    EXPECT_NE(err.find("prog: parameter 'b' expects a boolean"),
+              std::string::npos)
+        << err;
+}
+
+TEST(SpecParams, BoolGrammar)
+{
+    const SpecParams p = argsOf(
+        {"a=1", "b=true", "c=yes", "d=0", "e=false", "f=no", "g=TRUE",
+         "h=2"},
+        {"a", "b", "c", "d", "e", "f", "g", "h"});
+    for (const char* k : {"a", "b", "c"})
+        EXPECT_TRUE(p.getBool(k, false)) << k;
+    for (const char* k : {"d", "e", "f"})
+        EXPECT_FALSE(p.getBool(k, true)) << k;
+    EXPECT_THROW(p.getBool("g", false), std::invalid_argument);
+    EXPECT_THROW(p.getBool("h", false), std::invalid_argument);
+}
+
+TEST(SpecParams, IntegersAreDecimal)
+{
+    const SpecParams p = SpecParams(
+        "stream", {{"a", "08"}, {"b", "010"}, {"c", "0x10"}, {"d", "010K"},
+                   {"e", "08/010"}},
+        {"a", "b", "c", "d", "e"});
+    EXPECT_EQ(p.getInt("a", 0), 8);
+    EXPECT_EQ(p.getU32("b", 0), 10u);
+    EXPECT_EQ(p.getU64("b", 0), 10u);
+    EXPECT_EQ(p.getI32("b", 0), 10);
+    EXPECT_EQ(p.getBytes("d", 0), 10u << 10);
+    EXPECT_EQ(p.getI32List("e", {}), (std::vector<std::int32_t>{8, 10}));
+    const std::string err = errorOf([&] { p.getInt("c", 0); });
+    EXPECT_NE(err.find("stream"), std::string::npos) << err;
+    EXPECT_NE(err.find("'c'"), std::string::npos) << err;
+    EXPECT_THROW(p.getBytes("c", 0), std::invalid_argument);
+}
+
+TEST(SpecParams, CountGettersRejectNegativeAndOutOfRange)
+{
+    const SpecParams p = argsOf({"n=-1", "big=4294967296", "cap=1025"},
+                                {"n", "big", "cap"});
+    for (const char* k : {"n", "big"})
+        EXPECT_THROW(p.getU32(k, 0), std::invalid_argument) << k;
+    EXPECT_THROW(p.getU64("n", 0), std::invalid_argument);
+    EXPECT_EQ(p.getU32("cap", 0), 1025u);
+    const std::string err =
+        errorOf([&] { p.getU32("cap", 0, kMaxParallelism); });
+    EXPECT_NE(err.find("expects an integer in [0, 1024]"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(errorOf([&] { p.getU32("n", 0); })
+                  .find("prog: parameter 'n' expects an integer in "
+                        "[0, 4294967295], got '-1'"),
+              std::string::npos);
+}
+
+TEST(SpecParams, RepeatedKeyLastAssignmentWins)
+{
+    const SpecParams p = argsOf({"mtps=600", "mtps=1200"}, {"mtps"});
+    EXPECT_EQ(p.getU32("mtps", 0), 1200u);
+    EXPECT_EQ(p.keys(), std::vector<std::string>{"mtps"});
+}
+
+TEST(SpecParams, ValueKeepsEverythingAfterTheFirstEquals)
+{
+    const SpecParams p = argsOf(
+        {"workload=stream:footprint=256M,mem_ratio=0.4"}, {"workload"});
+    EXPECT_EQ(p.getString("workload"), "stream:footprint=256M,mem_ratio=0.4");
+}
+
+TEST(SpecParams, UnknownKeySuggestsAndListsAcceptedKeys)
+{
+    const std::string err = errorOf(
+        [] { argsOf({"mtsp=600"}, {"workload", "prefetcher", "mtps"}); });
+    EXPECT_NE(err.find("prog: unknown parameter 'mtsp'"), std::string::npos)
+        << err;
+    EXPECT_NE(err.find("did you mean 'mtps'?"), std::string::npos) << err;
+    EXPECT_NE(err.find("(accepted: workload, prefetcher, mtps)"),
+              std::string::npos)
+        << err;
+}
+
+TEST(SpecParams, TokenWithoutEqualsOrKeyIsRejected)
+{
+    for (const char* tok : {"--junk", "mtps", "=600", "="}) {
+        const std::string err = errorOf([&] { argsOf({tok}, {"mtps"}); });
+        EXPECT_NE(err.find("is not of the form key=value"),
+                  std::string::npos)
+            << tok << ": " << err;
+        EXPECT_NE(err.find("accepted: mtps"), std::string::npos) << err;
+    }
+}
+
+TEST(SpecList, SplitsOnSemicolonsKeepingSpecCommas)
+{
+    EXPECT_EQ(splitSpecs("stream:footprint=256M,mem_ratio=0.4; 470.lbm-164B;;"),
+              (std::vector<std::string>{
+                  "stream:footprint=256M,mem_ratio=0.4", "470.lbm-164B"}));
+    EXPECT_TRUE(splitSpecs(" ; ").empty());
+    EXPECT_TRUE(splitSpecs("").empty());
 }
 
 // ----------------------------------------------------------------- bench args
@@ -359,6 +474,27 @@ TEST(BenchArgs, JournalWithoutWorkersRejected)
 {
     EXPECT_EXIT(parseBench({"journal=sweep.journal"}),
                 ::testing::ExitedWithCode(2), "requires workers=");
+}
+
+TEST(BenchArgs, UsageErrorsExitTwoWithOneLine)
+{
+    // Each message is the whole (single) stderr line, program name first.
+    EXPECT_EXIT(parseBench({"sim_scal=2"}), ::testing::ExitedWithCode(2),
+                "^bench: unknown parameter 'sim_scal'; did you mean "
+                "'sim_scale'\\?[^\n]*\n$");
+    EXPECT_EXIT(parseBench({"quiet"}), ::testing::ExitedWithCode(2),
+                "^bench: argument 'quiet' is not of the form "
+                "key=value[^\n]*\n$");
+    EXPECT_EXIT(parseBench({"sim_scale=big"}), ::testing::ExitedWithCode(2),
+                "^bench: parameter 'sim_scale' expects a number, got "
+                "'big'\n$");
+    EXPECT_EXIT(parseBench({"jobs=-1"}), ::testing::ExitedWithCode(2),
+                "^bench: parameter 'jobs' expects an integer in "
+                "\\[0, 1024\\], got '-1'\n$");
+    EXPECT_EXIT(parseBench({"workers=99999999999"}),
+                ::testing::ExitedWithCode(2), "parameter 'workers' expects");
+    EXPECT_EXIT(parseBench({"profile=1"}), ::testing::ExitedWithCode(2),
+                "unknown parameter 'profile'");
 }
 
 TEST(BenchArgs, WorkersAloneAndWithExplicitSingleJobAccepted)

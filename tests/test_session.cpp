@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "harness/experiment.hpp"
 #include "harness/session.hpp"
 #include "harness/timeseries.hpp"
@@ -480,10 +480,9 @@ TEST(SessionFlags, StrictParserSuggestsSessionKeys)
         "windows",   "window_instrs", "series_out"};
     const auto expectSuggestion = [&](const char* typo,
                                       const std::string& want) {
-        Config cli;
         const char* argv[] = {"bench", typo};
         try {
-            cli.parseArgsStrict(2, argv, allowed);
+            (void)SpecParams::fromArgs(2, argv, allowed);
             FAIL() << typo << " was accepted";
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find("did you mean '" +

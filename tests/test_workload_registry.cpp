@@ -245,6 +245,28 @@ TEST(WorkloadRegistry, IllTypedAndOutOfRangeParametersAreRejected)
                  std::invalid_argument);
 }
 
+TEST(WorkloadRegistry, IntegerParametersAreDecimal)
+{
+    // A leading zero is not an octal prefix: streams=08 is 8 and
+    // streams=010 is 10 (same seed, so the same stream as the plain
+    // spelling).
+    auto a08 = makeWorkload("stream:streams=08", 7);
+    auto a8 = makeWorkload("stream:streams=8", 7);
+    expectSameStream(*a08, *a8, 300, "streams=08 vs 8");
+    auto a010 = makeWorkload("stream:streams=010", 7);
+    auto a10 = makeWorkload("stream:streams=10", 7);
+    expectSameStream(*a010, *a10, 300, "streams=010 vs 10");
+    try {
+        (void)makeWorkload("stream:streams=0x10");
+        FAIL() << "hex was accepted";
+    } catch (const std::invalid_argument& e) {
+        const std::string err = e.what();
+        EXPECT_NE(err.find("stream: parameter 'streams'"),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST(WorkloadRegistry, MalformedSpecsAreRejected)
 {
     // '+' composition belongs to prefetchers; workloads use phase:.

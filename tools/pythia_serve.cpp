@@ -25,12 +25,16 @@
  * warm_pool_bytes= caps the shared pool of post-warmup machines —
  * identical specs warm once and every later open copies the pooled
  * machine's state bit-exactly; 0 disables the pool.
+ *
+ * Arguments are strict key=value (common/params.hpp): an unknown key,
+ * a malformed token or an ill-typed or out-of-range value prints one
+ * line to stderr and exits 2 before any socket or thread exists.
  */
 #include <csignal>
 #include <iostream>
 #include <string>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
 
@@ -51,44 +55,36 @@ int
 main(int argc, char** argv)
 {
     using namespace pythia;
-    Config cli;
+    service::ServeOptions opt;
     try {
-        cli.parseArgsStrict(argc, argv,
-                            {"listen", "workers", "state_dir",
-                             "inflight_records", "outbox_bytes",
-                             "idle_evict_ms", "warm_pool_bytes",
-                             "quiet"});
-    } catch (const std::exception& e) {
-        std::cerr << "pythia_serve: " << e.what() << "\n";
+        const SpecParams cli = SpecParams::fromArgs(
+            argc, argv,
+            {"listen", "workers", "state_dir", "inflight_records",
+             "outbox_bytes", "idle_evict_ms", "warm_pool_bytes",
+             "quiet"});
+        const service::ServeAddress listen =
+            service::parseServeAddress(cli.getString("listen", "tcp:0"));
+        opt.unix_path = listen.unix_path;
+        opt.tcp_port = listen.tcp_port;
+        opt.workers = cli.getU32("workers", 2, kMaxParallelism);
+        opt.state_dir = cli.getString("state_dir", "serve_state");
+        opt.max_inflight_records = cli.getU64("inflight_records", 1 << 20);
+        opt.max_outbox_bytes = cli.getU64("outbox_bytes", 8 << 20);
+        opt.idle_evict_ms = cli.getU64("idle_evict_ms", 0);
+        // Warm pool on by default: 64 MiB holds dozens of pooled
+        // warmups; pass warm_pool_bytes=0 to opt out.
+        opt.warm_pool_bytes = cli.getU64("warm_pool_bytes", 64 << 20);
+        if (!cli.getBool("quiet", false))
+            opt.log = &std::cerr;
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    } catch (const service::ServeError& e) {
+        std::cerr << "pythia_serve: listen: " << e.what() << "\n";
         return 2;
     }
 
     try {
-        service::ServeOptions opt;
-        try {
-            const service::ServeAddress listen =
-                service::parseServeAddress(cli.getString("listen", "tcp:0"));
-            opt.unix_path = listen.unix_path;
-            opt.tcp_port = listen.tcp_port;
-        } catch (const service::ServeError& e) {
-            std::cerr << "pythia_serve: listen: " << e.what() << "\n";
-            return 2;
-        }
-        opt.workers = static_cast<unsigned>(cli.getInt("workers", 2));
-        opt.state_dir = cli.getString("state_dir", "serve_state");
-        opt.max_inflight_records = static_cast<std::uint64_t>(
-            cli.getInt("inflight_records", 1 << 20));
-        opt.max_outbox_bytes = static_cast<std::size_t>(
-            cli.getInt("outbox_bytes", 8 << 20));
-        opt.idle_evict_ms = static_cast<std::uint64_t>(
-            cli.getInt("idle_evict_ms", 0));
-        // Warm pool on by default: 64 MiB holds dozens of pooled
-        // warmups; pass warm_pool_bytes=0 to opt out.
-        opt.warm_pool_bytes = static_cast<std::size_t>(
-            cli.getInt("warm_pool_bytes", 64 << 20));
-        if (!cli.getBool("quiet", false))
-            opt.log = &std::cerr;
-
         service::ServeServer server(opt);
         server.start();
         g_server = &server;

@@ -13,10 +13,16 @@
  *
  * Usage:
  *   serve_client server=tcp:127.0.0.1:7421 [clients=8] [replays=64]
- *                [workloads=470.lbm-164B,602.gcc-s] [prefetcher=pythia]
+ *                [workloads=470.lbm-164B;602.gcc_s-734B] [prefetcher=pythia]
  *                [warmup=2000] [sim_instrs=6000] [window=2000]
  *                [perf_out=BENCH_service.json] [series_dir=]
  *                [reference_dir=] [stats=0] [quiet=0]
+ *
+ * workloads= is a ';'-separated list of catalog names or registry specs
+ * (',' belongs to spec parameters: "stream:footprint=256M,mem_ratio=0.4").
+ * Arguments are strict key=value (common/params.hpp): an unknown key, a
+ * malformed token or an ill-typed or out-of-range value prints one line
+ * to stderr and exits 2 before any thread or socket exists.
  *
  * series_dir= writes each distinct spec's streamed windowed metrics as
  * CSV; reference_dir= writes the offline SimSession reference for the
@@ -44,7 +50,8 @@
 #include <thread>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
+#include "common/spec.hpp"
 #include "harness/perf.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
@@ -65,76 +72,54 @@ struct SpecCase
     std::vector<wl::TraceRecord> records; ///< exactly what offline runs
 };
 
-std::vector<std::string>
-splitList(const std::string& csv)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= csv.size()) {
-        const std::size_t comma = csv.find(',', start);
-        const std::string item =
-            csv.substr(start, comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
-    Config cli;
+    std::string server, prefetcher, perf_out, series_dir, reference_dir;
+    unsigned clients = 0;
+    std::size_t replays = 0;
+    std::uint64_t warmup = 0, sim_instrs = 0, window = 0;
+    bool print_stats = false, quiet = false;
+    std::vector<std::string> names;
     try {
-        cli.parseArgsStrict(argc, argv,
-                            {"server", "clients", "replays", "workloads",
-                             "prefetcher", "warmup", "sim_instrs",
-                             "window", "perf_out", "series_dir",
-                             "reference_dir", "stats", "quiet"});
-    } catch (const std::exception& e) {
-        std::cerr << "serve_client: " << e.what() << "\n";
+        const SpecParams cli = SpecParams::fromArgs(
+            argc, argv,
+            {"server", "clients", "replays", "workloads", "prefetcher",
+             "warmup", "sim_instrs", "window", "perf_out", "series_dir",
+             "reference_dir", "stats", "quiet"});
+        server = cli.getString("server");
+        clients = cli.getU32("clients", 8, kMaxParallelism);
+        replays = cli.getU64("replays", 64);
+        prefetcher = cli.getString("prefetcher", "pythia");
+        warmup = cli.getU64("warmup", 2000);
+        sim_instrs = cli.getU64("sim_instrs", 6000);
+        window = cli.getU64("window", 2000);
+        perf_out = cli.getString("perf_out", "BENCH_service.json");
+        series_dir = cli.getString("series_dir");
+        reference_dir = cli.getString("reference_dir");
+        print_stats = cli.getBool("stats", false);
+        quiet = cli.getBool("quiet", false);
+        names = splitSpecs(cli.getString("workloads"));
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
         return 2;
     }
+    if (server.empty()) {
+        std::cerr << "serve_client: server=<address> is required "
+                     "(the address pythia_serve printed)\n";
+        return 2;
+    }
+    if (window == 0) {
+        std::cerr << "serve_client: window must be > 0\n";
+        return 2;
+    }
+    if (names.empty())
+        names = {"470.lbm-164B", "602.gcc_s-734B", "Ligra-PageRank",
+                 "Cloudsuite-Cassandra"};
 
     try {
-        const std::string server = cli.getString("server");
-        if (server.empty()) {
-            std::cerr << "serve_client: server=<address> is required "
-                         "(the address pythia_serve printed)\n";
-            return 2;
-        }
-        const auto clients =
-            static_cast<unsigned>(cli.getInt("clients", 8));
-        const auto replays =
-            static_cast<std::size_t>(cli.getInt("replays", 64));
-        const std::string prefetcher =
-            cli.getString("prefetcher", "pythia");
-        const auto warmup =
-            static_cast<std::uint64_t>(cli.getInt("warmup", 2000));
-        const auto sim_instrs =
-            static_cast<std::uint64_t>(cli.getInt("sim_instrs", 6000));
-        const auto window =
-            static_cast<std::uint64_t>(cli.getInt("window", 2000));
-        const std::string perf_out =
-            cli.getString("perf_out", "BENCH_service.json");
-        const std::string series_dir = cli.getString("series_dir");
-        const std::string reference_dir =
-            cli.getString("reference_dir");
-        const bool print_stats = cli.getBool("stats", false);
-        const bool quiet = cli.getBool("quiet", false);
-
-        std::vector<std::string> names =
-            splitList(cli.getString("workloads"));
-        if (names.empty())
-            names = {"470.lbm-164B", "602.gcc_s-734B", "Ligra-PageRank",
-                     "Cloudsuite-Cassandra"};
-
         // Capture each spec's record stream once, shared read-only by
         // every replay thread — identical by construction to what the
         // offline SimSession consumes (workloadsFor derives the same

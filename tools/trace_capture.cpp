@@ -15,13 +15,16 @@
  * deterministic default seed. verify=1 (the default) replays the
  * written file against a fresh instance of the generator and fails
  * unless every record matches — the capture/replay equivalence rule.
+ * Arguments are strict key=value (common/params.hpp): an unknown key, a
+ * malformed token or an ill-typed value prints one line to stderr and
+ * exits 2 before any file is written.
  */
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
+#include "common/params.hpp"
 #include "workloads/suites.hpp"
 #include "workloads/trace.hpp"
 
@@ -29,36 +32,33 @@ int
 main(int argc, char** argv)
 {
     using namespace pythia;
-    Config cli;
+    std::string spec, out;
+    std::uint64_t records = 0, seed = 0;
+    bool verify = true;
     try {
-        cli.parseArgsStrict(argc, argv,
-                            {"workload", "out", "records", "seed",
-                             "verify"});
-    } catch (const std::exception& e) {
-        std::cerr << "trace_capture: " << e.what() << "\n";
+        const SpecParams cli = SpecParams::fromArgs(
+            argc, argv, {"workload", "out", "records", "seed", "verify"});
+        spec = cli.getString("workload");
+        out = cli.getString("out", "trace.bin");
+        records = cli.getU64("records", 200'000);
+        seed = cli.getU64("seed", 0);
+        verify = cli.getBool("verify", true);
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
         return 2;
     }
-
-    const std::string spec = cli.getString("workload");
     if (spec.empty()) {
         std::cerr << "trace_capture: workload=<spec-or-name> is "
                      "required (e.g. workload=470.lbm-164B or "
                      "workload=stream:footprint=256M)\n";
         return 2;
     }
+    if (records == 0) {
+        std::cerr << "trace_capture: records must be > 0\n";
+        return 2;
+    }
 
     try {
-        const std::string out = cli.getString("out", "trace.bin");
-        const std::int64_t records_arg = cli.getInt("records", 200'000);
-        const auto seed =
-            static_cast<std::uint64_t>(cli.getInt("seed", 0));
-        const bool verify = cli.getBool("verify", true);
-        if (records_arg <= 0) {
-            std::cerr << "trace_capture: records must be > 0\n";
-            return 2;
-        }
-        const auto records = static_cast<std::size_t>(records_arg);
-
         auto live = wl::makeWorkload(spec, seed);
         if (!wl::writeTraceFile(out, *live, records)) {
             std::cerr << "trace_capture: cannot write " << out << "\n";
