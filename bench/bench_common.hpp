@@ -42,6 +42,7 @@
 #include "common/params.hpp"
 #include "common/spec.hpp"
 #include "common/table.hpp"
+#include "core/feature.hpp"
 #include "harness/experiment.hpp"
 #include "harness/perf.hpp"
 #include "harness/shard.hpp"
@@ -372,6 +373,31 @@ exp1c(const std::string& workload, const std::string& pf,
         .l2(pf)
         .warmup(static_cast<std::uint64_t>(kWarmup * scale))
         .measure(static_cast<std::uint64_t>(kSim * scale));
+}
+
+/** Pythia running state vector @p features: its L2 spec
+ *  ("pythia:features=PC.Delta/Last4Deltas") and its table label
+ *  ("pythia[PC+Delta,Last4Deltas]"). */
+struct FeaturePythia
+{
+    std::string spec;
+    std::string label;
+};
+
+inline FeaturePythia
+pythiaWithFeatures(const std::vector<rl::FeatureSpec>& features)
+{
+    FeaturePythia out{"pythia:features=", "pythia["};
+    for (std::size_t i = 0; i < features.size(); ++i) {
+        if (i > 0) {
+            out.spec += '/';
+            out.label += ',';
+        }
+        out.spec += rl::featureName(features[i], '.');
+        out.label += rl::featureName(features[i]);
+    }
+    out.label += ']';
+    return out;
 }
 
 /** A representative cross-section of the catalog (one workload per

@@ -9,8 +9,6 @@
  */
 #include "bench_common.hpp"
 
-#include "core/configs.hpp"
-
 int
 main(int argc, char** argv)
 {
@@ -62,15 +60,12 @@ main(int argc, char** argv)
         // The candidate jobs replay after the basic job, so comparing
         // against acc->best is well-defined whatever finished first.
         for (const auto& features : candidates) {
-            auto cfg = rl::scaledForSimLength(
-                rl::withFeatures(rl::basicPythiaConfig(), features));
-            const std::string cfg_name = cfg.name;
-            sweep.add(bench::exp1c(w, "pythia", opt.sim_scale)
-                          .l2Pythia(cfg),
-                      [acc, cfg_name](const harness::Runner::Outcome& o) {
+            const auto variant = bench::pythiaWithFeatures(features);
+            sweep.add(bench::exp1c(w, variant.spec, opt.sim_scale),
+                      [acc, variant](const harness::Runner::Outcome& o) {
                           if (o.metrics.speedup > acc->best) {
                               acc->best = o.metrics.speedup;
-                              acc->best_name = cfg_name;
+                              acc->best_name = variant.label;
                           }
                       });
         }

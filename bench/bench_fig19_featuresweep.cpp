@@ -12,8 +12,6 @@
 
 #include "bench_common.hpp"
 
-#include "core/configs.hpp"
-
 int
 main(int argc, char** argv)
 {
@@ -59,20 +57,17 @@ main(int argc, char** argv)
             std::vector<double> speedups;
         };
         auto acc = std::make_shared<Acc>();
-        auto cfg = rl::scaledForSimLength(
-            rl::withFeatures(rl::basicPythiaConfig(), features));
-        const std::string cfg_name = cfg.name;
+        const auto variant = bench::pythiaWithFeatures(features);
         for (const auto& w : workloads)
-            sweep.add(bench::exp1c(w, "pythia", opt.sim_scale)
-                          .l2Pythia(cfg),
+            sweep.add(bench::exp1c(w, variant.spec, opt.sim_scale),
                       [acc](const harness::Runner::Outcome& o) {
                           acc->speedups.push_back(
                               std::max(1e-6, o.metrics.speedup));
                           acc->cov += o.metrics.coverage;
                           acc->over += o.metrics.overprediction;
                       });
-        sweep.then([&rows, &workloads, acc, cfg_name] {
-            rows.push_back(Row{cfg_name, geomean(acc->speedups),
+        sweep.then([&rows, &workloads, acc, label = variant.label] {
+            rows.push_back(Row{label, geomean(acc->speedups),
                                acc->cov / workloads.size(),
                                acc->over / workloads.size()});
         });

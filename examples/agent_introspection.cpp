@@ -21,23 +21,22 @@ main(int argc, char** argv)
 {
     using namespace pythia;
 
-    SpecParams cli;
-    std::uint32_t mtps = 0;
+    std::string workload;
+    harness::ExperimentSpec spec;
     bool strict = false;
     try {
-        cli = SpecParams::fromArgs(argc, argv,
-                                   {"workload", "mtps", "strict"});
-        mtps = cli.getU32("mtps", 2400);
+        const SpecParams cli = SpecParams::fromArgs(
+            argc, argv, {"workload", "mtps", "strict"});
+        workload = cli.getString("workload", "462.libquantum-1343B");
         strict = cli.getBool("strict", false);
+        spec = harness::Experiment(workload)
+                   .mtps(cli.getU32("mtps", 2400))
+                   .build();
+        harness::checkSpec(spec);
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
     }
-    const std::string workload =
-        cli.getString("workload", "462.libquantum-1343B");
-
-    const harness::ExperimentSpec spec =
-        harness::Experiment(workload).mtps(mtps).build();
 
     // Build the system by hand so we keep a handle on the agent.
     auto cfg = rl::scaledForSimLength(

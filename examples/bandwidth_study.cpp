@@ -23,17 +23,18 @@ int
 main(int argc, char** argv)
 {
     using namespace pythia;
-    SpecParams cli;
+    std::string workload;
     unsigned jobs = 0;
     try {
-        cli = SpecParams::fromArgs(argc, argv, {"workload", "jobs"});
+        const SpecParams cli =
+            SpecParams::fromArgs(argc, argv, {"workload", "jobs"});
         jobs = cli.getU32("jobs", 0, kMaxParallelism);
+        workload = cli.getString("workload", "Ligra-PageRank");
+        harness::checkSpec(harness::Experiment(workload).build());
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
     }
-    const std::string workload =
-        cli.getString("workload", "Ligra-PageRank");
 
     harness::Runner runner;
     Table table("Bandwidth study: " + workload);

@@ -73,18 +73,20 @@ main(int argc, char** argv)
 
     SpecParams cli;
     std::uint64_t windows = 0;
+    std::string workload, prefetcher;
     try {
         cli = SpecParams::fromArgs(
             argc, argv,
             {"workload", "prefetcher", "windows", "series_out"});
         windows = std::max<std::uint64_t>(1, cli.getU64("windows", 8));
+        workload = cli.getString("workload", "429.mcf-184B");
+        prefetcher = cli.getString("prefetcher", "pythia");
+        harness::checkSpec(
+            harness::Experiment(workload).l2(prefetcher).build());
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
     }
-    const std::string workload =
-        cli.getString("workload", "429.mcf-184B");
-    const std::string prefetcher = cli.getString("prefetcher", "pythia");
     const std::string series_out = cli.getString("series_out", "");
 
     std::cout << "Live introspection: workload=" << workload

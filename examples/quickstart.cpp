@@ -22,18 +22,23 @@ main(int argc, char** argv)
 {
     using namespace pythia;
 
-    SpecParams cli;
+    std::string workload;
     std::uint32_t mtps = 0;
+    std::vector<std::string> prefetchers = {"spp", "bingo", "mlop",
+                                            "pythia"};
     try {
-        cli = SpecParams::fromArgs(argc, argv,
-                                   {"workload", "prefetcher", "mtps"});
+        const SpecParams cli = SpecParams::fromArgs(
+            argc, argv, {"workload", "prefetcher", "mtps"});
+        workload = cli.getString("workload", "459.GemsFDTD-765B");
         mtps = cli.getU32("mtps", 2400);
+        if (cli.has("prefetcher"))
+            prefetchers = {cli.getString("prefetcher")};
+        for (const auto& pf : prefetchers)
+            harness::checkSpec(harness::Experiment(workload).l2(pf).build());
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
     }
-    const std::string workload =
-        cli.getString("workload", "459.GemsFDTD-765B");
 
     std::cout << "Pythia quickstart: workload=" << workload
               << " mtps=" << mtps << "\n";
@@ -42,11 +47,6 @@ main(int argc, char** argv)
     Table table("Quickstart: " + workload);
     table.setHeader({"prefetcher", "IPC", "speedup", "coverage",
                      "overpred", "accuracy"});
-
-    const std::vector<std::string> prefetchers =
-        cli.has("prefetcher")
-            ? std::vector<std::string>{cli.getString("prefetcher")}
-            : std::vector<std::string>{"spp", "bingo", "mlop", "pythia"};
 
     for (const auto& pf : prefetchers) {
         const auto outcome =

@@ -1,6 +1,6 @@
 #include "core/agent.hpp"
 
-#include <cassert>
+#include <algorithm>
 
 #include "snapshot/codec.hpp"
 
@@ -23,16 +23,35 @@ qvConfigOf(const PythiaConfig& cfg)
     return qc;
 }
 
+/** Reject a configuration the agent cannot run, before the QVStore and
+ *  the EQ allocate anything. Keys are the spec-string names; the EQ and
+ *  plane caps (the paper's are 256 entries and 7 bits) bound memory. */
+const PythiaConfig&
+checked(const PythiaConfig& cfg)
+{
+    static_assert(kEqStateSlots == 8 && kMaxPlanes == 8, "rule texts");
+    pf::requireConfig(
+        cfg.name,
+        {{!cfg.features.empty() && cfg.features.size() <= kEqStateSlots,
+          "features", "1 to 8 feature names"},
+         {!cfg.actions.empty(), "actions", "a non-empty offset list"},
+         {cfg.degree >= 1, "degree", ">= 1"},
+         {cfg.eq_size >= 1 && cfg.eq_size <= 65536, "eq_size",
+          "in [1, 65536]"},
+         {cfg.planes >= 1 && cfg.planes <= kMaxPlanes, "planes",
+          "in [1, 8]"},
+         {cfg.plane_index_bits >= 1 && cfg.plane_index_bits <= 16,
+          "plane_index_bits", "in [1, 16]"}});
+    return cfg;
+}
+
 } // namespace
 
 PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig& cfg)
-    : PrefetcherBase(cfg.name, 26112 /* 25.5KB, Table 4 */), cfg_(cfg),
-      qv_(qvConfigOf(cfg)), eq_(cfg.eq_size), rng_(cfg.seed),
-      stats_("pythia")
+    : PrefetcherBase(cfg.name, 26112 /* 25.5KB, Table 4 */),
+      cfg_(checked(cfg)), qv_(qvConfigOf(cfg)), eq_(cfg.eq_size),
+      rng_(cfg.seed), stats_("pythia")
 {
-    assert(!cfg_.features.empty());
-    assert(!cfg_.actions.empty());
-
     action_slots_.reserve(cfg_.actions.size());
     for (const std::int32_t offset : cfg_.actions) {
         const std::string o = std::to_string(offset);
@@ -54,7 +73,8 @@ PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig& cfg)
     c_action_prefetch_ = stats_.counterSlot("action_prefetch");
 
     state_scratch_.reserve(cfg_.features.size());
-    actions_scratch_.reserve(cfg_.degree);
+    actions_scratch_.reserve(
+        std::min<std::size_t>(cfg_.degree, cfg_.actions.size()));
 }
 
 std::size_t

@@ -1,25 +1,58 @@
 #include "core/configs.hpp"
 
+#include <sstream>
+#include <stdexcept>
 #include <utility>
 
+#include "common/spec.hpp"
 #include "sim/prefetcher_registry.hpp"
 
 namespace pythia::rl {
 
 namespace {
 
-/** The spec-string tunables of every Pythia variant: the Table 2
- *  hyperparameters plus the seven reward levels of §3.1 — the paper's
- *  "configuration registers", settable per run without recompiling. */
+/** The spec-string tunables of every Pythia variant: the state
+ *  vector, the action list, the Table 2 hyperparameters and the seven
+ *  reward levels of §3.1 — the paper's "configuration registers",
+ *  settable per run without recompiling. */
 const std::vector<std::string> kPythiaParamKeys = {
-    "alpha",     "gamma",     "epsilon",  "degree",    "eq_size",
-    "planes",    "plane_index_bits",      "seed",      "r_at",
-    "r_al",      "r_cl",      "r_in_high", "r_in_low", "r_np_high",
-    "r_np_low"};
+    "features",  "actions",   "alpha",    "gamma",     "epsilon",
+    "degree",    "eq_size",   "planes",   "plane_index_bits",
+    "seed",      "r_at",      "r_al",     "r_cl",      "r_in_high",
+    "r_in_low",  "r_np_high", "r_np_low"};
+
+/** "features=PC.Delta/Last4Deltas": a '/'-list of featureName(f, '.')
+ *  spellings. */
+std::vector<FeatureSpec>
+getFeatures(const sim::PrefetcherParams& p, std::vector<FeatureSpec> dflt)
+{
+    if (!p.has("features"))
+        return dflt;
+    std::vector<FeatureSpec> out;
+    // The appended '/' makes getline yield every entry, a trailing
+    // empty one included.
+    std::istringstream list(p.getString("features") + '/');
+    for (std::string name; std::getline(list, name, '/');) {
+        if (const auto spec = parseFeatureName(name)) {
+            out.push_back(*spec);
+            continue;
+        }
+        std::vector<std::string> accepted;
+        for (const FeatureSpec& f : allFeatureSpecs())
+            accepted.push_back(featureName(f, '.'));
+        throw std::invalid_argument(
+            p.owner() + ": parameter 'features' names unknown feature '" +
+            name + "'" + didYouMean(name, accepted) +
+            " (accepted: " + joinKeys(accepted) + ")");
+    }
+    return out;
+}
 
 PythiaConfig
 applyParams(PythiaConfig cfg, const sim::PrefetcherParams& p)
 {
+    cfg.features = getFeatures(p, std::move(cfg.features));
+    cfg.actions = p.getI32List("actions", cfg.actions);
     cfg.alpha = p.getDouble("alpha", cfg.alpha);
     cfg.gamma = p.getDouble("gamma", cfg.gamma);
     cfg.epsilon = p.getDouble("epsilon", cfg.epsilon);
@@ -114,20 +147,6 @@ scaledForSimLength(PythiaConfig cfg)
     cfg.epsilon = 0.05;
     cfg.degree = 3;
     return cfg;
-}
-
-PythiaConfig
-withFeatures(PythiaConfig base, std::vector<FeatureSpec> features)
-{
-    base.features = std::move(features);
-    base.name = "pythia[";
-    for (std::size_t i = 0; i < base.features.size(); ++i) {
-        if (i)
-            base.name += ",";
-        base.name += featureName(base.features[i]);
-    }
-    base.name += "]";
-    return base;
 }
 
 } // namespace pythia::rl

@@ -26,10 +26,6 @@ PythiaConfig strictPythiaConfig();
  */
 PythiaConfig bandwidthObliviousConfig();
 
-/** Basic Pythia with a custom feature pair (Fig. 16 / Fig. 19 sweeps). */
-PythiaConfig withFeatures(PythiaConfig base,
-                          std::vector<FeatureSpec> features);
-
 /**
  * Rescale the learning-rate / exploration hyperparameters for
  * scaled-down simulation windows.

@@ -23,7 +23,6 @@ nextPow2(std::size_t n)
 
 EvaluationQueue::EvaluationQueue(std::size_t capacity) : capacity_(capacity)
 {
-    assert(capacity_ > 0);
     const std::size_t backing = nextPow2(capacity_);
     mask_ = backing - 1;
     ring_.resize(backing);

@@ -49,14 +49,23 @@ packDelta(std::int32_t delta)
 } // namespace
 
 std::string
-featureName(const FeatureSpec& spec)
+featureName(const FeatureSpec& spec, char join)
 {
     if (spec.control == ControlKind::None)
         return dataName(spec.data);
     if (spec.data == DataKind::None)
         return controlName(spec.control);
-    return std::string(controlName(spec.control)) + "+" +
+    return std::string(controlName(spec.control)) + join +
            dataName(spec.data);
+}
+
+std::optional<FeatureSpec>
+parseFeatureName(const std::string& name)
+{
+    for (const FeatureSpec& spec : allFeatureSpecs())
+        if (featureName(spec, '.') == name)
+            return spec;
+    return std::nullopt;
 }
 
 std::vector<FeatureSpec>

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,8 +53,14 @@ struct FeatureSpec
     bool operator==(const FeatureSpec&) const = default;
 };
 
-/** Human-readable feature name, e.g. "PC+Delta". */
-std::string featureName(const FeatureSpec& spec);
+/** Human-readable feature name, e.g. "PC+Delta". Spec strings join
+ *  the two components with '.' instead ("PC.Delta"): they reserve '+'
+ *  for composition. */
+std::string featureName(const FeatureSpec& spec, char join = '+');
+
+/** Inverse of featureName(spec, '.'): nullopt when no feature has that
+ *  spelling. */
+std::optional<FeatureSpec> parseFeatureName(const std::string& name);
 
 /** All 32 feature combinations of the §4.3.1 exploration space, excluding
  *  the degenerate None+None. */

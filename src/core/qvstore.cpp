@@ -13,14 +13,12 @@ namespace {
 
 /// Per-plane shift constants "randomly selected at design time" (§4.2.1).
 constexpr unsigned kPlaneShift[] = {3, 11, 19, 27, 5, 13, 21, 29};
+static_assert(std::size(kPlaneShift) == kMaxPlanes);
 
 } // namespace
 
 QVStore::QVStore(const QVStoreConfig& cfg) : cfg_(cfg)
 {
-    assert(cfg_.num_features > 0 && cfg_.num_planes > 0);
-    assert(cfg_.num_planes <= std::size(kPlaneShift));
-    assert(cfg_.num_actions > 0);
     rows_per_plane_ = 1u << cfg_.plane_index_bits;
     table_.assign(static_cast<std::size_t>(cfg_.num_features) *
                       cfg_.num_planes * rows_per_plane_ * cfg_.num_actions,

@@ -32,6 +32,9 @@ class Reader;
 
 namespace pythia::rl {
 
+/** Planes per vault: one design-time shift constant each (§4.2.1). */
+inline constexpr std::uint32_t kMaxPlanes = 8;
+
 /** QVStore geometry and learning parameters (paper Table 2 / Table 4). */
 struct QVStoreConfig
 {

@@ -78,15 +78,6 @@ class ExperimentBuilder
         return *this;
     }
 
-    /** L2 Pythia with an explicit config object (feature vectors and
-     *  action lists are not expressible as spec strings). */
-    ExperimentBuilder& l2Pythia(rl::PythiaConfig cfg)
-    {
-        spec_.prefetcher = "pythia_custom";
-        spec_.pythia_cfg = std::move(cfg);
-        return *this;
-    }
-
     /** DRAM transfer rate in mega-transfers per second. */
     ExperimentBuilder& mtps(std::uint32_t mtps)
     {

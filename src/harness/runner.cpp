@@ -42,14 +42,13 @@ isBaseline(const ExperimentSpec& spec)
 }
 
 /** The no-prefetching baseline of @p spec: same machine, workload and
- *  windows, prefetchers "none" and no pythia_cfg. */
+ *  windows, prefetchers "none". */
 ExperimentSpec
 baselineSpec(const ExperimentSpec& spec)
 {
     ExperimentSpec base = spec;
     base.prefetcher = "none";
     base.l1_prefetcher = "none";
-    base.pythia_cfg.reset();
     return base;
 }
 
@@ -84,12 +83,6 @@ computeOnce(std::mutex& mutex,
 }
 
 } // namespace
-
-std::vector<std::string>
-harnessPrefetcherNames()
-{
-    return sim::prefetcherNames();
-}
 
 sim::SystemConfig
 systemConfigFor(const ExperimentSpec& spec)
@@ -128,6 +121,14 @@ workloadsFor(const ExperimentSpec& spec)
     return out;
 }
 
+void
+checkSpec(const ExperimentSpec& spec)
+{
+    (void)workloadsFor(spec);
+    (void)sim::makePrefetcher(spec.prefetcher);
+    (void)sim::makePrefetcher(spec.l1_prefetcher);
+}
+
 sim::RunResult
 simulate(const ExperimentSpec& spec)
 {
@@ -138,10 +139,10 @@ std::string
 Runner::baselineKey(const ExperimentSpec& spec)
 {
     // Every field that changes the no-prefetching run participates; the
-    // prefetcher fields and pythia_cfg do not (the baseline resets
-    // them). Field separators are control characters that cannot occur
-    // in catalog names or registry specs, and the mix is
-    // length-prefixed, so distinct specs can never collide on one key.
+    // prefetcher fields do not (the baseline resets them). Field
+    // separators are control characters that cannot occur in catalog
+    // names or registry specs, and the mix is length-prefixed, so
+    // distinct specs can never collide on one key.
     // A mix overrides the workload name in workloadsFor(), so a set mix
     // also canonicalizes away the (ignored) workload field here.
     // Workload names canonicalize through the registry

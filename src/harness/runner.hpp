@@ -29,14 +29,6 @@
 
 namespace pythia::harness {
 
-/**
- * All prefetcher names the harness accepts (excluding "none" and the
- * config-object-driven "pythia_custom"). Thin wrapper over
- * sim::prefetcherNames(); construction itself goes through
- * sim::makePrefetcher(spec).
- */
-std::vector<std::string> harnessPrefetcherNames();
-
 /** Translate an ExperimentSpec into a full SystemConfig. */
 sim::SystemConfig systemConfigFor(const ExperimentSpec& spec);
 
@@ -45,6 +37,13 @@ sim::SystemConfig systemConfigFor(const ExperimentSpec& spec);
  *  Accepts catalog names and registry workload specs alike. */
 std::vector<std::unique_ptr<wl::Workload>>
 workloadsFor(const ExperimentSpec& spec);
+
+/**
+ * Resolve every workload and prefetcher spec of @p spec once, so a
+ * command line can reject a bad name as a usage error before any
+ * simulation starts. @throws std::invalid_argument as the registries do.
+ */
+void checkSpec(const ExperimentSpec& spec);
 
 /**
  * Run one experiment end to end (construct, warm up, measure).

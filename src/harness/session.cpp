@@ -1,7 +1,6 @@
 #include "harness/session.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,110 +14,10 @@ namespace pythia::harness {
 
 namespace {
 
-/** Resolve a spec through the registry, plus the one construction the
- *  registry cannot express: "pythia_custom" with an explicit config
- *  object (features and action lists are not spec-string encodable). */
-std::unique_ptr<sim::PrefetcherApi>
-buildPrefetcher(const std::string& spec,
-                const std::optional<rl::PythiaConfig>& custom)
-{
-    if (spec == "pythia_custom") {
-        if (!custom)
-            throw std::invalid_argument(
-                "pythia_custom requires an explicit PythiaConfig");
-        return std::make_unique<rl::PythiaPrefetcher>(*custom);
-    }
-    return sim::makePrefetcher(spec);
-}
-
 std::uint64_t
 at(const std::vector<std::uint64_t>& v, std::size_t i)
 {
     return i < v.size() ? v[i] : 0;
-}
-
-/** Stable hash of an explicit PythiaConfig: every field that changes
- *  learned-state evolution participates. */
-std::string
-hashPythiaConfig(const rl::PythiaConfig& cfg)
-{
-    std::ostringstream os;
-    os << cfg.name;
-    for (const auto& f : cfg.features)
-        os << '|' << rl::featureName(f);
-    for (std::int32_t a : cfg.actions)
-        os << '|' << a;
-    os << '|' << cfg.rewards.r_at << '|' << cfg.rewards.r_al << '|'
-       << cfg.rewards.r_cl << '|' << cfg.rewards.r_in_high << '|'
-       << cfg.rewards.r_in_low << '|' << cfg.rewards.r_np_high << '|'
-       << cfg.rewards.r_np_low << '|' << cfg.alpha << '|' << cfg.gamma
-       << '|' << cfg.epsilon << '|' << cfg.eq_size << '|' << cfg.degree
-       << '|' << cfg.planes << '|' << cfg.plane_index_bits << '|'
-       << cfg.seed;
-    std::ostringstream hex;
-    hex << std::hex << std::setw(16) << std::setfill('0')
-        << snap::fnv1a(os.str());
-    return hex.str();
-}
-
-void
-writePythiaConfig(snap::Writer& w, const rl::PythiaConfig& cfg)
-{
-    w.str(cfg.name);
-    w.u64(cfg.features.size());
-    for (const auto& f : cfg.features) {
-        w.u8(static_cast<std::uint8_t>(f.control));
-        w.u8(static_cast<std::uint8_t>(f.data));
-    }
-    w.u64(cfg.actions.size());
-    for (std::int32_t a : cfg.actions)
-        w.i32(a);
-    w.f64(cfg.rewards.r_at);
-    w.f64(cfg.rewards.r_al);
-    w.f64(cfg.rewards.r_cl);
-    w.f64(cfg.rewards.r_in_high);
-    w.f64(cfg.rewards.r_in_low);
-    w.f64(cfg.rewards.r_np_high);
-    w.f64(cfg.rewards.r_np_low);
-    w.f64(cfg.alpha);
-    w.f64(cfg.gamma);
-    w.f64(cfg.epsilon);
-    w.u64(cfg.eq_size);
-    w.u32(cfg.degree);
-    w.u32(cfg.planes);
-    w.u32(cfg.plane_index_bits);
-    w.u64(cfg.seed);
-}
-
-rl::PythiaConfig
-readPythiaConfig(snap::Reader& r)
-{
-    rl::PythiaConfig cfg;
-    cfg.name = r.str();
-    cfg.features.resize(r.count(2));
-    for (auto& f : cfg.features) {
-        f.control = static_cast<rl::ControlKind>(r.u8());
-        f.data = static_cast<rl::DataKind>(r.u8());
-    }
-    cfg.actions.resize(r.count(4));
-    for (auto& a : cfg.actions)
-        a = r.i32();
-    cfg.rewards.r_at = r.f64();
-    cfg.rewards.r_al = r.f64();
-    cfg.rewards.r_cl = r.f64();
-    cfg.rewards.r_in_high = r.f64();
-    cfg.rewards.r_in_low = r.f64();
-    cfg.rewards.r_np_high = r.f64();
-    cfg.rewards.r_np_low = r.f64();
-    cfg.alpha = r.f64();
-    cfg.gamma = r.f64();
-    cfg.epsilon = r.f64();
-    cfg.eq_size = static_cast<std::size_t>(r.u64());
-    cfg.degree = r.u32();
-    cfg.planes = r.u32();
-    cfg.plane_index_bits = r.u32();
-    cfg.seed = r.u64();
-    return cfg;
 }
 
 } // namespace
@@ -140,9 +39,6 @@ writeSpec(snap::Writer& w, const ExperimentSpec& spec)
     w.u64(spec.warmup_instrs);
     w.u64(spec.sim_instrs);
     w.u64(spec.workload_seed);
-    w.boolean(spec.pythia_cfg.has_value());
-    if (spec.pythia_cfg)
-        writePythiaConfig(w, *spec.pythia_cfg);
 }
 
 ExperimentSpec
@@ -161,8 +57,6 @@ readSpec(snap::Reader& r)
     spec.warmup_instrs = r.u64();
     spec.sim_instrs = r.u64();
     spec.workload_seed = r.u64();
-    if (r.boolean())
-        spec.pythia_cfg = readPythiaConfig(r);
     return spec;
 }
 
@@ -247,10 +141,7 @@ fingerprintFor(const ExperimentSpec& spec)
        << "llc_bytes_per_core=" << spec.llc_bytes_per_core << ';'
        << "warmup_instrs=" << spec.warmup_instrs << ';'
        << "sim_instrs=" << spec.sim_instrs << ';'
-       << "workload_seed=" << spec.workload_seed << ';'
-       << "pythia_cfg="
-       << (spec.pythia_cfg ? hashPythiaConfig(*spec.pythia_cfg) : "-")
-       << ';';
+       << "workload_seed=" << spec.workload_seed << ';';
     return fp.str();
 }
 
@@ -382,9 +273,9 @@ SimSession::SimSession(ExperimentSpec spec,
     system_ = std::make_unique<sim::System>(systemConfigFor(spec_),
                                             std::move(workloads));
     for (std::uint32_t c = 0; c < spec_.num_cores; ++c) {
-        if (auto l2 = buildPrefetcher(spec_.prefetcher, spec_.pythia_cfg))
+        if (auto l2 = sim::makePrefetcher(spec_.prefetcher))
             system_->attachL2Prefetcher(c, std::move(l2));
-        if (auto l1 = buildPrefetcher(spec_.l1_prefetcher, std::nullopt))
+        if (auto l1 = sim::makePrefetcher(spec_.l1_prefetcher))
             system_->attachL1Prefetcher(c, std::move(l1));
     }
 }

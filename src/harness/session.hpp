@@ -61,10 +61,10 @@ class SimSession;
  * Canonical "key=value;" configuration fingerprint of @p spec, embedded
  * in every snapshot file and re-checked on restore. Covers every field
  * that shapes machine state — workload/mix (canonicalized through the
- * workload registry), both prefetcher specs (warmup trains them),
- * cores, mtps, LLC size, warmup/sim budgets, seed, and a hash of the
- * explicit PythiaConfig when present — so a snapshot can never be
- * restored into a different experiment silently.
+ * workload registry), both prefetcher specs (warmup trains them; the
+ * spec string carries every Pythia feature, action and reward), cores,
+ * mtps, LLC size, warmup/sim budgets and seed — so a snapshot can never
+ * be restored into a different experiment silently.
  */
 std::string fingerprintFor(const ExperimentSpec& spec);
 

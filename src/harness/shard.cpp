@@ -351,15 +351,14 @@ shardWorkerMain(int argc, char** argv)
 
     // Fault-injection hooks (tests + CI). Kill hooks apply only to the
     // first spawn (generation 0) so the respawned worker makes
-    // progress; the slow hook applies to every generation.
+    // progress; the slow hook applies to every generation. The
+    // job-time kill points fire on the first job, which every worker
+    // is handed at spawn, so they are reachable whatever the timing.
     const char* kw = std::getenv("PYTHIA_SHARD_KILL_WORKER");
     const bool kill_me = kw && generation == 0 &&
                          static_cast<unsigned>(std::atoi(kw)) == index;
     const char* kp = std::getenv("PYTHIA_SHARD_KILL_POINT");
     const std::string kill_point = kp ? kp : "recv";
-    const char* ka = std::getenv("PYTHIA_SHARD_KILL_AFTER");
-    const std::size_t kill_after =
-        ka ? static_cast<std::size_t>(std::atoll(ka)) : 1;
     const char* sw = std::getenv("PYTHIA_SHARD_SLOW_WORKER");
     const bool slow_me =
         sw && static_cast<unsigned>(std::atoi(sw)) == index;
@@ -397,7 +396,6 @@ shardWorkerMain(int argc, char** argv)
 
         Runner runner;
 
-        std::size_t jobs_seen = 0;
         // Until the coordinator closes the pipe: clean shutdown.
         while (const auto frame = transport::readFrame(in_fd)) {
             snap::Reader rd(frame->data(), frame->size());
@@ -406,8 +404,7 @@ shardWorkerMain(int argc, char** argv)
             const std::uint64_t job = rd.u64();
             const ExperimentSpec spec = readSpec(rd);
 
-            ++jobs_seen;
-            if (kill_me && kill_point == "recv" && jobs_seen == kill_after)
+            if (kill_me && kill_point == "recv")
                 ::raise(SIGKILL);
             if (slow_me)
                 std::this_thread::sleep_for(
@@ -439,8 +436,7 @@ shardWorkerMain(int argc, char** argv)
                 w.u8(kErrOther);
                 w.str(e.what());
             }
-            if (kill_me && kill_point == "pre_send" &&
-                jobs_seen == kill_after)
+            if (kill_me && kill_point == "pre_send")
                 ::raise(SIGKILL);
             transport::writeFrame(out_fd, w.buffer());
         }

@@ -117,7 +117,7 @@ class JournalFingerprintError : public JournalError
 inline constexpr const char* kWireSchemaName = "pythia-shard-v1";
 
 /** Current wire-protocol version. */
-inline constexpr std::uint32_t kWireVersion = 2;
+inline constexpr std::uint32_t kWireVersion = 3;
 
 // -------------------------------------------------- journal constants
 
@@ -252,10 +252,11 @@ struct ShardReport
  *    coordinator _exit(137) when the k-th worker result arrives,
  *    before/after the journal append — simulating SIGKILL at the
  *    worst instants of the durability window.
- *  - sweep_worker honors PYTHIA_SHARD_KILL_WORKER / _KILL_POINT /
- *    _KILL_AFTER and PYTHIA_SHARD_SLOW_WORKER / _SLOW_MS (see
- *    tools/sweep_worker.cpp); kill hooks apply only to generation-0
- *    spawns so a respawned worker makes progress.
+ *  - sweep_worker honors PYTHIA_SHARD_KILL_WORKER / _KILL_POINT and
+ *    PYTHIA_SHARD_SLOW_WORKER / _SLOW_MS (see tools/sweep_worker.cpp);
+ *    kill hooks apply only to generation-0 spawns so a respawned
+ *    worker makes progress, and the job-time points fire on the
+ *    worker's first job.
  */
 class ShardCoordinator
 {

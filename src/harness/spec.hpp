@@ -11,11 +11,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
-
-#include "core/configs.hpp"
 
 namespace pythia::harness {
 
@@ -42,9 +39,6 @@ struct ExperimentSpec
     std::uint64_t warmup_instrs = 100'000;
     std::uint64_t sim_instrs = 300'000;
     std::uint64_t workload_seed = 0;  ///< 0 = catalog default
-    /** Optional explicit Pythia configuration; used when prefetcher is
-     *  "pythia_custom". */
-    std::optional<rl::PythiaConfig> pythia_cfg;
 };
 
 } // namespace pythia::harness

@@ -1,7 +1,7 @@
 #include "prefetchers/bingo.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
 
 #include "common/hashing.hpp"
 #include "sim/prefetcher_registry.hpp"
@@ -30,12 +30,18 @@ namespace {
 BingoPrefetcher::BingoPrefetcher(const BingoConfig& cfg)
     : PrefetcherBase("bingo", 47104 /* ~46KB, Table 7 */), cfg_(cfg)
 {
-    blocks_per_region_ =
-        cfg_.region_bytes / static_cast<std::uint32_t>(kBlockSize);
-    assert(blocks_per_region_ <= 64 &&
-           "footprint bitvector is 64 bits wide");
-    region_shift_ = std::countr_zero(cfg_.region_bytes) -
-                    static_cast<std::uint32_t>(kBlockShift);
+    // The footprint bitvector is 64 bits wide; smaller regions round up
+    // to one block.
+    requireConfig("bingo", {
+        {std::has_single_bit(cfg.region_bytes) &&
+             cfg.region_bytes <= 64 * kBlockSize,
+         "region_bytes", "a power of two <= 4096"},
+        {cfg.at_entries >= 1, "at_entries", ">= 1"},
+        {cfg.pht_sets >= 1, "pht_sets", ">= 1"},
+        {cfg.pht_ways >= 1, "pht_ways", ">= 1"}});
+    blocks_per_region_ = std::max<std::uint32_t>(
+        1, cfg_.region_bytes / static_cast<std::uint32_t>(kBlockSize));
+    region_shift_ = std::countr_zero(blocks_per_region_);
     at_.resize(cfg_.at_entries);
     pht_.resize(static_cast<std::size_t>(cfg_.pht_sets) * cfg_.pht_ways);
 }

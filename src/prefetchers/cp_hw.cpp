@@ -40,11 +40,12 @@ CpHwPrefetcher::actionList()
 CpHwPrefetcher::CpHwPrefetcher(const CpHwConfig& cfg)
     : PrefetcherBase("cp_hw",
                      cfg.table_entries * actionList().size() * 2),
-      cfg_(cfg),
-      q_(cfg.table_entries,
-         std::vector<double>(actionList().size(), 0.0)),
-      tracker_(256), rng_(cfg.seed)
+      cfg_(cfg), tracker_(256), rng_(cfg.seed)
 {
+    requireConfig("cp_hw",
+                  {{cfg.table_entries >= 1, "table_entries", ">= 1"}});
+    q_.assign(cfg.table_entries,
+              std::vector<double>(actionList().size(), 0.0));
 }
 
 std::uint32_t

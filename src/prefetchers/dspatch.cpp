@@ -1,7 +1,7 @@
 #include "prefetchers/dspatch.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cassert>
 
 #include "common/hashing.hpp"
 #include "sim/prefetcher_registry.hpp"
@@ -25,14 +25,20 @@ namespace {
 } // namespace
 
 DspatchPrefetcher::DspatchPrefetcher(const DspatchConfig& cfg)
-    : PrefetcherBase("dspatch", 3686 /* ~3.6KB, Table 7 */), cfg_(cfg),
-      spt_(cfg.spt_entries), at_(cfg.at_entries)
+    : PrefetcherBase("dspatch", 3686 /* ~3.6KB, Table 7 */), cfg_(cfg)
 {
-    blocks_per_region_ =
-        cfg_.region_bytes / static_cast<std::uint32_t>(kBlockSize);
-    assert(blocks_per_region_ <= 64);
-    region_shift_ = std::countr_zero(cfg_.region_bytes) -
-                    static_cast<std::uint32_t>(kBlockShift);
+    // Footprints are 64-bit; smaller regions round up to one block.
+    requireConfig("dspatch", {
+        {std::has_single_bit(cfg.region_bytes) &&
+             cfg.region_bytes <= 64 * kBlockSize,
+         "region_bytes", "a power of two <= 4096"},
+        {cfg.spt_entries >= 1, "spt_entries", ">= 1"},
+        {cfg.at_entries >= 1, "at_entries", ">= 1"}});
+    spt_.resize(cfg.spt_entries);
+    at_.resize(cfg.at_entries);
+    blocks_per_region_ = std::max<std::uint32_t>(
+        1, cfg_.region_bytes / static_cast<std::uint32_t>(kBlockSize));
+    region_shift_ = std::countr_zero(blocks_per_region_);
 }
 
 Addr

@@ -24,8 +24,12 @@ namespace {
 
 IpcpPrefetcher::IpcpPrefetcher(const IpcpConfig& cfg)
     : PrefetcherBase("ipcp", cfg.ip_entries * 12 + cfg.cspt_entries * 2),
-      cfg_(cfg), ip_(cfg.ip_entries), cspt_(cfg.cspt_entries)
+      cfg_(cfg)
 {
+    requireConfig("ipcp", {{cfg.ip_entries >= 1, "ip_entries", ">= 1"},
+                           {cfg.cspt_entries >= 1, "cspt_entries", ">= 1"}});
+    ip_.resize(cfg.ip_entries);
+    cspt_.resize(cfg.cspt_entries);
 }
 
 void

@@ -25,11 +25,17 @@ namespace {
 } // namespace
 
 MlopPrefetcher::MlopPrefetcher(const MlopConfig& cfg)
-    : PrefetcherBase("mlop", 8192 /* ~8KB, Table 7 */), cfg_(cfg),
-      maps_(cfg.amt_entries),
-      scores_(cfg.max_degree,
-              std::vector<std::uint32_t>(2 * cfg.max_offset + 1, 0))
+    : PrefetcherBase("mlop", 8192 /* ~8KB, Table 7 */), cfg_(cfg)
 {
+    // Candidate offsets stay within one page.
+    requireConfig("mlop", {{cfg.amt_entries >= 1, "amt_entries", ">= 1"},
+                           {cfg.max_offset >= 0 &&
+                                cfg.max_offset < static_cast<std::int32_t>(
+                                                     kBlocksPerPage),
+                            "max_offset", "in [0, 63]"}});
+    maps_.resize(cfg.amt_entries);
+    scores_.assign(cfg.max_degree,
+                   std::vector<std::uint32_t>(2 * cfg.max_offset + 1, 0));
 }
 
 MlopPrefetcher::MapEntry&

@@ -28,10 +28,23 @@ namespace {
         return std::make_unique<PpfPrefetcher>(cfg, spp);
     }};
 
+/** The inner SPP's tables are checked here, under this entry's spp_*
+ *  keys, before the SPP member is built. */
+const PpfConfig&
+checked(const PpfConfig& cfg, const SppConfig& spp)
+{
+    requireConfig("spp_ppf",
+                  {{cfg.table_entries >= 1, "table_entries", ">= 1"},
+                   {spp.st_entries >= 1, "spp_st_entries", ">= 1"},
+                   {spp.pt_sets >= 1, "spp_pt_sets", ">= 1"}});
+    return cfg;
+}
+
 } // namespace
 
 PpfPrefetcher::PpfPrefetcher(const PpfConfig& cfg, const SppConfig& spp_cfg)
-    : PrefetcherBase("spp_ppf", 40243 /* ~39.3KB, Table 7 */), cfg_(cfg),
+    : PrefetcherBase("spp_ppf", 40243 /* ~39.3KB, Table 7 */),
+      cfg_(checked(cfg, spp_cfg)),
       spp_(spp_cfg),
       weights_(static_cast<std::size_t>(kFeatures) * cfg.table_entries, 0)
 {

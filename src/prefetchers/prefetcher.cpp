@@ -1,10 +1,21 @@
 #include "prefetchers/prefetcher.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "common/hashing.hpp"
 
 namespace pythia::pf {
+
+void
+requireConfig(const std::string& owner,
+              std::initializer_list<ConfigRule> rules)
+{
+    for (const ConfigRule& r : rules)
+        if (!r.ok)
+            throw std::invalid_argument(owner + ": " + r.key +
+                                        " must be " + r.rule);
+}
 
 PrefetcherBase::PrefetcherBase(std::string name, std::size_t storage_bytes)
     : name_(std::move(name)), storage_bytes_(storage_bytes)

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,24 @@ using sim::BandwidthInfo;
 using sim::PrefetchAccess;
 using sim::PrefetcherApi;
 using sim::PrefetchRequest;
+
+/** One constructor-time configuration rule: @p key is valid when @p ok. */
+struct ConfigRule
+{
+    bool ok;
+    const char* key;
+    const char* rule; ///< what a valid value is, e.g. ">= 1"
+};
+
+/**
+ * Constructor-time configuration guard: every prefetcher checks its
+ * configuration with this before it allocates a table, so a degenerate
+ * spec ("stride:entries=0") is a typed error, never a crash.
+ * @throws std::invalid_argument "<owner>: <key> must be <rule>" for the
+ *         first rule that does not hold.
+ */
+void requireConfig(const std::string& owner,
+                   std::initializer_list<ConfigRule> rules);
 
 /**
  * Base class holding the name, the bandwidth feedback pointer and the

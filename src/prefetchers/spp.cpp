@@ -30,10 +30,13 @@ namespace {
 } // namespace
 
 SppPrefetcher::SppPrefetcher(const SppConfig& cfg)
-    : PrefetcherBase("spp", 6349 /* ~6.2KB, Table 7 */), cfg_(cfg),
-      st_(cfg.st_entries),
-      pt_(static_cast<std::size_t>(cfg.pt_sets) * cfg.pt_ways)
+    : PrefetcherBase("spp", 6349 /* ~6.2KB, Table 7 */), cfg_(cfg)
 {
+    requireConfig("spp", {{cfg.st_entries >= 1, "st_entries", ">= 1"},
+                          {cfg.pt_sets >= 1, "pt_sets", ">= 1"},
+                          {cfg.pt_ways >= 1, "pt_ways", ">= 1"}});
+    st_.resize(cfg.st_entries);
+    pt_.resize(static_cast<std::size_t>(cfg.pt_sets) * cfg.pt_ways);
 }
 
 std::uint32_t

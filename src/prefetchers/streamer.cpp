@@ -22,9 +22,11 @@ namespace {
 StreamerPrefetcher::StreamerPrefetcher(std::uint32_t streams,
                                        std::uint32_t degree,
                                        std::uint32_t train_len)
-    : PrefetcherBase("streamer", streams * 12), streams_(streams),
-      degree_(degree), train_len_(train_len)
+    : PrefetcherBase("streamer", streams * 12), degree_(degree),
+      train_len_(train_len)
 {
+    requireConfig("streamer", {{streams >= 1, "streams", ">= 1"}});
+    streams_.resize(streams);
 }
 
 void

@@ -23,8 +23,10 @@ StridePrefetcher::StridePrefetcher(std::uint32_t entries,
                                    std::uint32_t degree)
     : PrefetcherBase("stride",
                      entries * 16 /* pc tag + addr + stride + conf */),
-      table_(entries), degree_(degree)
+      degree_(degree)
 {
+    requireConfig("stride", {{entries >= 1, "entries", ">= 1"}});
+    table_.resize(entries);
 }
 
 void

@@ -103,7 +103,7 @@ ServeAddress parseServeAddress(const std::string& address);
 // ---------------------------------------------------------- constants
 
 inline constexpr const char* kServeSchemaName = "pythia-serve-v1";
-inline constexpr std::uint32_t kServeVersion = 1;
+inline constexpr std::uint32_t kServeVersion = 2;
 
 /**
  * Gating slack, in records: the pump advances a window of W instrs

@@ -91,28 +91,11 @@ TEST(Perf, PercentileSortedNearestRank)
 
 TEST(Runner, RegistryKnowsAllHarnessNames)
 {
-    for (const auto& name : harnessPrefetcherNames()) {
+    for (const auto& name : sim::prefetcherNames()) {
         auto pf = sim::makePrefetcher(name);
         ASSERT_NE(pf, nullptr) << name;
     }
     EXPECT_EQ(sim::makePrefetcher("none"), nullptr);
-}
-
-TEST(Runner, PythiaCustomRequiresConfig)
-{
-    // "pythia_custom" is the one spec the registry cannot build: it
-    // needs an explicit config object, attached via the builder.
-    ExperimentSpec spec = quickSpec("470.lbm-164B", "pythia_custom");
-    spec.warmup_instrs = 1'000;
-    spec.sim_instrs = 2'000;
-    EXPECT_THROW(simulate(spec), std::invalid_argument);
-
-    const auto res = Experiment("470.lbm-164B")
-                         .l2Pythia(rl::PythiaConfig{})
-                         .warmup(1'000)
-                         .measure(2'000)
-                         .simulate();
-    EXPECT_GT(res.ipc_geomean, 0.0);
 }
 
 TEST(Runner, BaselineCachedAcrossEvaluations)
@@ -161,7 +144,6 @@ TEST(Runner, BaselineKeyCoversEveryBaselineAffectingField)
     EXPECT_FALSE(changesKey([](ExperimentSpec& s) {
         s.prefetcher = "spp";
         s.l1_prefetcher = "stride";
-        s.pythia_cfg = rl::PythiaConfig{};
     }));
 }
 

@@ -488,15 +488,6 @@ TEST(Configs, BandwidthObliviousErasesDistinction)
     EXPECT_DOUBLE_EQ(cfg.rewards.r_np_high, cfg.rewards.r_np_low);
 }
 
-TEST(Configs, WithFeaturesRenames)
-{
-    const auto cfg = withFeatures(
-        basicPythiaConfig(),
-        {FeatureSpec{ControlKind::Pc, DataKind::PageOffset}});
-    EXPECT_EQ(cfg.features.size(), 1u);
-    EXPECT_NE(cfg.name.find("PC+Offset"), std::string::npos);
-}
-
 // ------------------------------------------------------------- storage model
 
 TEST(Storage, Table4Reproduces)

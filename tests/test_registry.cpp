@@ -88,7 +88,7 @@ TEST(SpecParser, ClosestMatchSuggests)
 
 TEST(SpecRegistry, EveryHarnessNameRoundTrips)
 {
-    const auto names = harness::harnessPrefetcherNames();
+    const auto names = sim::prefetcherNames();
     ASSERT_GE(names.size(), 14u);
     for (const auto& name : names) {
         auto pf = sim::makePrefetcher(name);
@@ -146,14 +146,49 @@ TEST(SpecRegistry, ParameterizedSpecChangesBehavior)
 
 TEST(SpecRegistry, PythiaHyperparametersApplied)
 {
-    auto pf = sim::makePrefetcher("pythia:alpha=0.5,gamma=0.25,degree=2");
+    auto pf = sim::makePrefetcher(
+        "pythia:alpha=0.5,gamma=0.25,degree=2,"
+        "features=PC.Offset/Last4Offsets,actions=-3/0/1/5");
     auto* agent = dynamic_cast<rl::PythiaPrefetcher*>(pf.get());
     ASSERT_NE(agent, nullptr);
     EXPECT_DOUBLE_EQ(agent->config().alpha, 0.5);
     EXPECT_DOUBLE_EQ(agent->config().gamma, 0.25);
     EXPECT_EQ(agent->config().degree, 2u);
+    const std::vector<rl::FeatureSpec> features = {
+        {rl::ControlKind::Pc, rl::DataKind::PageOffset},
+        {rl::ControlKind::None, rl::DataKind::Last4Offsets}};
+    EXPECT_EQ(agent->config().features, features);
+    EXPECT_EQ(agent->config().actions,
+              (std::vector<std::int32_t>{-3, 0, 1, 5}));
     // Untouched knobs keep the scaled defaults.
     EXPECT_DOUBLE_EQ(agent->config().epsilon, 0.05);
+    EXPECT_EQ(agent->config().eq_size, 256u);
+}
+
+TEST(SpecRegistry, EveryFeatureSpellingRoundTrips)
+{
+    const auto all = rl::allFeatureSpecs();
+    ASSERT_EQ(all.size(), 31u);
+    for (const rl::FeatureSpec& f : all) {
+        const std::string spelling = rl::featureName(f, '.');
+        EXPECT_EQ(spelling.find('+'), std::string::npos) << spelling;
+        EXPECT_EQ(rl::parseFeatureName(spelling), f) << spelling;
+        auto pf = sim::makePrefetcher("pythia:features=" + spelling);
+        const auto* agent = dynamic_cast<rl::PythiaPrefetcher*>(pf.get());
+        ASSERT_NE(agent, nullptr) << spelling;
+        EXPECT_EQ(agent->config().features,
+                  std::vector<rl::FeatureSpec>{f})
+            << spelling;
+    }
+}
+
+TEST(SpecRegistry, UnknownFeatureNamesOwnerKeyAndSpellings)
+{
+    expectBadSpec("pythia:features=PC.Delta/PC.Dleta",
+                  {"pythia", "'features'", "'PC.Dleta'",
+                   "did you mean 'PC.Delta'?", "Last4Deltas"});
+    expectBadSpec("pythia_strict:features=PC+Delta", {"pythia_strict"});
+    expectBadSpec("pythia:actions=1/x", {"'actions'"});
 }
 
 TEST(SpecRegistry, CompositionBuildsAndSumsStorage)

@@ -230,35 +230,20 @@ waitFor(const std::function<bool()>& pred, std::chrono::milliseconds max)
     return pred();
 }
 
-/** A Hello whose @p field count ("mix", "features" or "actions")
- *  claims 2^62 elements in a body of a few bytes: the decoder must
- *  bound it by the bytes left, not hand it to reserve(). */
+/** A Hello whose mix count claims 2^62 entries in a body of a few
+ *  bytes: the decoder must bound it by the bytes left, not hand it to
+ *  reserve(). */
 std::vector<std::uint8_t>
-hostileHello(const std::string& field)
+hostileMixHello()
 {
-    constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
     snap::Writer w;
     w.u8(static_cast<std::uint8_t>(FrameType::kHello));
     w.str(kServeSchemaName);
     w.u32(kServeVersion);
-    w.str("hostile-" + field);
-    if (field == "mix") {
-        w.str("470.lbm-164B"); // ExperimentSpec::workload
-        w.u64(kHuge);          // ExperimentSpec::mix count
-        return w.buffer();
-    }
-    // A spec without PythiaConfig ends in its has-config flag: flip
-    // it and start a config whose features or actions count is huge.
-    harness::writeSpec(w, makeSpec("470.lbm-164B", "pythia"));
-    std::vector<std::uint8_t> bytes = w.buffer();
-    bytes.back() = 1;
-    snap::Writer cfg;
-    cfg.str("custom"); // PythiaConfig::name
-    if (field == "actions")
-        cfg.u64(0); // no features
-    cfg.u64(kHuge);
-    bytes.insert(bytes.end(), cfg.buffer().begin(), cfg.buffer().end());
-    return bytes;
+    w.str("hostile-mix");
+    w.str("470.lbm-164B");         // ExperimentSpec::workload
+    w.u64(std::uint64_t{1} << 62); // ExperimentSpec::mix count
+    return w.buffer();
 }
 
 /** An Access frame whose record count n = 21^-1 mod 2^64 makes
@@ -441,9 +426,7 @@ TEST_F(ServiceTest, WireRejectsMalformedFrames)
     EXPECT_THROW(decodeAccess(access), ServeWireError);
     // Hostile element counts are malformed frames, not allocation
     // requests.
-    for (const char* field : {"mix", "features", "actions"})
-        EXPECT_THROW(decodeHello(hostileHello(field)), ServeWireError)
-            << field;
+    EXPECT_THROW(decodeHello(hostileMixHello()), ServeWireError);
     EXPECT_THROW(decodeAccess(hostileAccess()), ServeWireError);
 
     // Framing: zero and oversized length prefixes are hostile input.
@@ -1103,6 +1086,60 @@ TEST_F(ServiceTest, MultiCoreSpecRejectedTyped)
     EXPECT_EQ(server.stop(), 0);
 }
 
+TEST_F(ServiceTest, MalformedPrefetcherParamsGetSpecErrorNeighbourUnharmed)
+{
+    // One worker: a tenant whose prefetcher would crash on construction
+    // must cost only its own open (a typed kErrSpec), never the daemon
+    // and the tenant sharing it.
+    ServeOptions opt = baseOptions();
+    opt.workers = 1;
+    ServeServer server(opt);
+    server.start();
+    const std::string addr = server.boundAddress();
+    constexpr std::uint64_t kWindow = 2000;
+    const auto spec = makeSpec("470.lbm-164B", "pythia", 2000, 30000);
+    const auto records = captureRecords(spec);
+    const OfflineRun off = runOffline(spec, kWindow);
+
+    ServeClient neighbour(addr);
+    neighbour.open("neighbour", spec, kWindow);
+    ServeClient::RunProgress progress;
+    std::string neighbour_error;
+    std::thread streamer([&] {
+        try {
+            progress = neighbour.streamRun(records);
+        } catch (const std::exception& e) {
+            neighbour_error = e.what();
+        }
+    });
+
+    for (const char* bad :
+         {"pythia:degree=0", "pythia:planes=0", "pythia:planes=9",
+          "pythia:eq_size=0", "pythia:plane_index_bits=32",
+          "bingo:at_entries=0", "bingo:pht_sets=0", "dspatch:spt_entries=0",
+          "spp:pt_ways=0", "spp_ppf:spp_st_entries=0", "stride:entries=0",
+          "streamer:streams=0", "ipcp:cspt_entries=0", "mlop:amt_entries=0",
+          "cp_hw:table_entries=0"}) {
+        ServeClient client(addr);
+        try {
+            client.open(std::string("bad-") + bad,
+                        makeSpec("470.lbm-164B", bad), kWindow);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const ServeRemoteError& e) {
+            EXPECT_EQ(e.kind(), kErrSpec) << bad;
+        }
+    }
+
+    streamer.join();
+    ASSERT_TRUE(neighbour_error.empty()) << neighbour_error;
+    ASSERT_TRUE(progress.final_result.has_value());
+    EXPECT_EQ(resultBits(*progress.final_result),
+              resultBits(off.final_result));
+    expectSeriesEqual(progress.series.samples(), off.series.samples(),
+                      "neighbour of rejected specs");
+    EXPECT_EQ(server.stop(), 0);
+}
+
 TEST_F(ServiceTest, ResumeWithDifferentSpecFailsTyped)
 {
     ServeServer server(baseOptions());
@@ -1152,12 +1189,9 @@ TEST_F(ServiceTest, MalformedFirstFrameGetsProtocolErrorAndClose)
     ServeServer server(baseOptions());
     server.start();
     const std::string addr = server.boundAddress();
-    std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
-        hostile = {{"unknown frame type", {0x63}}};
-    for (const char* field : {"mix", "features", "actions"})
-        hostile.push_back({std::string("hello with huge ") + field +
-                               " count",
-                           hostileHello(field)});
+    const std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
+        hostile = {{"unknown frame type", {0x63}},
+                   {"hello with huge mix count", hostileMixHello()}};
     for (const auto& [what, payload] : hostile) {
         const int fd = connectToServe(addr);
         writeFrame(fd, payload);

@@ -35,6 +35,7 @@
 #include "common/transport.hpp"
 #include "harness/session.hpp"
 #include "harness/shard.hpp"
+#include "sim/prefetcher_registry.hpp"
 
 namespace pythia::harness {
 namespace {
@@ -174,7 +175,10 @@ TEST_F(ShardService, WireSpecRoundTripsEveryField)
     ExperimentSpec spec;
     spec.workload = "462.libquantum-1343B";
     spec.mix = {"429.mcf-184B", "Ligra-BFS"};
-    spec.prefetcher = "pythia_custom";
+    // Features, actions and rewards travel inside the spec string.
+    spec.prefetcher = "pythia:features=PC.Delta/PCPath3.Offset/Last4Deltas,"
+                      "actions=-8/0/3/42,r_at=21.5,r_np_low=-3.25,"
+                      "eq_size=512,planes=2,plane_index_bits=9,seed=77";
     spec.l1_prefetcher = "stride";
     spec.num_cores = 4;
     spec.mtps = 300;
@@ -182,21 +186,6 @@ TEST_F(ShardService, WireSpecRoundTripsEveryField)
     spec.warmup_instrs = 12'345;
     spec.sim_instrs = 67'890;
     spec.workload_seed = 0xABCDEF;
-    rl::PythiaConfig cfg;
-    cfg.name = "custom";
-    cfg.features = rl::allFeatureSpecs();
-    cfg.actions = {-8, 0, 3, 42};
-    cfg.rewards.r_at = 21.5;
-    cfg.rewards.r_np_low = -3.25;
-    cfg.alpha = 0.011;
-    cfg.gamma = 0.5;
-    cfg.epsilon = 0.0033;
-    cfg.eq_size = 512;
-    cfg.degree = 2;
-    cfg.planes = 2;
-    cfg.plane_index_bits = 9;
-    cfg.seed = 77;
-    spec.pythia_cfg = cfg;
 
     snap::Writer w;
     writeSpec(w, spec);
@@ -214,20 +203,7 @@ TEST_F(ShardService, WireSpecRoundTripsEveryField)
     EXPECT_EQ(back.warmup_instrs, spec.warmup_instrs);
     EXPECT_EQ(back.sim_instrs, spec.sim_instrs);
     EXPECT_EQ(back.workload_seed, spec.workload_seed);
-    ASSERT_TRUE(back.pythia_cfg.has_value());
-    EXPECT_EQ(back.pythia_cfg->name, cfg.name);
-    EXPECT_EQ(back.pythia_cfg->features, cfg.features);
-    EXPECT_EQ(back.pythia_cfg->actions, cfg.actions);
-    EXPECT_EQ(back.pythia_cfg->rewards.r_at, cfg.rewards.r_at);
-    EXPECT_EQ(back.pythia_cfg->rewards.r_np_low, cfg.rewards.r_np_low);
-    EXPECT_EQ(back.pythia_cfg->alpha, cfg.alpha);
-    EXPECT_EQ(back.pythia_cfg->gamma, cfg.gamma);
-    EXPECT_EQ(back.pythia_cfg->epsilon, cfg.epsilon);
-    EXPECT_EQ(back.pythia_cfg->eq_size, cfg.eq_size);
-    EXPECT_EQ(back.pythia_cfg->degree, cfg.degree);
-    EXPECT_EQ(back.pythia_cfg->planes, cfg.planes);
-    EXPECT_EQ(back.pythia_cfg->plane_index_bits, cfg.plane_index_bits);
-    EXPECT_EQ(back.pythia_cfg->seed, cfg.seed);
+    EXPECT_NE(sim::makePrefetcher(back.prefetcher), nullptr);
 
     // The same spec fingerprints identically through the snapshot path,
     // which is what binds the journal to the grid that wrote it.
@@ -277,7 +253,7 @@ runWorkerOnHello(const snap::Writer& hello)
 
 TEST_F(ShardService, WireHelloRejectsV1LayoutAndTrailingBytes)
 {
-    const auto helloV2 = [] {
+    const auto helloCurrent = [] {
         snap::Writer w;
         w.u8(1); // Hello
         w.str(kWireSchemaName);
@@ -286,7 +262,8 @@ TEST_F(ShardService, WireHelloRejectsV1LayoutAndTrailingBytes)
         return w;
     };
     // Control: a well-formed Hello is acked, and EOF ends the worker.
-    EXPECT_EQ(runWorkerOnHello(helloV2()), std::make_pair(0, true));
+    EXPECT_EQ(runWorkerOnHello(helloCurrent()),
+              std::make_pair(0, true));
 
     // The v1 layout: version 1 plus its trailing cache-directory string.
     snap::Writer v1;
@@ -297,8 +274,8 @@ TEST_F(ShardService, WireHelloRejectsV1LayoutAndTrailingBytes)
     v1.str("warm_cache");
     EXPECT_EQ(runWorkerOnHello(v1), std::make_pair(1, false));
 
-    // A v2 Hello with one byte past its last field.
-    snap::Writer extra = helloV2();
+    // A current Hello with one byte past its last field.
+    snap::Writer extra = helloCurrent();
     extra.u8(0);
     EXPECT_EQ(runWorkerOnHello(extra), std::make_pair(1, false));
 }
@@ -400,9 +377,10 @@ TEST_F(ShardService, TaskJobsRunInCoordinatorProcess)
 // --------------------------------------------------- fault injection
 
 /** Worker killed at each protocol point: before its first frame, on
- *  receiving the K-th job, and after computing but before sending the
- *  result. In every case the respawned fleet must converge to the
- *  reference bits. */
+ *  receiving its first job, and after computing it but before sending
+ *  the result. Every worker is handed a job at spawn, so each point is
+ *  reached whatever the timing. In every case the respawned fleet must
+ *  converge to the reference bits. */
 class ShardKillPoint
     : public ShardService,
       public ::testing::WithParamInterface<const char*>
@@ -413,7 +391,6 @@ TEST_P(ShardKillPoint, WorkerDeathIsRecoveredBitIdentically)
 {
     EnvGuard kill_worker("PYTHIA_SHARD_KILL_WORKER", "0");
     EnvGuard kill_point("PYTHIA_SHARD_KILL_POINT", GetParam());
-    EnvGuard kill_after("PYTHIA_SHARD_KILL_AFTER", "2");
     ShardOptions opt;
     opt.workers = 2;
     opt.journal_path = path("kill.journal");
