@@ -43,7 +43,6 @@
 #include "common/spec.hpp"
 #include "common/table.hpp"
 #include "core/feature.hpp"
-#include "harness/experiment.hpp"
 #include "harness/perf.hpp"
 #include "harness/shard.hpp"
 #include "harness/sweep.hpp"
@@ -364,15 +363,15 @@ emitRunSeries(const std::string& path, const std::string& label_header,
 }
 
 /** Single-core experiment with the bench-standard windows; @p pf is a
- *  registry spec string. Tweak further with the fluent setters. */
-inline harness::ExperimentBuilder
+ *  registry spec string. Tweak further by assigning fields. */
+inline harness::ExperimentSpec
 exp1c(const std::string& workload, const std::string& pf,
       double scale = 1.0)
 {
-    return harness::Experiment(workload)
-        .l2(pf)
-        .warmup(static_cast<std::uint64_t>(kWarmup * scale))
-        .measure(static_cast<std::uint64_t>(kSim * scale));
+    return {.workload = workload,
+            .prefetcher = pf,
+            .warmup_instrs = static_cast<std::uint64_t>(kWarmup * scale),
+            .sim_instrs = static_cast<std::uint64_t>(kSim * scale)};
 }
 
 /** Pythia running state vector @p features: its L2 spec
@@ -420,8 +419,8 @@ representativeWorkloads()
 
 /**
  * Declare the jobs for the geomean speedup of @p pf over @p workloads
- * into @p sweep; @p tweak customizes each experiment through the fluent
- * builder and @p done receives the geomean during the ordered replay,
+ * into @p sweep; @p tweak customizes each experiment's spec and
+ * @p done receives the geomean during the ordered replay,
  * after the group's last job. The sweep-engine analogue of the old
  * serial geomeanSpeedup() loop: cells of one table row can now all be
  * in flight at once.
@@ -430,18 +429,20 @@ inline void
 addGeomeanSpeedup(
     harness::Sweep& sweep, const std::vector<std::string>& workloads,
     const std::string& pf,
-    const std::function<void(harness::ExperimentBuilder&)>& tweak,
+    const std::function<void(harness::ExperimentSpec&)>& tweak,
     double scale, std::function<void(double)> done)
 {
     auto speedups = std::make_shared<std::vector<double>>();
     speedups->reserve(workloads.size());
     for (const auto& w : workloads) {
-        harness::ExperimentBuilder exp = exp1c(w, pf, scale);
+        harness::ExperimentSpec spec = exp1c(w, pf, scale);
         if (tweak)
-            tweak(exp);
-        sweep.add(exp, [speedups](const harness::Runner::Outcome& o) {
-            speedups->push_back(std::max(1e-6, o.metrics.speedup));
-        });
+            tweak(spec);
+        sweep.add(std::move(spec),
+                  [speedups](const harness::Runner::Outcome& o) {
+                      speedups->push_back(
+                          std::max(1e-6, o.metrics.speedup));
+                  });
     }
     sweep.then([speedups, done = std::move(done)] {
         done(geomean(*speedups));

@@ -34,11 +34,11 @@ main(int argc, char** argv)
         for (const auto& pf : prefetchers)
             bench::addGeomeanSpeedup(
                 sweep, workloads, pf,
-                [cores](harness::ExperimentBuilder& e) {
-                    e.cores(cores);
+                [cores](harness::ExperimentSpec& s) {
+                    s.num_cores = cores;
                     // Keep total simulated work bounded.
                     if (cores > 2)
-                        e.scaleWindows(1.0 / 3);
+                        harness::scaleWindows(s, 1.0 / 3);
                 },
                 opt.sim_scale,
                 [row](double g) { row->push_back(Table::fmt(g)); });

@@ -34,7 +34,7 @@ main(int argc, char** argv)
         for (const auto& pf : prefetchers)
             bench::addGeomeanSpeedup(
                 sweep, workloads, pf,
-                [mtps](harness::ExperimentBuilder& e) { e.mtps(mtps); },
+                [mtps](harness::ExperimentSpec& s) { s.mtps = mtps; },
                 opt.sim_scale,
                 [row](double g) { row->push_back(Table::fmt(g)); });
         sweep.then([&table, row] { table.addRow(*row); });

@@ -32,8 +32,8 @@ main(int argc, char** argv)
         for (const auto& pf : prefetchers)
             bench::addGeomeanSpeedup(
                 sweep, workloads, pf,
-                [llc](harness::ExperimentBuilder& e) {
-                    e.llcBytesPerCore(llc);
+                [llc](harness::ExperimentSpec& s) {
+                    s.llc_bytes_per_core = llc;
                 },
                 opt.sim_scale,
                 [row](double g) { row->push_back(Table::fmt(g)); });

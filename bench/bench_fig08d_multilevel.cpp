@@ -44,8 +44,9 @@ main(int argc, char** argv)
             const std::string l1 = scheme.l1;
             bench::addGeomeanSpeedup(
                 sweep, workloads, scheme.l2,
-                [mtps, l1](harness::ExperimentBuilder& e) {
-                    e.mtps(mtps).l1(l1);
+                [mtps, l1](harness::ExperimentSpec& s) {
+                    s.mtps = mtps;
+                    s.l1_prefetcher = l1;
                 },
                 opt.sim_scale,
                 [row](double g) { row->push_back(Table::fmt(g)); });

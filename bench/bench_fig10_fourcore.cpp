@@ -28,8 +28,9 @@ main(int argc, char** argv)
         {"Cloudsuite", "Cloudsuite-Cassandra"},
     };
 
-    auto four_core = [&](harness::ExperimentBuilder& e) {
-        e.cores(4).scaleWindows(0.5);
+    auto four_core = [&](harness::ExperimentSpec& s) {
+        s.num_cores = 4;
+        harness::scaleWindows(s, 0.5);
     };
 
     harness::Runner runner;
@@ -45,10 +46,10 @@ main(int argc, char** argv)
         auto row = std::make_shared<std::vector<std::string>>(
             std::vector<std::string>{suite + "/" + workload});
         for (const auto& pf : prefetchers) {
-            harness::ExperimentBuilder exp =
+            harness::ExperimentSpec spec =
                 bench::exp1c(workload, pf, scale);
-            four_core(exp);
-            sweep_a.add(exp,
+            four_core(spec);
+            sweep_a.add(spec,
                         [&, row, pf](const harness::Runner::Outcome& o) {
                             row->push_back(
                                 Table::fmt(o.metrics.speedup));
@@ -64,15 +65,14 @@ main(int argc, char** argv)
             std::vector<std::string>{"Mix(hetero)"});
         for (const auto& pf : prefetchers) {
             sweep_a.add(
-                harness::Experiment()
-                    .mix({"462.libquantum-1343B", "429.mcf-184B",
-                          "PARSEC-Canneal", "Ligra-CC"})
-                    .cores(4)
-                    .l2(pf)
-                    .warmup(static_cast<std::uint64_t>(bench::kWarmup *
-                                                       scale / 2))
-                    .measure(static_cast<std::uint64_t>(bench::kSim *
-                                                        scale / 2)),
+                {.mix = {"462.libquantum-1343B", "429.mcf-184B",
+                         "PARSEC-Canneal", "Ligra-CC"},
+                 .prefetcher = pf,
+                 .num_cores = 4,
+                 .warmup_instrs = static_cast<std::uint64_t>(
+                     bench::kWarmup * scale / 2),
+                 .sim_instrs = static_cast<std::uint64_t>(bench::kSim *
+                                                          scale / 2)},
                 [&, row, pf](const harness::Runner::Outcome& o) {
                     row->push_back(Table::fmt(o.metrics.speedup));
                     overall[pf].push_back(

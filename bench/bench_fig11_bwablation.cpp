@@ -23,8 +23,8 @@ main(int argc, char** argv)
     table.setHeader({"mtps", "basic", "bw_oblivious", "delta"});
     harness::Sweep sweep;
     for (std::uint32_t mtps : mtps_points) {
-        auto set_mtps = [mtps](harness::ExperimentBuilder& e) {
-            e.mtps(mtps);
+        auto set_mtps = [mtps](harness::ExperimentSpec& s) {
+            s.mtps = mtps;
         };
         auto basic = std::make_shared<double>(0.0);
         auto oblivious = std::make_shared<double>(0.0);

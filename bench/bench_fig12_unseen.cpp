@@ -45,10 +45,10 @@ main(int argc, char** argv)
             for (const auto& pf : prefetchers)
                 bench::addGeomeanSpeedup(
                     sweep, names, pf,
-                    [cores](harness::ExperimentBuilder& e) {
-                        e.cores(cores);
+                    [cores](harness::ExperimentSpec& s) {
+                        s.num_cores = cores;
                         if (cores > 1)
-                            e.scaleWindows(0.5);
+                            harness::scaleWindows(s, 0.5);
                     },
                     opt.sim_scale, [&overall, row, pf](double g) {
                         row->push_back(Table::fmt(g));

@@ -24,7 +24,7 @@ main(int argc, char** argv)
     const double scale = bench::parseBenchArgs(argc, argv).sim_scale;
 
     const harness::ExperimentSpec spec =
-        bench::exp1c("459.GemsFDTD-1320B", "pythia", scale).build();
+        bench::exp1c("459.GemsFDTD-1320B", "pythia", scale);
 
     auto cfg = rl::scaledForSimLength(rl::basicPythiaConfig());
     auto agent = std::make_unique<rl::PythiaPrefetcher>(cfg);

@@ -51,12 +51,11 @@ main(int argc, char** argv)
         for (std::size_t i = 0; i < workloads.size(); ++i) {
             rows[i].workload = workloads[i];
             for (const auto& pf : prefetchers) {
-                harness::ExperimentBuilder exp =
-                    bench::exp1c(workloads[i], pf, opt.sim_scale)
-                        .cores(cores);
+                harness::ExperimentSpec spec =
+                    bench::exp1c(workloads[i], pf, opt.sim_scale);
+                spec.num_cores = cores;
                 if (cores > 1)
-                    exp.scaleWindows(0.5);
-                const harness::ExperimentSpec spec = exp.build();
+                    harness::scaleWindows(spec, 0.5);
                 const std::vector<std::uint64_t> ends =
                     bench::windowEnds(spec.sim_instrs, sopt);
                 auto cell =

@@ -26,10 +26,10 @@ main(int argc, char** argv)
             std::vector<std::string> names;
             for (const auto* w : wl::suiteWorkloads(suite))
                 names.push_back(w->name);
-            auto tweak = [cores](harness::ExperimentBuilder& e) {
-                e.cores(cores);
+            auto tweak = [cores](harness::ExperimentSpec& s) {
+                s.num_cores = cores;
                 if (cores > 1)
-                    e.scaleWindows(0.5);
+                    harness::scaleWindows(s, 0.5);
             };
             // 4C: use the first two workloads per suite to bound cost.
             if (cores > 1 && names.size() > 2)

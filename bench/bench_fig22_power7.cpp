@@ -29,10 +29,10 @@ main(int argc, char** argv)
                 names.push_back(w->name);
             if (cores > 1 && names.size() > 2)
                 names.resize(2);
-            auto tweak = [cores](harness::ExperimentBuilder& e) {
-                e.cores(cores);
+            auto tweak = [cores](harness::ExperimentSpec& s) {
+                s.num_cores = cores;
                 if (cores > 1)
-                    e.scaleWindows(0.5);
+                    harness::scaleWindows(s, 0.5);
             };
             auto p7 = std::make_shared<double>(0.0);
             auto py = std::make_shared<double>(0.0);

@@ -71,11 +71,10 @@ main(int argc, char** argv)
     harness::Sweep sweep;
     for (std::size_t p = 0; p < prefetchers.size(); ++p) {
         for (const auto& workload : workloads) {
-            const harness::ExperimentSpec spec =
-                bench::exp1c(workload, prefetchers[p], opt.sim_scale)
-                    .warmup(0)
-                    .measure(total)
-                    .build();
+            const harness::ExperimentSpec spec{.workload = workload,
+                                               .prefetcher = prefetchers[p],
+                                               .warmup_instrs = 0,
+                                               .sim_instrs = total};
             auto cell =
                 std::make_shared<harness::Runner::WindowedOutcome>();
             sweep.addTask(

@@ -58,8 +58,7 @@ main(int argc, char** argv)
     const std::string snap_path = "micro_snapshot.snap";
 
     const harness::ExperimentSpec spec =
-        bench::exp1c("462.libquantum-1343B", "pythia", opt.sim_scale)
-            .spec();
+        bench::exp1c("462.libquantum-1343B", "pythia", opt.sim_scale);
     harness::SimSession warmed(spec);
     warmed.runWarmup();
 

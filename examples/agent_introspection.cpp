@@ -12,7 +12,7 @@
 #include "common/params.hpp"
 #include "common/table.hpp"
 #include "core/configs.hpp"
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 #include "sim/system.hpp"
 #include "workloads/suites.hpp"
 
@@ -29,9 +29,7 @@ main(int argc, char** argv)
             argc, argv, {"workload", "mtps", "strict"});
         workload = cli.getString("workload", "462.libquantum-1343B");
         strict = cli.getBool("strict", false);
-        spec = harness::Experiment(workload)
-                   .mtps(cli.getU32("mtps", 2400))
-                   .build();
+        spec = {.workload = workload, .mtps = cli.getU32("mtps", 2400)};
         harness::checkSpec(spec);
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";

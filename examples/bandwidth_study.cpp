@@ -30,7 +30,7 @@ main(int argc, char** argv)
             SpecParams::fromArgs(argc, argv, {"workload", "jobs"});
         jobs = cli.getU32("jobs", 0, kMaxParallelism);
         workload = cli.getString("workload", "Ligra-PageRank");
-        harness::checkSpec(harness::Experiment(workload).build());
+        harness::checkSpec({.workload = workload});
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
@@ -47,7 +47,7 @@ main(int argc, char** argv)
         auto util = std::make_shared<double>(0.0);
         for (const char* pf : {"bingo", "pythia", "pythia_bwobl"}) {
             const bool is_pythia = std::string(pf) == "pythia";
-            sweep.add(harness::Experiment(workload).l2(pf).mtps(mtps),
+            sweep.add({.workload = workload, .prefetcher = pf, .mtps = mtps},
                       [row, util,
                        is_pythia](const harness::Runner::Outcome& o) {
                           row->push_back(

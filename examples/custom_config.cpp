@@ -12,7 +12,7 @@
 
 #include "common/params.hpp"
 #include "common/table.hpp"
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 
 int
 main(int argc, char** argv)
@@ -22,7 +22,7 @@ main(int argc, char** argv)
     try {
         workload = SpecParams::fromArgs(argc, argv, {"workload"})
                        .getString("workload", "Ligra-CC");
-        harness::checkSpec(harness::Experiment(workload).build());
+        harness::checkSpec({.workload = workload});
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
@@ -34,7 +34,8 @@ main(int argc, char** argv)
                      "accuracy"});
 
     auto row = [&](const std::string& label, const std::string& spec) {
-        const auto o = harness::Experiment(workload).l2(spec).run(runner);
+        const auto o =
+            runner.evaluate({.workload = workload, .prefetcher = spec});
         table.addRow({label, Table::fmt(o.metrics.speedup),
                       Table::pct(o.metrics.coverage),
                       Table::pct(o.metrics.overprediction),

@@ -19,7 +19,7 @@
 #include <memory>
 
 #include "common/params.hpp"
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 #include "harness/metrics.hpp"
 #include "harness/timeseries.hpp"
 
@@ -81,8 +81,7 @@ main(int argc, char** argv)
         windows = std::max<std::uint64_t>(1, cli.getU64("windows", 8));
         workload = cli.getString("workload", "429.mcf-184B");
         prefetcher = cli.getString("prefetcher", "pythia");
-        harness::checkSpec(
-            harness::Experiment(workload).l2(prefetcher).build());
+        harness::checkSpec({.workload = workload, .prefetcher = prefetcher});
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
@@ -93,25 +92,24 @@ main(int argc, char** argv)
               << " prefetcher=" << prefetcher << " windows=" << windows
               << "\n";
 
-    auto series = std::make_shared<harness::TimeSeries>();
-    harness::ExperimentBuilder experiment =
-        harness::Experiment(workload)
-            .l2(prefetcher)
-            .warmup(20'000)
-            .measure(120'000)
-            .observe(std::make_shared<Ticker>())
-            .observe(series);
+    const harness::ExperimentSpec spec{.workload = workload,
+                                       .prefetcher = prefetcher,
+                                       .warmup_instrs = 20'000,
+                                       .sim_instrs = 120'000};
 
     // A baseline session advanced in lockstep turns every window into a
     // live speedup/coverage reading (the windowed computeMetrics
     // overload) — no post-hoc baseline run needed.
     harness::TimeSeries baseline_series;
-    harness::ExperimentSpec baseline_spec = experiment.spec();
+    harness::ExperimentSpec baseline_spec = spec;
     baseline_spec.prefetcher = "none";
     harness::SimSession baseline(baseline_spec);
     baseline.addObserver(&baseline_series);
 
-    harness::SimSession session = experiment.openSession();
+    auto series = std::make_shared<harness::TimeSeries>();
+    harness::SimSession session(spec);
+    session.addObserver(std::make_shared<Ticker>());
+    session.addObserver(series);
     const std::uint64_t step = std::max<std::uint64_t>(
         1, session.spec().sim_instrs / windows);
     while (!session.done()) {

@@ -48,11 +48,11 @@ main(int argc, char** argv)
     for (const auto& w : workloads)
         for (std::uint32_t mtps : mtps_points)
             for (const auto& pf : prefetchers)
-                sweep.add(harness::Experiment(w)
-                              .l2(pf)
-                              .mtps(mtps)
-                              .warmup(30'000)
-                              .measure(80'000),
+                sweep.add({.workload = w,
+                           .prefetcher = pf,
+                           .mtps = mtps,
+                           .warmup_instrs = 30'000,
+                           .sim_instrs = 80'000},
                           [&table, w, mtps,
                            pf](const harness::Runner::Outcome& o) {
                               table.addRow(

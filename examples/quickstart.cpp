@@ -14,7 +14,7 @@
 
 #include "common/params.hpp"
 #include "common/table.hpp"
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 #include "workloads/suites.hpp"
 
 int
@@ -34,7 +34,7 @@ main(int argc, char** argv)
         if (cli.has("prefetcher"))
             prefetchers = {cli.getString("prefetcher")};
         for (const auto& pf : prefetchers)
-            harness::checkSpec(harness::Experiment(workload).l2(pf).build());
+            harness::checkSpec({.workload = workload, .prefetcher = pf});
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
@@ -49,8 +49,8 @@ main(int argc, char** argv)
                      "overpred", "accuracy"});
 
     for (const auto& pf : prefetchers) {
-        const auto outcome =
-            harness::Experiment(workload).l2(pf).mtps(mtps).run(runner);
+        const auto outcome = runner.evaluate(
+            {.workload = workload, .prefetcher = pf, .mtps = mtps});
         table.addRow({pf, Table::fmt(outcome.run.ipc_geomean),
                       Table::fmt(outcome.metrics.speedup),
                       Table::pct(outcome.metrics.coverage),
@@ -62,8 +62,8 @@ main(int argc, char** argv)
     // The same run as a stream, in five lines: open a session, step it
     // window by window, read each window's delta as it lands.
     std::cout << "\nStreaming the pythia run, 30k-instruction windows:\n";
-    harness::SimSession session(
-        harness::Experiment(workload).l2("pythia").mtps(mtps).build());
+    harness::SimSession session(harness::ExperimentSpec{
+        .workload = workload, .prefetcher = "pythia", .mtps = mtps});
     while (!session.done()) {
         session.advance(30'000);
         const harness::WindowSample& w = session.lastWindow();

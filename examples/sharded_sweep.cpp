@@ -55,8 +55,10 @@ main(int argc, char** argv)
     harness::Sweep sweep;
     sweep.grid(workloads, prefetchers,
                [](const std::string& w, const std::string& pf) {
-                   return harness::Experiment(w).l2(pf).warmup(30'000)
-                       .measure(80'000);
+                   return harness::ExperimentSpec{.workload = w,
+                                                  .prefetcher = pf,
+                                                  .warmup_instrs = 30'000,
+                                                  .sim_instrs = 80'000};
                },
                [&table](const std::string& w, const std::string& pf,
                         const harness::Runner::Outcome& o) {

@@ -13,7 +13,10 @@
  * workload= accepts catalog names and registry workload specs alike
  * ("stream:footprint=256M", "phase:stream@40+graph@60"); see
  * tools/trace_capture for the strict-CLI capture tool with built-in
- * replay verification.
+ * replay verification. A missing or unknown workload, an unknown
+ * prefetcher or mode, or a prefetcher parameter that cannot run is a
+ * usage error (exit 2) found before any file is read or written; an
+ * unreadable trace file exits 1.
  */
 #include <iostream>
 #include <map>
@@ -30,12 +33,11 @@ namespace {
 using namespace pythia;
 
 int
-generate(const SpecParams& cli, std::uint64_t records)
+generate(const SpecParams& cli, wl::Workload& w, std::uint64_t records)
 {
     const std::string workload = cli.getString("workload");
     const std::string out = cli.getString("out", "trace.bin");
-    auto w = wl::makeWorkload(workload);
-    if (!wl::writeTraceFile(out, *w, records)) {
+    if (!wl::writeTraceFile(out, w, records)) {
         std::cerr << "failed to write " << out << "\n";
         return 1;
     }
@@ -76,7 +78,7 @@ inspect(const SpecParams& cli)
 }
 
 int
-replay(const SpecParams& cli)
+replay(const SpecParams& cli, std::unique_ptr<sim::PrefetcherApi> built)
 {
     const std::string in = cli.getString("in", "trace.bin");
     const std::string pf = cli.getString("prefetcher", "pythia");
@@ -86,7 +88,7 @@ replay(const SpecParams& cli)
     std::vector<std::unique_ptr<wl::Workload>> ws;
     ws.push_back(std::move(trace));
     sim::System system(cfg, std::move(ws));
-    if (auto built = sim::makePrefetcher(pf))
+    if (built)
         system.attachL2Prefetcher(0, std::move(built));
     system.warmup(50'000);
     const auto res = system.run(100'000);
@@ -110,26 +112,41 @@ main(int argc, char** argv)
 {
     SpecParams cli;
     std::uint64_t records = 0;
+    std::string mode;
+    std::unique_ptr<wl::Workload> workload;    // mode=generate
+    std::unique_ptr<sim::PrefetcherApi> built; // mode=replay
     try {
         cli = SpecParams::fromArgs(argc, argv,
                                    {"mode", "workload", "out", "records",
                                     "in", "prefetcher"});
         records = cli.getU64("records", 200000);
+        mode = cli.getString("mode", "generate");
+        if (mode == "generate") {
+            if (!cli.has("workload"))
+                throw std::invalid_argument(
+                    "trace_tools: mode=generate needs workload=<spec>");
+            workload = wl::makeWorkload(cli.getString("workload"));
+        } else if (mode == "replay") {
+            built = sim::makePrefetcher(
+                cli.getString("prefetcher", "pythia"));
+        } else if (mode != "inspect") {
+            throw std::invalid_argument(
+                "trace_tools: unknown mode '" + mode +
+                "' (generate, inspect, replay)");
+        }
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
+    } catch (const std::exception& e) { // unreadable trace:file= workload
+        std::cerr << "error: " << e.what() << "\n";
+        return 1;
     }
-    const std::string mode = cli.getString("mode", "generate");
     try {
         if (mode == "generate")
-            return generate(cli, records);
+            return generate(cli, *workload, records);
         if (mode == "inspect")
             return inspect(cli);
-        if (mode == "replay")
-            return replay(cli);
-        std::cerr << "trace_tools: unknown mode '" << mode
-                  << "' (generate, inspect, replay)\n";
-        return 2;
+        return replay(cli, std::move(built));
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
     }

@@ -29,13 +29,16 @@ qvConfigOf(const PythiaConfig& cfg)
 const PythiaConfig&
 checked(const PythiaConfig& cfg)
 {
-    static_assert(kEqStateSlots == 8 && kMaxPlanes == 8, "rule texts");
+    static_assert(kEqStateSlots == 8 && kMaxPlanes == 8 &&
+                      pf::kMaxDegree == 64,
+                  "rule texts");
     pf::requireConfig(
         cfg.name,
         {{!cfg.features.empty() && cfg.features.size() <= kEqStateSlots,
           "features", "1 to 8 feature names"},
          {!cfg.actions.empty(), "actions", "a non-empty offset list"},
-         {cfg.degree >= 1, "degree", ">= 1"},
+         {cfg.degree >= 1 && cfg.degree <= pf::kMaxDegree, "degree",
+          "in [1, 64]"},
          {cfg.eq_size >= 1 && cfg.eq_size <= 65536, "eq_size",
           "in [1, 65536]"},
          {cfg.planes >= 1 && cfg.planes <= kMaxPlanes, "planes",

@@ -450,16 +450,6 @@ SimSession::runToCompletion()
     return cumulative_;
 }
 
-SimSession::Snapshot
-SimSession::snapshot() const
-{
-    Snapshot snap;
-    snap.cumulative = cumulative_;
-    snap.last_window = last_;
-    snap.windows = windows_completed_;
-    return snap;
-}
-
 const WindowSample&
 SimSession::lastWindow() const
 {

@@ -6,10 +6,13 @@
  * completion and hands back one aggregate RunResult. A SimSession
  * exposes the same run as a stepped process:
  *
- *     harness::SimSession session(spec);      // builds the machine
+ *     harness::SimSession session(harness::ExperimentSpec{
+ *         .workload = "Ligra-CC", .prefetcher = "pythia"});
+ *     session.addObserver(series);            // e.g. a TimeSeries
  *     session.advance(25'000);                // warmup runs implicitly,
  *     session.advance(25'000);                // then measured windows
- *     auto snap = session.snapshot();         // cumulative + last delta
+ *     auto& last = session.lastWindow();      // most recent delta
+ *     auto& sofar = session.cumulative();     // since measurement start
  *     auto final = session.runToCompletion(); // spend the rest of the
  *                                             // sim_instrs budget
  *
@@ -94,9 +97,8 @@ void writeWindowSample(snap::Writer& w, const WindowSample& s);
 WindowSample readWindowSample(snap::Reader& r);
 
 /**
- * Observer hooks for a streamed session. Register per-session
- * (SimSession::addObserver) or per-experiment
- * (ExperimentBuilder::observe). Hooks run synchronously on the thread
+ * Observer hooks for a streamed session, registered through
+ * SimSession::addObserver. Hooks run synchronously on the thread
  * driving the session, in registration order, and may introspect the
  * live machine through session.system().
  */
@@ -174,12 +176,6 @@ class SimSession
     SimSession& operator=(SimSession&&) = default;
     SimSession(const SimSession&) = delete;
     SimSession& operator=(const SimSession&) = delete;
-
-    /** Open a session for @p spec (fluent alternative to the ctor). */
-    static SimSession open(ExperimentSpec spec)
-    {
-        return SimSession(std::move(spec));
-    }
 
     /**
      * Write the full session state — lifecycle flags, cumulative/last
@@ -264,17 +260,6 @@ class SimSession
      *  cumulative RunResult. A fresh session finished this way is
      *  bit-identical to the batch simulate() path. */
     sim::RunResult runToCompletion();
-
-    /** Cumulative result + most recent window (empty before the first
-     *  advance()). */
-    struct Snapshot
-    {
-        sim::RunResult cumulative;
-        WindowSample last_window;
-        std::size_t windows = 0;
-    };
-
-    Snapshot snapshot() const;
 
     /** Cumulative RunResult since measurement start (empty-initialized
      *  before the first advance()). */

@@ -54,7 +54,7 @@ Sweep::then(std::function<void()> action)
 void
 Sweep::grid(const std::vector<std::string>& workloads,
             const std::vector<std::string>& prefetchers,
-            const std::function<ExperimentBuilder(
+            const std::function<ExperimentSpec(
                 const std::string&, const std::string&)>& make,
             const std::function<void(const std::string&,
                                      const std::string&,

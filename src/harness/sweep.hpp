@@ -15,7 +15,7 @@
  *     harness::Sweep sweep;
  *     for (const auto& w : workloads)
  *         for (const auto& pf : prefetchers)
- *             sweep.add(harness::Experiment(w).l2(pf),
+ *             sweep.add({.workload = w, .prefetcher = pf},
  *                       [&](const harness::Runner::Outcome& o) {
  *                           table.addRow({w, pf,
  *                                         Table::fmt(o.metrics.speedup)});
@@ -33,9 +33,9 @@
 #include <cstddef>
 #include <functional>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 
 namespace pythia::harness {
@@ -72,12 +72,6 @@ class Sweep
      */
     JobId addTask(TaskFn task, JobCallback on_done = {});
 
-    /** Append the builder's accumulated spec; @p on_done may be empty. */
-    JobId add(const ExperimentBuilder& exp, JobCallback on_done = {})
-    {
-        return add(exp.build(), std::move(on_done));
-    }
-
     /**
      * Append an ordered action with no job of its own: it runs after the
      * callbacks of every job added before it (and before those of every
@@ -94,7 +88,7 @@ class Sweep
      */
     void grid(const std::vector<std::string>& workloads,
               const std::vector<std::string>& prefetchers,
-              const std::function<ExperimentBuilder(
+              const std::function<ExperimentSpec(
                   const std::string& workload,
                   const std::string& prefetcher)>& make,
               const std::function<void(const std::string& workload,

@@ -36,9 +36,12 @@ BingoPrefetcher::BingoPrefetcher(const BingoConfig& cfg)
         {std::has_single_bit(cfg.region_bytes) &&
              cfg.region_bytes <= 64 * kBlockSize,
          "region_bytes", "a power of two <= 4096"},
-        {cfg.at_entries >= 1, "at_entries", ">= 1"},
-        {cfg.pht_sets >= 1, "pht_sets", ">= 1"},
-        {cfg.pht_ways >= 1, "pht_ways", ">= 1"}});
+        {cfg.at_entries >= 1 && cfg.at_entries <= kMaxTableEntries,
+         "at_entries", kTableRule},
+        {cfg.pht_sets >= 1 && cfg.pht_sets <= kMaxTableEntries, "pht_sets",
+         kTableRule},
+        {cfg.pht_ways >= 1 && cfg.pht_ways <= kMaxWays, "pht_ways",
+         kWaysRule}});
     blocks_per_region_ = std::max<std::uint32_t>(
         1, cfg_.region_bytes / static_cast<std::uint32_t>(kBlockSize));
     region_shift_ = std::countr_zero(blocks_per_region_);

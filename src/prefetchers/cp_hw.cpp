@@ -42,8 +42,10 @@ CpHwPrefetcher::CpHwPrefetcher(const CpHwConfig& cfg)
                      cfg.table_entries * actionList().size() * 2),
       cfg_(cfg), tracker_(256), rng_(cfg.seed)
 {
-    requireConfig("cp_hw",
-                  {{cfg.table_entries >= 1, "table_entries", ">= 1"}});
+    requireConfig(
+        "cp_hw",
+        {{cfg.table_entries >= 1 && cfg.table_entries <= kMaxTableEntries,
+          "table_entries", kTableRule}});
     q_.assign(cfg.table_entries,
               std::vector<double>(actionList().size(), 0.0));
 }

@@ -32,8 +32,10 @@ DspatchPrefetcher::DspatchPrefetcher(const DspatchConfig& cfg)
         {std::has_single_bit(cfg.region_bytes) &&
              cfg.region_bytes <= 64 * kBlockSize,
          "region_bytes", "a power of two <= 4096"},
-        {cfg.spt_entries >= 1, "spt_entries", ">= 1"},
-        {cfg.at_entries >= 1, "at_entries", ">= 1"}});
+        {cfg.spt_entries >= 1 && cfg.spt_entries <= kMaxTableEntries,
+         "spt_entries", kTableRule},
+        {cfg.at_entries >= 1 && cfg.at_entries <= kMaxTableEntries,
+         "at_entries", kTableRule}});
     spt_.resize(cfg.spt_entries);
     at_.resize(cfg.at_entries);
     blocks_per_region_ = std::max<std::uint32_t>(

@@ -26,8 +26,14 @@ IpcpPrefetcher::IpcpPrefetcher(const IpcpConfig& cfg)
     : PrefetcherBase("ipcp", cfg.ip_entries * 12 + cfg.cspt_entries * 2),
       cfg_(cfg)
 {
-    requireConfig("ipcp", {{cfg.ip_entries >= 1, "ip_entries", ">= 1"},
-                           {cfg.cspt_entries >= 1, "cspt_entries", ">= 1"}});
+    requireConfig(
+        "ipcp",
+        {{cfg.ip_entries >= 1 && cfg.ip_entries <= kMaxTableEntries,
+          "ip_entries", kTableRule},
+         {cfg.cspt_entries >= 1 && cfg.cspt_entries <= kMaxTableEntries,
+          "cspt_entries", kTableRule},
+         {cfg.cs_degree <= kMaxDegree, "cs_degree", kDegreeRule},
+         {cfg.stream_degree <= kMaxDegree, "stream_degree", kDegreeRule}});
     ip_.resize(cfg.ip_entries);
     cspt_.resize(cfg.cspt_entries);
 }

@@ -28,11 +28,14 @@ MlopPrefetcher::MlopPrefetcher(const MlopConfig& cfg)
     : PrefetcherBase("mlop", 8192 /* ~8KB, Table 7 */), cfg_(cfg)
 {
     // Candidate offsets stay within one page.
-    requireConfig("mlop", {{cfg.amt_entries >= 1, "amt_entries", ">= 1"},
-                           {cfg.max_offset >= 0 &&
-                                cfg.max_offset < static_cast<std::int32_t>(
-                                                     kBlocksPerPage),
-                            "max_offset", "in [0, 63]"}});
+    requireConfig(
+        "mlop",
+        {{cfg.amt_entries >= 1 && cfg.amt_entries <= kMaxTableEntries,
+          "amt_entries", kTableRule},
+         {cfg.max_degree <= kMaxDegree, "max_degree", kDegreeRule},
+         {cfg.max_offset >= 0 &&
+              cfg.max_offset < static_cast<std::int32_t>(kBlocksPerPage),
+          "max_offset", "in [0, 63]"}});
     maps_.resize(cfg.amt_entries);
     scores_.assign(cfg.max_degree,
                    std::vector<std::uint32_t>(2 * cfg.max_offset + 1, 0));

@@ -8,6 +8,7 @@ namespace pythia::pf {
 NextLinePrefetcher::NextLinePrefetcher(std::uint32_t degree)
     : PrefetcherBase("nextline", 8 /* degree register */), degree_(degree)
 {
+    requireConfig("nextline", {{degree <= kMaxDegree, "degree", kDegreeRule}});
 }
 
 void

@@ -27,6 +27,10 @@ Power7Prefetcher::Power7Prefetcher(const Power7Config& cfg)
     : PrefetcherBase("power7", 1024), cfg_(cfg),
       streamer_(64, /*degree=*/4, /*train_len=*/2)
 {
+    // The depths become the inner streamer's degree.
+    requireConfig("power7",
+                  {{cfg.min_depth <= kMaxDegree, "min_depth", kDegreeRule},
+                   {cfg.max_depth <= kMaxDegree, "max_depth", kDegreeRule}});
 }
 
 void

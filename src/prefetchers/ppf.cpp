@@ -33,10 +33,16 @@ namespace {
 const PpfConfig&
 checked(const PpfConfig& cfg, const SppConfig& spp)
 {
-    requireConfig("spp_ppf",
-                  {{cfg.table_entries >= 1, "table_entries", ">= 1"},
-                   {spp.st_entries >= 1, "spp_st_entries", ">= 1"},
-                   {spp.pt_sets >= 1, "spp_pt_sets", ">= 1"}});
+    requireConfig(
+        "spp_ppf",
+        {{cfg.table_entries >= 1 && cfg.table_entries <= kMaxTableEntries,
+          "table_entries", kTableRule},
+         {spp.st_entries >= 1 && spp.st_entries <= kMaxTableEntries,
+          "spp_st_entries", kTableRule},
+         {spp.pt_sets >= 1 && spp.pt_sets <= kMaxTableEntries,
+          "spp_pt_sets", kTableRule},
+         {spp.max_lookahead <= kMaxDegree, "spp_max_lookahead",
+          kDegreeRule}});
     return cfg;
 }
 

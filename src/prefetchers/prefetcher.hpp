@@ -30,9 +30,29 @@ struct ConfigRule
 };
 
 /**
+ * Upper bounds of the requireConfig() rules, so no spec string can make
+ * the host allocate or loop without limit: a table holds at most
+ * kMaxTableEntries rows (16x the largest default), a set at most
+ * kMaxWays ways, and a degree-style key (prefetches or lookahead steps
+ * per access) is at most kMaxDegree — a page holds 64 lines, so an
+ * in-page prefetcher can never use more. The k*Rule strings are the
+ * matching rule texts.
+ */
+inline constexpr std::uint32_t kMaxTableEntries = 65536;
+inline constexpr std::uint32_t kMaxWays = 16;
+inline constexpr std::uint32_t kMaxDegree = 64;
+inline constexpr const char* kTableRule = "in [1, 65536]";
+inline constexpr const char* kWaysRule = "in [1, 16]";
+inline constexpr const char* kDegreeRule = "<= 64";
+static_assert(kMaxTableEntries == 65536 && kMaxWays == 16 &&
+                  kMaxDegree == 64,
+              "rule texts");
+
+/**
  * Constructor-time configuration guard: every prefetcher checks its
  * configuration with this before it allocates a table, so a degenerate
- * spec ("stride:entries=0") is a typed error, never a crash.
+ * spec ("stride:entries=0", "stride:entries=4000000000") is a typed
+ * error, never a crash or an unbounded allocation.
  * @throws std::invalid_argument "<owner>: <key> must be <rule>" for the
  *         first rule that does not hold.
  */

@@ -32,9 +32,14 @@ namespace {
 SppPrefetcher::SppPrefetcher(const SppConfig& cfg)
     : PrefetcherBase("spp", 6349 /* ~6.2KB, Table 7 */), cfg_(cfg)
 {
-    requireConfig("spp", {{cfg.st_entries >= 1, "st_entries", ">= 1"},
-                          {cfg.pt_sets >= 1, "pt_sets", ">= 1"},
-                          {cfg.pt_ways >= 1, "pt_ways", ">= 1"}});
+    requireConfig(
+        "spp",
+        {{cfg.st_entries >= 1 && cfg.st_entries <= kMaxTableEntries,
+          "st_entries", kTableRule},
+         {cfg.pt_sets >= 1 && cfg.pt_sets <= kMaxTableEntries, "pt_sets",
+          kTableRule},
+         {cfg.pt_ways >= 1 && cfg.pt_ways <= kMaxWays, "pt_ways", kWaysRule},
+         {cfg.max_lookahead <= kMaxDegree, "max_lookahead", kDegreeRule}});
     st_.resize(cfg.st_entries);
     pt_.resize(static_cast<std::size_t>(cfg.pt_sets) * cfg.pt_ways);
 }

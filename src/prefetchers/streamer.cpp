@@ -25,7 +25,10 @@ StreamerPrefetcher::StreamerPrefetcher(std::uint32_t streams,
     : PrefetcherBase("streamer", streams * 12), degree_(degree),
       train_len_(train_len)
 {
-    requireConfig("streamer", {{streams >= 1, "streams", ">= 1"}});
+    requireConfig("streamer",
+                  {{streams >= 1 && streams <= kMaxTableEntries, "streams",
+                    kTableRule},
+                   {degree <= kMaxDegree, "degree", kDegreeRule}});
     streams_.resize(streams);
 }
 

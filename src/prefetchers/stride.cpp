@@ -25,7 +25,10 @@ StridePrefetcher::StridePrefetcher(std::uint32_t entries,
                      entries * 16 /* pc tag + addr + stride + conf */),
       degree_(degree)
 {
-    requireConfig("stride", {{entries >= 1, "entries", ">= 1"}});
+    requireConfig("stride",
+                  {{entries >= 1 && entries <= kMaxTableEntries, "entries",
+                    kTableRule},
+                   {degree <= kMaxDegree, "degree", kDegreeRule}});
     table_.resize(entries);
 }
 

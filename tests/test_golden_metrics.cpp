@@ -30,7 +30,7 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 
 namespace {
 
@@ -84,12 +84,11 @@ harness::Runner::Outcome
 runCell(const GoldenRow& cell)
 {
     static harness::Runner runner; // shares baselines across cells
-    return harness::Experiment(cell.workload)
-        .l2(cell.prefetcher)
-        .cores(cell.cores)
-        .warmup(20'000)
-        .measure(50'000)
-        .run(runner);
+    return runner.evaluate({.workload = cell.workload,
+                            .prefetcher = cell.prefetcher,
+                            .num_cores = cell.cores,
+                            .warmup_instrs = 20'000,
+                            .sim_instrs = 50'000});
 }
 
 /** Bit-exact double comparison with a diff that names the cell, the

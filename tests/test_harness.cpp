@@ -7,7 +7,6 @@
  */
 #include <gtest/gtest.h>
 
-#include "harness/experiment.hpp"
 #include "harness/metrics.hpp"
 #include "harness/perf.hpp"
 #include "harness/sweep.hpp"
@@ -19,8 +18,10 @@ namespace {
 ExperimentSpec
 quickSpec(const std::string& workload, const std::string& pf)
 {
-    return Experiment(workload).l2(pf).warmup(30'000).measure(80'000)
-        .build();
+    return {.workload = workload,
+            .prefetcher = pf,
+            .warmup_instrs = 30'000,
+            .sim_instrs = 80'000};
 }
 
 // ------------------------------------------------------------------- metrics

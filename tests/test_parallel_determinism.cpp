@@ -53,6 +53,13 @@ expectBitIdentical(const Metrics& a, const Metrics& b)
     EXPECT_EQ(a.accuracy, b.accuracy);
 }
 
+/** A tiny single-core job on @p workload, no prefetcher. */
+ExperimentSpec
+tinySpec(const char* workload)
+{
+    return {.workload = workload, .warmup_instrs = 1'000, .sim_instrs = 2'000};
+}
+
 /** A cross-section of the grids the benches run: workloads x
  *  prefetchers, plus a multi-core and a bandwidth-constrained point. */
 Sweep
@@ -62,17 +69,20 @@ representativeSweep()
     for (const char* w :
          {"462.libquantum-1343B", "459.GemsFDTD-765B", "429.mcf-184B"})
         for (const char* pf : {"none", "stride", "spp", "pythia"})
-            sweep.add(Experiment(w).l2(pf).warmup(5'000).measure(15'000));
-    sweep.add(Experiment("Ligra-BFS")
-                  .l2("pythia")
-                  .cores(2)
-                  .warmup(4'000)
-                  .measure(8'000));
-    sweep.add(Experiment("Ligra-CC")
-                  .l2("bingo")
-                  .mtps(300)
-                  .warmup(5'000)
-                  .measure(15'000));
+            sweep.add({.workload = w,
+                       .prefetcher = pf,
+                       .warmup_instrs = 5'000,
+                       .sim_instrs = 15'000});
+    sweep.add({.workload = "Ligra-BFS",
+               .prefetcher = "pythia",
+               .num_cores = 2,
+               .warmup_instrs = 4'000,
+               .sim_instrs = 8'000});
+    sweep.add({.workload = "Ligra-CC",
+               .prefetcher = "bingo",
+               .mtps = 300,
+               .warmup_instrs = 5'000,
+               .sim_instrs = 15'000});
     return sweep;
 }
 
@@ -106,10 +116,10 @@ TEST(ParallelDeterminism, ReplayFollowsDeclarationOrder)
     Sweep sweep;
     std::vector<int> order;
     for (int i = 0; i < 6; ++i) {
-        sweep.add(Experiment("470.lbm-164B")
-                      .l2(i % 2 ? "stride" : "none")
-                      .warmup(1'000)
-                      .measure(2'000 + 100 * i),
+        sweep.add({.workload = "470.lbm-164B",
+                   .prefetcher = i % 2 ? "stride" : "none",
+                   .warmup_instrs = 1'000,
+                   .sim_instrs = static_cast<std::uint64_t>(2'000 + 100 * i)},
                   [&order, i](const Runner::Outcome&) {
                       order.push_back(2 * i);
                   });
@@ -130,10 +140,10 @@ TEST(ParallelDeterminism, BaselineComputedOncePerKeyUnderContention)
     Sweep sweep;
     for (const char* pf : {"none", "stride", "streamer", "nextline",
                            "spp", "bingo", "mlop", "pythia"})
-        sweep.add(Experiment("470.lbm-164B")
-                      .l2(pf)
-                      .warmup(2'000)
-                      .measure(6'000));
+        sweep.add({.workload = "470.lbm-164B",
+                   .prefetcher = pf,
+                   .warmup_instrs = 2'000,
+                   .sim_instrs = 6'000});
     const auto outcomes =
         ParallelRunner(8).reportTo(nullptr).run(runner, sweep);
     EXPECT_EQ(runner.baselinesComputed(), 1u);
@@ -147,11 +157,10 @@ TEST(ParallelDeterminism, FirstExceptionByJobOrderPropagates)
     Runner runner;
     Sweep sweep;
     std::atomic<int> callbacks{0};
-    sweep.add(Experiment("470.lbm-164B").warmup(1'000).measure(2'000),
+    sweep.add(tinySpec("470.lbm-164B"),
               [&callbacks](const Runner::Outcome&) { ++callbacks; });
-    sweep.add(Experiment("no-such-workload").warmup(1'000).measure(
-        2'000));
-    sweep.add(Experiment("also-missing").warmup(1'000).measure(2'000));
+    sweep.add(tinySpec("no-such-workload"));
+    sweep.add(tinySpec("also-missing"));
     ParallelRunner pool(4);
     pool.reportTo(nullptr);
     EXPECT_THROW(pool.run(runner, sweep), std::invalid_argument);
@@ -164,8 +173,7 @@ TEST(ParallelDeterminism, ReportCountsExperimentsAndWorkers)
     Runner runner;
     Sweep sweep;
     for (int i = 0; i < 3; ++i)
-        sweep.add(
-            Experiment("470.lbm-164B").warmup(1'000).measure(2'000));
+        sweep.add(tinySpec("470.lbm-164B"));
     std::ostringstream report;
     ParallelRunner pool(16);
     pool.reportTo(&report);
@@ -240,14 +248,10 @@ TEST(ParallelDeterminism, ErrorPropagationMatchesAcrossProcessBoundary)
     // later failing job finishes earlier on another worker.
     const auto build = [](std::atomic<int>& callbacks) {
         Sweep sweep;
-        sweep.add(
-            Experiment("470.lbm-164B").warmup(1'000).measure(2'000),
-            [&callbacks](const Runner::Outcome&) { ++callbacks; });
-        sweep.add(Experiment("no-such-workload")
-                      .warmup(1'000)
-                      .measure(2'000));
-        sweep.add(
-            Experiment("also-missing").warmup(1'000).measure(2'000));
+        sweep.add(tinySpec("470.lbm-164B"),
+                  [&callbacks](const Runner::Outcome&) { ++callbacks; });
+        sweep.add(tinySpec("no-such-workload"));
+        sweep.add(tinySpec("also-missing"));
         return sweep;
     };
 

@@ -7,9 +7,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "common/spec.hpp"
 #include "core/agent.hpp"
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 #include "prefetchers/prefetcher.hpp"
 #include "sim/cache.hpp"
 #include "sim/prefetcher_registry.hpp"
@@ -231,53 +233,70 @@ TEST(SpecRegistry, NoneVariantsAreNull)
     EXPECT_THROW(sim::makePrefetcher("none:x=1"), std::invalid_argument);
 }
 
-// --------------------------------------------------------- fluent builder
+// ---------------------------------------------------------- experiment spec
 
-TEST(ExperimentBuilderApi, AccumulatesIntoSpec)
+static_assert(std::is_aggregate_v<harness::ExperimentSpec>,
+              "ExperimentSpec is written with designated initializers");
+
+TEST(ExperimentSpecApi, DesignatedInitializersMatchFieldAssignment)
 {
-    const harness::ExperimentSpec spec =
-        harness::Experiment("mix1")
-            .cores(4)
-            .l2("pythia:gamma=0.5")
-            .l1("stride")
-            .mtps(1200)
-            .llcBytesPerCore(1ull << 20)
-            .warmup(1'000)
-            .measure(2'000)
-            .workloadSeed(7)
-            .build();
-    EXPECT_EQ(spec.workload, "mix1");
-    EXPECT_EQ(spec.num_cores, 4u);
-    EXPECT_EQ(spec.prefetcher, "pythia:gamma=0.5");
-    EXPECT_EQ(spec.l1_prefetcher, "stride");
-    EXPECT_EQ(spec.mtps, 1200u);
-    EXPECT_EQ(spec.llc_bytes_per_core, 1ull << 20);
-    EXPECT_EQ(spec.warmup_instrs, 1'000u);
-    EXPECT_EQ(spec.sim_instrs, 2'000u);
-    EXPECT_EQ(spec.workload_seed, 7u);
+    const harness::ExperimentSpec designated{
+        .workload = "462.libquantum-1343B",
+        .mix = {"429.mcf-184B", "Ligra-CC"},
+        .prefetcher = "pythia:gamma=0.5",
+        .l1_prefetcher = "stride",
+        .num_cores = 2,
+        .mtps = 1200,
+        .llc_bytes_per_core = 1ull << 20,
+        .warmup_instrs = 1'000,
+        .sim_instrs = 2'000,
+        .workload_seed = 7};
+    harness::ExperimentSpec assigned;
+    assigned.workload = "462.libquantum-1343B";
+    assigned.mix = {"429.mcf-184B", "Ligra-CC"};
+    assigned.prefetcher = "pythia:gamma=0.5";
+    assigned.l1_prefetcher = "stride";
+    assigned.num_cores = 2;
+    assigned.mtps = 1200;
+    assigned.llc_bytes_per_core = 1ull << 20;
+    assigned.warmup_instrs = 1'000;
+    assigned.sim_instrs = 2'000;
+    assigned.workload_seed = 7;
+    EXPECT_EQ(harness::Runner::baselineKey(designated),
+              harness::Runner::baselineKey(assigned));
+    EXPECT_EQ(harness::fingerprintFor(designated),
+              harness::fingerprintFor(assigned));
+    // Omitted members keep their defaults.
+    harness::ExperimentSpec defaults;
+    defaults.workload = "429.mcf-184B";
+    EXPECT_EQ(harness::fingerprintFor({.workload = "429.mcf-184B"}),
+              harness::fingerprintFor(defaults));
 }
 
-TEST(ExperimentBuilderApi, ParameterizedSpecRunsEndToEnd)
+TEST(ExperimentSpecApi, ParameterizedSpecRunsEndToEnd)
 {
     harness::Runner runner;
-    const auto o = harness::Experiment("462.libquantum-1343B")
-                       .l2("streamer:degree=2")
-                       .warmup(5'000)
-                       .measure(15'000)
-                       .run(runner);
+    const auto o = runner.evaluate({.workload = "462.libquantum-1343B",
+                                    .prefetcher = "streamer:degree=2",
+                                    .warmup_instrs = 5'000,
+                                    .sim_instrs = 15'000});
     EXPECT_GT(o.run.prefetch_issued, 0u);
     EXPECT_GT(o.metrics.speedup, 1.0);
 }
 
-TEST(ExperimentBuilderApi, ScaleWindows)
+TEST(ExperimentSpecApi, ScaleWindows)
 {
-    const auto spec = harness::Experiment("x")
-                          .warmup(10'000)
-                          .measure(20'000)
-                          .scaleWindows(0.5)
-                          .build();
+    harness::ExperimentSpec spec{.warmup_instrs = 10'000,
+                                 .sim_instrs = 20'000};
+    harness::scaleWindows(spec, 0.5);
     EXPECT_EQ(spec.warmup_instrs, 5'000u);
     EXPECT_EQ(spec.sim_instrs, 10'000u);
+    // The product truncates: a third of 200000 is 66666.67.
+    spec.warmup_instrs = 200'000;
+    spec.sim_instrs = 100'000;
+    harness::scaleWindows(spec, 1.0 / 3);
+    EXPECT_EQ(spec.warmup_instrs, 66'666u);
+    EXPECT_EQ(spec.sim_instrs, 33'333u);
 }
 
 // ------------------------------------------------- fill-level validation

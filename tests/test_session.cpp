@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "common/params.hpp"
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 #include "harness/session.hpp"
 #include "harness/timeseries.hpp"
 
@@ -43,12 +43,11 @@ harness::ExperimentSpec
 specFor(const std::string& workload, const std::string& pf,
         std::uint32_t cores)
 {
-    return harness::Experiment(workload)
-        .l2(pf)
-        .cores(cores)
-        .warmup(10'000)
-        .measure(40'000)
-        .build();
+    return {.workload = workload,
+            .prefetcher = pf,
+            .num_cores = cores,
+            .warmup_instrs = 10'000,
+            .sim_instrs = 40'000};
 }
 
 void
@@ -171,13 +170,12 @@ struct RecordingObserver final : harness::SessionObserver
 TEST(SimSession, ObserverLifecycle)
 {
     auto observer = std::make_shared<RecordingObserver>();
-    harness::SimSession session =
-        harness::Experiment("462.libquantum-1343B")
-            .l2("stride")
-            .warmup(5'000)
-            .measure(30'000)
-            .observe(observer)
-            .openSession();
+    harness::SimSession session(
+        harness::ExperimentSpec{.workload = "462.libquantum-1343B",
+                                .prefetcher = "stride",
+                                .warmup_instrs = 5'000,
+                                .sim_instrs = 30'000});
+    session.addObserver(observer);
 
     EXPECT_FALSE(session.warmupDone());
     EXPECT_EQ(session.advance(10'000), 10'000u);
@@ -195,13 +193,10 @@ TEST(SimSession, ObserverLifecycle)
     EXPECT_EQ(observer->samples[0].instrs_end, 10'000u);
     EXPECT_EQ(observer->samples[1].instrs_begin, 10'000u);
     EXPECT_EQ(observer->samples[1].instrs_end, 30'000u);
+    EXPECT_EQ(session.windowsCompleted(), 2u);
     expectSameRunResult(observer->samples.back().cumulative,
                         session.cumulative());
-
-    const auto snap = session.snapshot();
-    EXPECT_EQ(snap.windows, 2u);
-    expectSameRunResult(snap.cumulative, session.cumulative());
-    expectSameRunResult(snap.last_window.delta,
+    expectSameRunResult(observer->samples.back().delta,
                         session.lastWindow().delta);
 }
 

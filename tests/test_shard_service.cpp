@@ -131,6 +131,16 @@ expectBitIdentical(const std::vector<Runner::Outcome>& a,
     }
 }
 
+/** One small-window job: @p workload under @p prefetcher. */
+ExperimentSpec
+smallSpec(const char* workload, const char* prefetcher)
+{
+    return {.workload = workload,
+            .prefetcher = prefetcher,
+            .warmup_instrs = 2'000,
+            .sim_instrs = 5'000};
+}
+
 /** The test grid: two workloads x three prefetchers, small windows.
  *  Six spec jobs is enough to exercise pull dispatch, respawn and
  *  resume while keeping every adversarial scenario re-runnable in
@@ -141,7 +151,7 @@ testSweep()
     Sweep sweep;
     for (const char* w : {"470.lbm-164B", "462.libquantum-1343B"})
         for (const char* pf : {"none", "stride", "pythia"})
-            sweep.add(Experiment(w).l2(pf).warmup(2'000).measure(5'000));
+            sweep.add(smallSpec(w, pf));
     return sweep;
 }
 
@@ -288,12 +298,12 @@ TEST_F(ShardService, SweepFingerprintBindsTheGrid)
 
     // Any grid change — an extra job, a different spec — re-keys it.
     Sweep c = testSweep();
-    c.add(Experiment("429.mcf-184B").warmup(2'000).measure(5'000));
+    c.add(smallSpec("429.mcf-184B", "none"));
     EXPECT_NE(sweepFingerprint(a), sweepFingerprint(c));
     Sweep d;
     for (const char* w : {"470.lbm-164B", "462.libquantum-1343B"})
         for (const char* pf : {"none", "stride", "spp"}) // spp != pythia
-            d.add(Experiment(w).l2(pf).warmup(2'000).measure(5'000));
+            d.add(smallSpec(w, pf));
     EXPECT_NE(sweepFingerprint(a), sweepFingerprint(d));
 
     // Task jobs are marked as such (they are never journaled).
@@ -322,12 +332,10 @@ TEST_F(ShardService, CallbacksReplayInDeclarationOrder)
     std::vector<int> order;
     int i = 0;
     for (const char* pf : {"none", "stride", "pythia"}) {
-        sweep.add(
-            Experiment("470.lbm-164B").l2(pf).warmup(2'000).measure(
-                5'000),
-            [&order, i](const Runner::Outcome&) {
-                order.push_back(2 * i);
-            });
+        sweep.add(smallSpec("470.lbm-164B", pf),
+                  [&order, i](const Runner::Outcome&) {
+                      order.push_back(2 * i);
+                  });
         sweep.then([&order, i] { order.push_back(2 * i + 1); });
         ++i;
     }
@@ -347,16 +355,10 @@ TEST_F(ShardService, TaskJobsRunInCoordinatorProcess)
     Sweep sweep;
     const pid_t my_pid = ::getpid();
     pid_t task_pid = -1;
-    sweep.add(
-        Experiment("470.lbm-164B").l2("stride").warmup(2'000).measure(
-            5'000));
+    sweep.add(smallSpec("470.lbm-164B", "stride"));
     sweep.addTask([&task_pid](Runner& r) {
         task_pid = ::getpid();
-        return r.evaluate(Experiment("470.lbm-164B")
-                              .l2("none")
-                              .warmup(2'000)
-                              .measure(5'000)
-                              .build());
+        return r.evaluate(smallSpec("470.lbm-164B", "none"));
     });
     ShardOptions opt;
     opt.workers = 2;
@@ -632,8 +634,7 @@ TEST_F(ShardService, ForeignFingerprintIsATypedErrorWithDiff)
     // resume the wrong results.
     Sweep other;
     for (const char* pf : {"none", "stride", "pythia"})
-        other.add(Experiment("429.mcf-184B").l2(pf).warmup(2'000)
-                      .measure(5'000));
+        other.add(smallSpec("429.mcf-184B", pf));
     Runner runner;
     ShardCoordinator coordinator(opt);
     try {

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
 #include "sim/prefetcher_registry.hpp"
@@ -84,11 +83,10 @@ expectSameResult(const sim::RunResult& a, const sim::RunResult& b,
 harness::ExperimentSpec
 smallPythiaSpec()
 {
-    return harness::Experiment("462.libquantum-1343B")
-        .l2("pythia")
-        .warmup(10'000)
-        .measure(20'000)
-        .spec();
+    return {.workload = "462.libquantum-1343B",
+            .prefetcher = "pythia",
+            .warmup_instrs = 10'000,
+            .sim_instrs = 20'000};
 }
 
 // ------------------------------------------------------------------ codec
@@ -585,13 +583,12 @@ TEST(SnapFork, CopyCoversAllStateForEveryPrefetcher)
         for (const std::uint32_t cores : {1u, 4u}) {
             const std::string what =
                 pf + " @ " + std::to_string(cores) + " cores";
-            const harness::ExperimentSpec spec =
-                harness::Experiment("462.libquantum-1343B")
-                    .cores(cores)
-                    .l2(pf)
-                    .warmup(4'000)
-                    .measure(6'000)
-                    .spec();
+            const harness::ExperimentSpec spec{
+                .workload = "462.libquantum-1343B",
+                .prefetcher = pf,
+                .num_cores = cores,
+                .warmup_instrs = 4'000,
+                .sim_instrs = 6'000};
             harness::SimSession source(spec);
             source.advance(2'000);
             std::vector<std::uint8_t> image;

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/experiment.hpp"
 #include "harness/session.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -51,12 +50,11 @@ const GridCell kGrid[] = {
 harness::ExperimentSpec
 specFor(const GridCell& cell)
 {
-    return harness::Experiment(cell.workload)
-        .l2(cell.prefetcher)
-        .cores(cell.cores)
-        .warmup(20'000)
-        .measure(50'000)
-        .spec();
+    return {.workload = cell.workload,
+            .prefetcher = cell.prefetcher,
+            .num_cores = cell.cores,
+            .warmup_instrs = 20'000,
+            .sim_instrs = 50'000};
 }
 
 std::string

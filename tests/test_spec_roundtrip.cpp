@@ -206,17 +206,30 @@ constructAndTrain(const std::string& spec)
 
 TEST(SpecRoundTrip, DegenerateValueThrowsNamingTheKeyOrRuns)
 {
-    // Every declared key of every prefetcher set to 0, plus Pythia's
-    // upper bounds: each must be refused with a message naming the key
-    // (never a crash), or build a prefetcher that survives training.
+    // Every declared key of every prefetcher set to 0, every integer
+    // key (one that refuses "1.5" as not an integer) set to 2^32 - 1,
+    // plus Pythia's upper bounds: each must be refused with a message
+    // naming the key (never a crash, a hang or an unbounded
+    // allocation), or build a prefetcher that survives training.
     std::vector<std::pair<std::string, std::string>> cases; // spec, key
+    std::size_t integer_keys = 0;
     for (const auto& name : sim::prefetcherNames()) {
         const sim::PrefetcherEntry* entry =
             sim::PrefetcherRegistry::instance().find(name);
         ASSERT_NE(entry, nullptr) << name;
-        for (const auto& key : entry->param_keys)
-            cases.emplace_back(name + ":" + key + "=0", key);
+        for (const auto& key : entry->param_keys) {
+            const std::string prefix = name + ":" + key + "=";
+            cases.emplace_back(prefix + "0", key);
+            if (errorOf(prefix + "1.5").find("integer") ==
+                std::string::npos)
+                continue;
+            cases.emplace_back(prefix + "4294967295", key);
+            ++integer_keys;
+        }
     }
+    // stride, streamer, nextline, spp, spp_ppf, bingo, dspatch, mlop,
+    // ipcp, cp_hw, power7 and the three Pythia entries.
+    EXPECT_GE(integer_keys, 50u);
     for (const char* key_value :
          {"planes=9", "plane_index_bits=32", "plane_index_bits=17",
           "eq_size=65537", "features=PC/PC/PC/PC/PC/PC/PC/PC/PC"}) {
@@ -232,11 +245,17 @@ TEST(SpecRoundTrip, DegenerateValueThrowsNamingTheKeyOrRuns)
     }
     // Each of these crashes the process without its constructor check:
     // it must be refused, not merely survive.
+    // So do these upper bounds: an allocation of about 100 GB, or a
+    // prefetch loop that never ends.
     for (const char* spec :
          {"pythia:degree=0", "pythia:planes=0", "pythia:planes=9",
           "pythia:eq_size=0", "pythia:plane_index_bits=32",
           "stride:entries=0", "spp:pt_ways=0", "spp_ppf:spp_pt_sets=0",
-          "bingo:pht_sets=0", "streamer:streams=0"})
+          "bingo:pht_sets=0", "streamer:streams=0",
+          "stride:entries=4000000000", "spp:pt_sets=65537",
+          "bingo:pht_ways=17", "stride:degree=4294967295",
+          "nextline:degree=4294967295", "streamer:degree=4294967295",
+          "power7:min_depth=4294967295", "pythia:degree=65"})
         EXPECT_FALSE(constructAndTrain(spec).empty()) << spec;
 }
 

@@ -7,7 +7,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "harness/experiment.hpp"
+#include "harness/runner.hpp"
 #include "sim/prefetcher_registry.hpp"
 #include "sim/system.hpp"
 #include "workloads/suites.hpp"
@@ -36,11 +36,10 @@ class SystemGrid : public ::testing::TestWithParam<GridParam>
   protected:
     ExperimentSpec spec() const
     {
-        return Experiment(GetParam().workload)
-            .l2(GetParam().prefetcher)
-            .warmup(15'000)
-            .measure(40'000)
-            .build();
+        return {.workload = GetParam().workload,
+                .prefetcher = GetParam().prefetcher,
+                .warmup_instrs = 15'000,
+                .sim_instrs = 40'000};
     }
 };
 

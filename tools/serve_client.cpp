@@ -21,8 +21,9 @@
  * workloads= is a ';'-separated list of catalog names or registry specs
  * (',' belongs to spec parameters: "stream:footprint=256M,mem_ratio=0.4").
  * Arguments are strict key=value (common/params.hpp): an unknown key, a
- * malformed token or an ill-typed or out-of-range value prints one line
- * to stderr and exits 2 before any thread or socket exists.
+ * malformed token, an ill-typed or out-of-range value, or an unknown
+ * workload or prefetcher name prints one line to stderr and exits 2
+ * before any thread or socket exists.
  *
  * series_dir= writes each distinct spec's streamed windowed metrics as
  * CSV; reference_dir= writes the offline SimSession reference for the
@@ -46,6 +47,7 @@
 #include <iostream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,6 +60,7 @@
 #include "harness/timeseries.hpp"
 #include "service/client.hpp"
 #include "service/wire.hpp"
+#include "sim/prefetcher_registry.hpp"
 #include "workloads/suites.hpp"
 
 using namespace pythia;
@@ -119,12 +122,15 @@ main(int argc, char** argv)
         names = {"470.lbm-164B", "602.gcc_s-734B", "Ligra-PageRank",
                  "Cloudsuite-Cassandra"};
 
+    // Capture each spec's record stream once, shared read-only by every
+    // replay thread — identical by construction to what the offline
+    // SimSession consumes (workloadsFor derives the same seeded
+    // generator). Resolving every name here, before any socket, thread
+    // or file exists, makes an unknown workload or prefetcher a usage
+    // error; an unreadable trace:file= workload exits 1.
+    std::vector<SpecCase> cases;
     try {
-        // Capture each spec's record stream once, shared read-only by
-        // every replay thread — identical by construction to what the
-        // offline SimSession consumes (workloadsFor derives the same
-        // seeded generator).
-        std::vector<SpecCase> cases;
+        (void)sim::makePrefetcher(prefetcher);
         for (const std::string& name : names) {
             SpecCase c;
             c.spec.workload = name;
@@ -139,7 +145,15 @@ main(int argc, char** argv)
                 c.records.push_back(workloads[0]->next());
             cases.push_back(std::move(c));
         }
+    } catch (const std::invalid_argument& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    } catch (const std::exception& e) {
+        std::cerr << "serve_client: " << e.what() << "\n";
+        return 1;
+    }
 
+    try {
         if (!reference_dir.empty()) {
             fs::create_directories(reference_dir);
             for (std::size_t i = 0; i < cases.size(); ++i) {

@@ -16,11 +16,13 @@
  * written file against a fresh instance of the generator and fails
  * unless every record matches — the capture/replay equivalence rule.
  * Arguments are strict key=value (common/params.hpp): an unknown key, a
- * malformed token or an ill-typed value prints one line to stderr and
- * exits 2 before any file is written.
+ * malformed token, an ill-typed value or an unknown workload prints one
+ * line to stderr and exits 2 before any file is written.
  */
 #include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,7 @@ main(int argc, char** argv)
     std::string spec, out;
     std::uint64_t records = 0, seed = 0;
     bool verify = true;
+    std::unique_ptr<wl::Workload> live;
     try {
         const SpecParams cli = SpecParams::fromArgs(
             argc, argv, {"workload", "out", "records", "seed", "verify"});
@@ -43,23 +46,24 @@ main(int argc, char** argv)
         records = cli.getU64("records", 200'000);
         seed = cli.getU64("seed", 0);
         verify = cli.getBool("verify", true);
+        if (spec.empty())
+            throw std::invalid_argument(
+                "trace_capture: workload=<spec-or-name> is required "
+                "(e.g. workload=470.lbm-164B or "
+                "workload=stream:footprint=256M)");
+        if (records == 0)
+            throw std::invalid_argument(
+                "trace_capture: records must be > 0");
+        live = wl::makeWorkload(spec, seed);
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
-    }
-    if (spec.empty()) {
-        std::cerr << "trace_capture: workload=<spec-or-name> is "
-                     "required (e.g. workload=470.lbm-164B or "
-                     "workload=stream:footprint=256M)\n";
-        return 2;
-    }
-    if (records == 0) {
-        std::cerr << "trace_capture: records must be > 0\n";
-        return 2;
+    } catch (const std::exception& e) { // unreadable trace:file= workload
+        std::cerr << "trace_capture: " << e.what() << "\n";
+        return 1;
     }
 
     try {
-        auto live = wl::makeWorkload(spec, seed);
         if (!wl::writeTraceFile(out, *live, records)) {
             std::cerr << "trace_capture: cannot write " << out << "\n";
             return 1;
