@@ -8,31 +8,6 @@ namespace pythia {
 
 namespace {
 
-std::string
-trim(const std::string& s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
-std::vector<std::string>
-split(const std::string& s, char sep)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == sep) {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
-}
-
 [[noreturn]] void
 fail(const std::string& spec, const std::string& why)
 {
@@ -91,6 +66,31 @@ editDistance(const std::string& a, const std::string& b)
 }
 
 } // namespace
+
+std::string
+trim(const std::string& s)
+{
+    std::size_t b = 0, e = s.size();
+    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
+        ++b;
+    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
+        --e;
+    return s.substr(b, e - b);
+}
+
+std::vector<std::string>
+split(const std::string& s, char sep)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i <= s.size(); ++i) {
+        if (i == s.size() || s[i] == sep) {
+            out.push_back(s.substr(start, i - start));
+            start = i + 1;
+        }
+    }
+    return out;
+}
 
 std::vector<ParsedSpec>
 parseSpecList(const std::string& spec)

@@ -41,6 +41,13 @@ struct ParsedSpec
  */
 std::vector<ParsedSpec> parseSpecList(const std::string& spec);
 
+/** @p s without leading and trailing whitespace. */
+std::string trim(const std::string& s);
+
+/** Split @p s at every @p sep; empty fields are kept ("a++b" with '+'
+ *  gives "a", "", "b"). */
+std::vector<std::string> split(const std::string& s, char sep);
+
 /**
  * Split a ';'-separated list of specs — ',' belongs to spec parameters,
  * so list-valued options ("stream:footprint=256M,mem_ratio=0.4;spp")

@@ -75,10 +75,9 @@ applyParams(PythiaConfig cfg, const sim::PrefetcherParams& p)
 }
 
 sim::PrefetcherEntry
-pythiaEntry(std::string name, std::string description,
-            PythiaConfig (*base)())
+pythiaEntry(std::string name, PythiaConfig (*base)())
 {
-    return {std::move(name), std::move(description), kPythiaParamKeys,
+    return {std::move(name), kPythiaParamKeys,
             [base](const sim::PrefetcherParams& p) {
                 // Parameters override the scaled defaults, so e.g.
                 // "pythia:alpha=0.0065" pins the paper's raw value.
@@ -92,17 +91,12 @@ struct PythiaRegistrar
     PythiaRegistrar()
     {
         auto& registry = sim::PrefetcherRegistry::instance();
-        registry.add(pythiaEntry(
-            "pythia", "Pythia RL prefetcher, basic config (Table 2)",
-            &basicPythiaConfig));
-        registry.add(pythiaEntry(
-            "pythia_strict",
-            "Pythia with the strict graph-suite rewards (paper §6.6.1)",
-            &strictPythiaConfig));
-        registry.add(pythiaEntry(
-            "pythia_bwobl",
-            "bandwidth-oblivious Pythia ablation (paper §6.3.3)",
-            &bandwidthObliviousConfig));
+        // Basic config (Table 2).
+        registry.add(pythiaEntry("pythia", &basicPythiaConfig));
+        // Strict graph-suite rewards (paper §6.6.1).
+        registry.add(pythiaEntry("pythia_strict", &strictPythiaConfig));
+        // Bandwidth-oblivious ablation (paper §6.3.3).
+        registry.add(pythiaEntry("pythia_bwobl", &bandwidthObliviousConfig));
     }
 };
 

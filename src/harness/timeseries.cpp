@@ -100,46 +100,4 @@ TimeSeries::writeCsv(const std::string& path) const
     return static_cast<bool>(f);
 }
 
-void
-TimeSeries::writeJson(std::ostream& os) const
-{
-    os << "{\n  \"schema\": \"pythia-timeseries-v1\",\n  \"windows\": [";
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const WindowSample& w = samples_[i];
-        char buf[640];
-        std::snprintf(
-            buf, sizeof buf,
-            "%s\n    {\"window\": %zu, \"instrs_begin\": %" PRIu64
-            ", \"instrs_end\": %" PRIu64
-            ", \"ipc_geomean\": %.9g, \"cum_ipc_geomean\": %.9g"
-            ", \"llc_demand_load_misses\": %" PRIu64
-            ", \"llc_read_misses\": %" PRIu64
-            ", \"prefetch_issued\": %" PRIu64
-            ", \"prefetch_useful\": %" PRIu64
-            ", \"prefetch_useless\": %" PRIu64
-            ", \"prefetch_late\": %" PRIu64
-            ", \"accuracy\": %.9g, \"cum_accuracy\": %.9g"
-            ", \"dram_utilization\": %.9g}",
-            i > 0 ? "," : "", w.index, w.instrs_begin, w.instrs_end,
-            w.delta.ipc_geomean, w.cumulative.ipc_geomean,
-            w.delta.llc_demand_load_misses, w.delta.llc_read_misses,
-            w.delta.prefetch_issued, w.delta.prefetch_useful,
-            w.delta.prefetch_useless, w.delta.prefetch_late,
-            w.delta.accuracy(), w.cumulative.accuracy(),
-            w.delta.dram_utilization);
-        os << buf;
-    }
-    os << "\n  ]\n}\n";
-}
-
-bool
-TimeSeries::writeJson(const std::string& path) const
-{
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    writeJson(f);
-    return static_cast<bool>(f);
-}
-
 } // namespace pythia::harness

@@ -1,7 +1,7 @@
 /**
  * @file
  * TimeSeries — the stock SessionObserver that records every
- * WindowSample a streamed session emits, with CSV and JSON emission.
+ * WindowSample a streamed session emits, with CSV emission.
  *
  *     harness::TimeSeries series;
  *     harness::SimSession session(spec);
@@ -10,7 +10,7 @@
  *         session.advance(window_instrs);
  *     series.writeCsv("run_series.csv");
  *
- * Each row/record is one window: per-window (delta) IPC, miss and
+ * Each row is one window: per-window (delta) IPC, miss and
  * prefetch counters, accuracy and the DRAM utilization EWMA at window
  * end, plus the cumulative IPC/accuracy trajectory. composeRange()
  * re-aggregates any boundary-aligned span of windows into a single
@@ -18,22 +18,6 @@
  * that span would report for its counters (the window algebra of
  * harness/session.hpp), which is how bench_fig23_warmup derives every
  * warmup point from ONE streamed session.
- *
- * JSON schema "pythia-timeseries-v1":
- *
- *     {
- *       "schema": "pythia-timeseries-v1",
- *       "windows": [
- *         {"window": 0, "instrs_begin": 0, "instrs_end": 25000,
- *          "ipc_geomean": 1.23, "cum_ipc_geomean": 1.23,
- *          "llc_demand_load_misses": 410, "llc_read_misses": 520,
- *          "prefetch_issued": 300, "prefetch_useful": 210,
- *          "prefetch_useless": 40, "prefetch_late": 12,
- *          "accuracy": 0.7, "cum_accuracy": 0.7,
- *          "dram_utilization": 0.18},
- *         ...
- *       ]
- *     }
  */
 #pragma once
 
@@ -88,10 +72,6 @@ class TimeSeries : public SessionObserver
     void writeCsv(std::ostream& os) const;
     /** @return false on I/O failure. */
     bool writeCsv(const std::string& path) const;
-
-    void writeJson(std::ostream& os) const;
-    /** @return false on I/O failure. */
-    bool writeJson(const std::string& path) const;
 
   private:
     std::vector<WindowSample> samples_;

@@ -13,12 +13,10 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "bingo",
-    "Bingo spatial footprint prefetcher [Bakhshalipour+ HPCA'19]",
-    {"region_bytes", "ft_entries", "at_entries", "pht_sets", "pht_ways"},
+    {"region_bytes", "at_entries", "pht_sets", "pht_ways"},
     [](const sim::PrefetcherParams& p) {
         BingoConfig cfg;
         cfg.region_bytes = p.getU32("region_bytes", cfg.region_bytes);
-        cfg.ft_entries = p.getU32("ft_entries", cfg.ft_entries);
         cfg.at_entries = p.getU32("at_entries", cfg.at_entries);
         cfg.pht_sets = p.getU32("pht_sets", cfg.pht_sets);
         cfg.pht_ways = p.getU32("pht_ways", cfg.pht_ways);

@@ -14,12 +14,12 @@
 
 namespace pythia::pf {
 
-/** Bingo tuning knobs; defaults follow Table 7 (2KB regions, 64/128/4K
- *  entry FT/AT/PHT). */
+/** Bingo tuning knobs; defaults follow Table 7 (2KB regions, 128/4K
+ *  entry AT/PHT). The model has no filter table: regions train in the
+ *  AT from their first access, so Table 7's 64-entry FT has no knob. */
 struct BingoConfig
 {
     std::uint32_t region_bytes = 2048;
-    std::uint32_t ft_entries = 64;
     std::uint32_t at_entries = 128;
     std::uint32_t pht_sets = 1024;
     std::uint32_t pht_ways = 4;

@@ -108,22 +108,12 @@ CompositePrefetcher::loadState(snap::Reader& r)
 
 namespace {
 
-/** Hook that lets the registry build "a+b+c" specs without depending on
- *  this translation unit at compile time. */
-[[maybe_unused]] const sim::PrefetcherComposerRegistrar composer{
-    [](std::string name,
-       std::vector<std::unique_ptr<sim::PrefetcherApi>> children) {
-        return std::make_unique<CompositePrefetcher>(std::move(name),
-                                                     std::move(children));
-    }};
-
 /** Register a named alias for a fixed composition (the paper's
  *  cumulative "St+S+B+D+M" stacks of Figs. 9(b)/10(b)). */
 sim::PrefetcherEntry
 stackAlias(const std::string& name, std::vector<std::string> child_specs)
 {
     return {name,
-            "fixed prefetcher stack",
             {},
             [child_specs = std::move(child_specs),
              name](const sim::PrefetcherParams&) {

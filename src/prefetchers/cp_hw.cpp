@@ -11,7 +11,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "cp_hw",
-    "contextual-bandit prefetcher over hardware contexts [Peled+ ISCA'15]",
     {"table_entries", "alpha", "epsilon", "reward_timely", "reward_late",
      "reward_unused", "seed"},
     [](const sim::PrefetcherParams& p) {

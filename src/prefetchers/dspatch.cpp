@@ -12,7 +12,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "dspatch",
-    "Dual Spatial Pattern prefetcher [Bera+ MICRO'19]",
     {"region_bytes", "spt_entries", "at_entries"},
     [](const sim::PrefetcherParams& p) {
         DspatchConfig cfg;

@@ -9,7 +9,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "ipcp",
-    "IPCP bouquet-of-IP-classes prefetcher [Pakalapati & Panda ISCA'20]",
     {"ip_entries", "cspt_entries", "cs_degree", "stream_degree"},
     [](const sim::PrefetcherParams& p) {
         IpcpConfig cfg;

@@ -11,7 +11,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "mlop",
-    "Multi-Lookahead Offset Prefetcher [Shakerinava+ DPC3'19]",
     {"amt_entries", "update_round", "max_degree", "max_offset"},
     [](const sim::PrefetcherParams& p) {
         MlopConfig cfg;

@@ -34,7 +34,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "nextline",
-    "next-N-sequential-lines prefetcher (sanity baseline)",
     {"degree"},
     [](const sim::PrefetcherParams& p) {
         return std::make_unique<NextLinePrefetcher>(p.getU32("degree", 1));

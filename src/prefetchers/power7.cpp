@@ -10,7 +10,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "power7",
-    "POWER7-style adaptive-depth streamer [Jimenez+ TOPC'14]",
     {"epoch_prefetches", "min_depth", "max_depth"},
     [](const sim::PrefetcherParams& p) {
         Power7Config cfg;

@@ -11,7 +11,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "spp_ppf",
-    "SPP with Perceptron-based Prefetch Filtering [Bhatia+ ISCA'19]",
     {"table_entries", "threshold", "train_margin", "weight_max",
      "spp_st_entries", "spp_pt_sets", "spp_max_lookahead"},
     [](const sim::PrefetcherParams& p) {

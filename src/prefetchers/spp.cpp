@@ -12,7 +12,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "spp",
-    "Signature Path Prefetcher [Kim+ MICRO'16]",
     {"st_entries", "pt_sets", "pt_ways", "fill_threshold",
      "pf_threshold", "max_lookahead"},
     [](const sim::PrefetcherParams& p) {

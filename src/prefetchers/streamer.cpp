@@ -9,7 +9,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "streamer",
-    "multi-stream L2 streamer [Chen & Baer, IEEE TC'95]",
     {"streams", "degree", "train_len"},
     [](const sim::PrefetcherParams& p) {
         return std::make_unique<StreamerPrefetcher>(

@@ -10,7 +10,6 @@ namespace {
 
 [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
     "stride",
-    "per-PC stride prefetcher with 2-bit confidence [Fu+ MICRO'92]",
     {"entries", "degree"},
     [](const sim::PrefetcherParams& p) {
         return std::make_unique<StridePrefetcher>(

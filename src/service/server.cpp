@@ -29,7 +29,6 @@
 #include "common/transport.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
-#include "harness/timeseries.hpp"
 #include "service/stream_workload.hpp"
 #include "service/warm_pool.hpp"
 #include "service/wire.hpp"
@@ -45,10 +44,6 @@ using transport::FlushResult;
 using transport::IoEvent;
 using transport::setCloexec;
 using transport::setNonBlocking;
-
-/** Windows the aggregate stats series retains (the tail half survives
- *  each compaction, bounding daemon memory over a long life). */
-constexpr std::size_t kAggregateSeriesCap = 4096;
 
 /** Drain grace: frames unflushed after this many ms are abandoned. */
 constexpr std::uint64_t kDrainGraceMs = 30'000;
@@ -197,9 +192,6 @@ struct ServeServer::Impl
     std::atomic<std::uint64_t> records_received{0};
     std::atomic<std::uint64_t> frames_rejected{0};
 
-    mutable std::mutex series_mu;
-    harness::TimeSeries aggregate_series;
-
     // ----------------------------------------------------------- misc
 
     void log(const std::string& msg)
@@ -262,22 +254,6 @@ struct ServeServer::Impl
     {
         std::lock_guard<std::mutex> lk(tenants_mu);
         tenants.erase(id);
-    }
-
-    void recordWindow(const harness::WindowSample& w)
-    {
-        std::lock_guard<std::mutex> lk(series_mu);
-        if (aggregate_series.size() >= kAggregateSeriesCap) {
-            // Compact: keep the most recent half.
-            std::vector<harness::WindowSample> tail(
-                aggregate_series.samples().begin() +
-                    static_cast<std::ptrdiff_t>(kAggregateSeriesCap / 2),
-                aggregate_series.samples().end());
-            aggregate_series.clear();
-            for (auto& s : tail)
-                aggregate_series.append(std::move(s));
-        }
-        aggregate_series.append(w);
     }
 
     // ------------------------------------------------------ task pool
@@ -488,9 +464,9 @@ struct ServeServer::Impl
             ack.records_consumed = t->stream->consumed();
             stageTo(c, encodeHelloAck(ack));
             pumpTask(t, c); // records may already be pending
-        } catch (const snap::FingerprintError& e) {
-            failTenant(t, c, kErrResume, e.what());
         } catch (const snap::SnapshotError& e) {
+            failTenant(t, c, kErrResume, e.what());
+        } catch (const wl::TraceFileError& e) {
             failTenant(t, c, kErrResume, e.what());
         } catch (const std::invalid_argument& e) {
             failTenant(t, c, kErrSpec, e.what());
@@ -551,7 +527,6 @@ struct ServeServer::Impl
                 WindowMsg wm;
                 wm.window = s.lastWindow();
                 wm.records_consumed = t->stream->consumed();
-                recordWindow(wm.window);
                 ++windows_emitted;
                 if (c)
                     // Consecutive windows coalesce: markDirty dedups,
@@ -656,13 +631,7 @@ struct ServeServer::Impl
            << ", \"inserts\": " << wp.inserts
            << ", \"evictions\": " << wp.evictions
            << ", \"bytes\": " << wp.bytes
-           << ", \"entries\": " << wp.entries << "},\n"
-           << "  \"timeseries\": ";
-        {
-            std::lock_guard<std::mutex> lk(series_mu);
-            aggregate_series.writeJson(os);
-        }
-        os << "\n}\n";
+           << ", \"entries\": " << wp.entries << "}\n}\n";
         return os.str();
     }
 

@@ -148,8 +148,8 @@ class ServeServer
 
     Stats stats() const;
 
-    /** The kStatsAck document: counters plus the aggregate
-     *  pythia-timeseries-v1 series of recently emitted windows. */
+    /** The kStatsAck document (pythia-serve-stats-v1): the counters
+     *  of stats() plus the warm_pool object, one "key": value each. */
     std::string statsJson() const;
 
   private:

@@ -82,9 +82,6 @@ requireEnd(snap::Reader& r, const char* what)
                              " trailing bytes");
 }
 
-constexpr std::uint8_t kFlagWrite = 1u << 0;
-constexpr std::uint8_t kFlagDependsOnPrev = 1u << 1;
-
 } // namespace
 
 // ------------------------------------------------------------- encode
@@ -120,19 +117,7 @@ std::vector<std::uint8_t>
 encodeAccess(const wl::TraceRecord* records, std::size_t n)
 {
     snap::Writer w = beginPayload(FrameType::kAccess);
-    w.u64(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const wl::TraceRecord& r = records[i];
-        w.u64(r.pc);
-        w.u64(r.addr);
-        w.u32(r.gap);
-        std::uint8_t flags = 0;
-        if (r.is_write)
-            flags |= kFlagWrite;
-        if (r.depends_on_prev)
-            flags |= kFlagDependsOnPrev;
-        w.u8(flags);
-    }
+    wl::encodeRecords(w, records, n);
     return w.buffer();
 }
 
@@ -267,29 +252,7 @@ decodeAccess(const std::vector<std::uint8_t>& payload)
 {
     return decodeGuard("access", [&] {
         snap::Reader r = bodyReader(payload, FrameType::kAccess);
-        const std::uint64_t n = r.u64();
-        // Each record is 21 payload bytes; an impossible count is a
-        // malformed frame, not an allocation request. No multiply: a
-        // hostile n * 21 wraps to the body size.
-        if (r.remaining() % 21 != 0 || n != r.remaining() / 21)
-            throw ServeWireError(
-                "serve wire: access frame count/size mismatch (" +
-                std::to_string(n) + " records, " +
-                std::to_string(r.remaining()) + " body bytes)");
-        std::vector<wl::TraceRecord> records(
-            static_cast<std::size_t>(n));
-        for (auto& rec : records) {
-            rec.pc = r.u64();
-            rec.addr = r.u64();
-            rec.gap = r.u32();
-            const std::uint8_t flags = r.u8();
-            if (flags & ~(kFlagWrite | kFlagDependsOnPrev))
-                throw ServeWireError(
-                    "serve wire: access record with unknown flags " +
-                    std::to_string(flags));
-            rec.is_write = (flags & kFlagWrite) != 0;
-            rec.depends_on_prev = (flags & kFlagDependsOnPrev) != 0;
-        }
+        std::vector<wl::TraceRecord> records = wl::decodeRecords(r);
         requireEnd(r, "access");
         return records;
     });

@@ -12,9 +12,10 @@
  *     sim::makePrefetcher("pythia:alpha=0.006,gamma=0.55")
  *     sim::makePrefetcher("stride+spp+bingo")   // composite
  *
- * replacing the former hard-coded factory if-chains (pf::makeBaseline
- * and harness::makePrefetcher). Errors carry "did you mean" hints for
- * misspelled prefetcher or parameter names.
+ * Lookup, key validation and the "did you mean" hints are the shared
+ * pythia::Registry (common/registry.hpp); this layer adds only the
+ * prefetcher grammar: "none" (no prefetcher) and '+' composition into
+ * a pf::CompositePrefetcher.
  *
  * This is the customization surface the paper argues for (§6.6): any
  * prefetcher's knobs can be retuned per run, with no recompilation.
@@ -22,13 +23,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
-#include "common/params.hpp"
+#include "common/registry.hpp"
 #include "sim/prefetcher_api.hpp"
 
 namespace pythia::sim {
@@ -42,93 +41,28 @@ using PrefetcherParams = SpecParams;
 using PrefetcherFactory =
     std::function<std::unique_ptr<PrefetcherApi>(const PrefetcherParams&)>;
 
-/** One registry entry. */
-struct PrefetcherEntry
-{
-    std::string name;        ///< spec name (lowercase)
-    std::string description; ///< one-line help text
-    /** Parameter keys the factory accepts; anything else is rejected
-     *  with a did-you-mean hint before the factory runs. */
-    std::vector<std::string> param_keys;
-    PrefetcherFactory factory;
-};
-
-/**
- * Process-wide prefetcher registry. Populated by static registrars; the
- * composition hook (building one prefetcher out of several) is itself
- * installed by the composite prefetcher's translation unit, so this
- * layer never depends on any concrete prefetcher.
- *
- * Thread-safe: registration happens during static initialization
- * (before main, single-threaded), but make()/names()/find() are called
- * from sweep worker threads and take a shared lock, so late add() calls
- * (e.g. a test registering a fixture prefetcher) cannot race them.
- * Pointers returned by find() stay valid for the process lifetime —
- * entries are never removed.
- */
-class PrefetcherRegistry
+/** The process-wide prefetcher registry. */
+class PrefetcherRegistry : public Registry<PrefetcherFactory>
 {
   public:
-    using Composer = std::function<std::unique_ptr<PrefetcherApi>(
-        std::string name,
-        std::vector<std::unique_ptr<PrefetcherApi>> children)>;
-
     static PrefetcherRegistry& instance();
-
-    /** Register an entry. @throws std::logic_error on duplicate names. */
-    void add(PrefetcherEntry entry);
-
-    /** Install the composition hook for "a+b" specs. */
-    void setComposer(Composer composer);
 
     /**
      * Resolve @p spec (see common/spec.hpp for the grammar) into a
-     * prefetcher. Returns nullptr for "none" or an empty spec.
+     * prefetcher. Returns nullptr for "none" or an empty spec; a
+     * composition "a+b" builds a pf::CompositePrefetcher.
      * @throws std::invalid_argument for unknown names, unknown or
      * ill-typed parameters and malformed specs, with actionable
      * messages ("did you mean").
      */
     std::unique_ptr<PrefetcherApi> make(const std::string& spec) const;
 
-    /** All registered names, sorted (excludes "none"). */
-    std::vector<std::string> names() const;
-
-    /** Entry for @p name, or nullptr when unknown. */
-    const PrefetcherEntry* find(const std::string& name) const;
-
   private:
-    PrefetcherRegistry() = default;
-
-    /** Lock-free lookups for callers already holding @c mutex_. */
-    const PrefetcherEntry* findLocked(const std::string& name) const;
-    std::vector<std::string> namesLocked() const;
-
-    mutable std::shared_mutex mutex_;
-    std::map<std::string, PrefetcherEntry> entries_;
-    Composer composer_;
+    PrefetcherRegistry() : Registry("prefetcher", "known") {}
 };
 
-/** Static registrar: file-scope instances self-register a prefetcher. */
-struct PrefetcherRegistrar
-{
-    PrefetcherRegistrar(std::string name, std::string description,
-                        std::vector<std::string> param_keys,
-                        PrefetcherFactory factory)
-    {
-        PrefetcherRegistry::instance().add(
-            {std::move(name), std::move(description),
-             std::move(param_keys), std::move(factory)});
-    }
-};
-
-/** Static registrar for the composition hook. */
-struct PrefetcherComposerRegistrar
-{
-    explicit PrefetcherComposerRegistrar(PrefetcherRegistry::Composer c)
-    {
-        PrefetcherRegistry::instance().setComposer(std::move(c));
-    }
-};
+using PrefetcherEntry = PrefetcherRegistry::Entry;
+using PrefetcherRegistrar = Registrar<PrefetcherRegistry>;
 
 /** The one construction entry point: resolve a spec string. */
 std::unique_ptr<PrefetcherApi> makePrefetcher(const std::string& spec);

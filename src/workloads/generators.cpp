@@ -539,7 +539,6 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar stream_registrar{
     "stream",
-    "monotonic multi-stream scans (libquantum/bwaves-like)",
     withCommonKeys({"streams", "backwards"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
@@ -553,7 +552,6 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar stride_registrar{
     "stride",
-    "constant per-PC stride walkers (lbm-like)",
     withCommonKeys({"strides"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
@@ -566,7 +564,6 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar spatial_registrar{
     "spatial",
-    "recurring region footprints keyed by trigger PC (sphinx3-like)",
     withCommonKeys({"patterns", "density", "concurrency"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
@@ -585,7 +582,6 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar delta_registrar{
     "delta",
-    "repeating in-page delta chains (GemsFDTD-like)",
     withCommonKeys({"deltas"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
@@ -601,7 +597,6 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar irregular_registrar{
     "irregular",
-    "pointer chasing over a large footprint (mcf-like)",
     withCommonKeys({"stride_fraction"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
@@ -612,7 +607,6 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar graph_registrar{
     "graph",
-    "CSR frontier processing, bandwidth hungry (Ligra-like)",
     withCommonKeys({"degree", "irregularity"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
@@ -626,7 +620,6 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar casestudy_registrar{
     "casestudy",
-    "the paper's §6.5 +23/+11 companion-access pattern",
     withCommonKeys({}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/hashing.hpp"
@@ -17,23 +16,11 @@ namespace {
  *  "@<records>" suffix is given (the MixedPhaseGen default). */
 constexpr std::size_t kDefaultPhaseLen = 20000;
 
-std::string
-trimCopy(const std::string& s)
-{
-    std::size_t b = 0, e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
-        ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
-        --e;
-    return s.substr(b, e - b);
-}
-
 /** True when @p spec's (lowercased) family token is "phase". */
 bool
 isPhaseSpec(const std::string& spec)
 {
-    const std::string head =
-        trimCopy(spec.substr(0, spec.find(':')));
+    const std::string head = trim(spec.substr(0, spec.find(':')));
     if (head.size() != 5)
         return false;
     std::string low = head;
@@ -41,22 +28,6 @@ isPhaseSpec(const std::string& spec)
         return std::tolower(c);
     });
     return low == "phase";
-}
-
-/** Split on '+' (phase children); parseSpecList cannot be used because
- *  it would treat the children as a prefetcher-style composition. */
-std::vector<std::string>
-splitPlus(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= s.size(); ++i) {
-        if (i == s.size() || s[i] == '+') {
-            out.push_back(s.substr(start, i - start));
-            start = i + 1;
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -74,70 +45,26 @@ WorkloadRegistry::instance()
     return registry;
 }
 
-void
-WorkloadRegistry::add(WorkloadFamily family)
-{
-    std::unique_lock<std::shared_mutex> lock(mutex_);
-    if (family.name == "phase")
-        throw std::logic_error(
-            "'phase' is reserved for the composite workload form");
-    if (!entries_.emplace(family.name, family).second)
-        throw std::logic_error("duplicate workload family registration: " +
-                               family.name);
-}
-
-std::vector<std::string>
-WorkloadRegistry::namesLocked() const
-{
-    std::vector<std::string> out;
-    for (const auto& [name, family] : entries_)
-        out.push_back(name);
-    out.push_back("phase");
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::vector<std::string>
-WorkloadRegistry::names() const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return namesLocked();
-}
-
-const WorkloadFamily*
-WorkloadRegistry::findLocked(const std::string& family) const
-{
-    const auto it = entries_.find(family);
-    return it == entries_.end() ? nullptr : &it->second;
-}
-
-const WorkloadFamily*
-WorkloadRegistry::find(const std::string& family) const
-{
-    std::shared_lock<std::shared_mutex> lock(mutex_);
-    return findLocked(family);
-}
-
 std::vector<WorkloadRegistry::PhasePart>
 WorkloadRegistry::parsePhase(const std::string& spec) const
 {
     const std::size_t colon = spec.find(':');
     if (colon == std::string::npos ||
-        trimCopy(spec.substr(colon + 1)).empty())
+        trim(spec.substr(colon + 1)).empty())
         throw std::invalid_argument(
             "bad workload spec '" + spec +
             "': phase needs children, e.g. phase:stream@40+graph@60");
 
     std::vector<PhasePart> parts;
-    for (const std::string& raw : splitPlus(spec.substr(colon + 1))) {
+    for (const std::string& raw : split(spec.substr(colon + 1), '+')) {
         PhasePart part;
-        part.spec = trimCopy(raw);
+        part.spec = trim(raw);
         // An "@<records>" suffix sets this child's phase length. '@' is
         // reserved in phase children (a trace file path containing '@'
         // cannot be composed this way).
         const std::size_t at = part.spec.rfind('@');
         if (at != std::string::npos) {
-            const std::string digits = trimCopy(part.spec.substr(at + 1));
+            const std::string digits = trim(part.spec.substr(at + 1));
             if (digits.empty() ||
                 !std::all_of(digits.begin(), digits.end(),
                              [](unsigned char c) {
@@ -158,7 +85,7 @@ WorkloadRegistry::parsePhase(const std::string& spec) const
                 throw std::invalid_argument(
                     "bad workload spec '" + spec +
                     "': phase length must be > 0");
-            part.spec = trimCopy(part.spec.substr(0, at));
+            part.spec = trim(part.spec.substr(0, at));
         }
         if (part.spec.empty())
             throw std::invalid_argument("bad workload spec '" + spec +
@@ -181,18 +108,9 @@ WorkloadRegistry::resolveOne(const std::string& spec) const
             "bad workload spec '" + spec +
             "': workloads do not compose with '+'; use the "
             "phase:child@len+child@len form");
-    const ParsedSpec& part = parts[0];
-
-    const WorkloadFamily* family = find(part.name);
-    if (!family)
-        throw std::invalid_argument(
-            "unknown workload family '" + part.name + "'" +
-            didYouMean(part.name, names()) +
-            " (families: " + joinKeys(names()) + ")");
     // The params view sorts its keys, which gives canonical() its key
     // order.
-    return {family,
-            WorkloadParams(family->name, part.params, family->param_keys)};
+    return resolve(parts[0]);
 }
 
 std::unique_ptr<Workload>
@@ -200,10 +118,10 @@ WorkloadRegistry::makeOne(const std::string& spec, std::uint64_t seed,
                           const std::string& name) const
 {
     const Resolved r = resolveOne(spec);
-    auto built = r.family->factory(r.params, seed, name);
+    auto built = r.entry->factory(r.params, seed, name);
     if (!built)
         throw std::logic_error("factory for workload family '" +
-                               r.family->name + "' returned null");
+                               r.entry->name + "' returned null");
     return built;
 }
 
@@ -238,7 +156,7 @@ std::string
 WorkloadRegistry::canonicalOne(const std::string& spec) const
 {
     const Resolved r = resolveOne(spec);
-    std::string out = r.family->name;
+    std::string out = r.entry->name;
     bool first = true;
     for (const std::string& key : r.params.keys()) {
         out += first ? ":" : ",";

@@ -1,11 +1,12 @@
 /**
  * @file
- * Self-registering workload construction API, mirroring
- * sim::PrefetcherRegistry: every generator family's translation unit
- * drops a static WorkloadRegistrar into the registry at load time,
- * declaring its family name, its tunable parameter keys and a factory
- * from (params, seed, name). Construction goes through parameterized
- * spec strings (common/spec.hpp grammar, single part):
+ * Self-registering workload construction API: every generator family's
+ * translation unit drops a static WorkloadRegistrar into the registry
+ * at load time, declaring its family name, its tunable parameter keys
+ * and a factory from (params, seed, name). Lookup and key validation
+ * are the shared pythia::Registry (common/registry.hpp), the one the
+ * prefetchers use. Construction goes through parameterized spec
+ * strings (common/spec.hpp grammar, single part):
  *
  *     wl::WorkloadRegistry::instance().make("stream", seed)
  *     ... make("stream:footprint=256M,mem_ratio=0.4", seed)
@@ -29,13 +30,11 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
-#include "common/params.hpp"
+#include "common/registry.hpp"
 #include "workloads/trace.hpp"
 
 namespace pythia::wl {
@@ -54,36 +53,15 @@ using WorkloadParams = SpecParams;
 using WorkloadFactory = std::function<std::unique_ptr<Workload>(
     const WorkloadParams&, std::uint64_t seed, const std::string& name)>;
 
-/** One registry entry: a generator family. */
-struct WorkloadFamily
-{
-    std::string name;        ///< family name (lowercase), e.g. "stream"
-    std::string description; ///< one-line help text
-    /** Parameter keys the factory accepts; anything else is rejected
-     *  with a did-you-mean hint before the factory runs. */
-    std::vector<std::string> param_keys;
-    WorkloadFactory factory;
-};
-
 /**
- * Process-wide workload registry. Populated by static registrars; the
- * "phase" composite form is resolved by make() itself (it is grammar,
- * not a family), re-entering make() per child.
- *
- * Thread-safe with the same discipline as PrefetcherRegistry:
- * registration happens during static initialization, but make() /
- * names() / find() are called from sweep worker threads and take a
- * shared lock. No lock is held across factory calls. Pointers returned
- * by find() stay valid for the process lifetime — entries are never
- * removed.
+ * The process-wide workload registry. Its entries are generator
+ * families; the "phase" composite form is grammar, not a family, and is
+ * resolved by make() itself, one registry lookup per child.
  */
-class WorkloadRegistry
+class WorkloadRegistry : public Registry<WorkloadFactory>
 {
   public:
     static WorkloadRegistry& instance();
-
-    /** Register a family. @throws std::logic_error on duplicates. */
-    void add(WorkloadFamily family);
 
     /**
      * Resolve @p spec into a workload seeded with @p seed. When
@@ -110,54 +88,24 @@ class WorkloadRegistry
      */
     std::string canonical(const std::string& spec) const;
 
-    /** All registered family names, sorted, plus "phase". */
-    std::vector<std::string> names() const;
-
-    /** Entry for @p family, or nullptr when unknown. */
-    const WorkloadFamily* find(const std::string& family) const;
-
   private:
-    WorkloadRegistry() = default;
+    WorkloadRegistry() : Registry("workload family", "families", {"phase"})
+    {
+    }
 
     struct PhasePart; // parsed phase child (spec + phase length)
 
-    /** A parsed, validated single-part spec: its family entry and its
-     *  params (sorted, last assignment wins). Shared by make()
-     *  and canonical() so the two can never diverge on what they
-     *  accept. */
-    struct Resolved
-    {
-        const WorkloadFamily* family = nullptr;
-        WorkloadParams params;
-    };
-
-    const WorkloadFamily* findLocked(const std::string& family) const;
-    std::vector<std::string> namesLocked() const;
-
-    /** Single-part resolution (no phase form). */
+    /** Single-part resolution (no phase form), shared by make() and
+     *  canonical() so the two can never diverge on what they accept. */
     Resolved resolveOne(const std::string& spec) const;
     std::unique_ptr<Workload> makeOne(const std::string& spec,
                                       std::uint64_t seed,
                                       const std::string& name) const;
     std::string canonicalOne(const std::string& spec) const;
     std::vector<PhasePart> parsePhase(const std::string& spec) const;
-
-    mutable std::shared_mutex mutex_;
-    std::map<std::string, WorkloadFamily> entries_;
 };
 
-/** Static registrar: file-scope instances self-register a family. */
-struct WorkloadRegistrar
-{
-    WorkloadRegistrar(std::string name, std::string description,
-                      std::vector<std::string> param_keys,
-                      WorkloadFactory factory)
-    {
-        WorkloadRegistry::instance().add(
-            {std::move(name), std::move(description),
-             std::move(param_keys), std::move(factory)});
-    }
-};
+using WorkloadRegistrar = Registrar<WorkloadRegistry>;
 
 /** All registered family names, sorted (includes "phase"). */
 std::vector<std::string> workloadFamilyNames();

@@ -3,14 +3,15 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "snapshot/codec.hpp"
 #include "workloads/registry.hpp"
 
 namespace pythia::wl {
 
 namespace {
 
-/// Magic bytes identifying our binary trace format, version 2.
-constexpr std::uint32_t kTraceMagic = 0x50595432; // "PYT2"
+/// Magic bytes identifying our binary trace format, version 3.
+constexpr std::uint32_t kTraceMagic = 0x50595433; // "PYT3"
 
 // "trace:file=<path>" replays a captured binary trace through the same
 // Workload interface as the live generators — the ChampSim-style
@@ -18,7 +19,6 @@ constexpr std::uint32_t kTraceMagic = 0x50595432; // "PYT2"
 // multi-core clones replay the identical stream.
 [[maybe_unused]] const WorkloadRegistrar trace_registrar{
     "trace",
-    "binary trace replay (tools/trace_capture output), loops at EOF",
     {"file"},
     [](const WorkloadParams& p, std::uint64_t /*seed*/,
        const std::string& name) -> std::unique_ptr<Workload> {
@@ -30,81 +30,102 @@ constexpr std::uint32_t kTraceMagic = 0x50595432; // "PYT2"
         return std::make_unique<FileWorkload>(path, name);
     }};
 
-struct DiskRecord
-{
-    std::uint64_t pc;
-    std::uint64_t addr;
-    std::uint32_t gap;
-    std::uint16_t is_write;
-    std::uint16_t depends_on_prev;
-};
+/// Encoded size of one record: pc, addr, gap, flags.
+constexpr std::size_t kRecordBytes = 8 + 8 + 4 + 1;
+
+constexpr std::uint8_t kFlagWrite = 1u << 0;
+constexpr std::uint8_t kFlagDependsOnPrev = 1u << 1;
 
 } // namespace
 
-bool
-writeTraceFile(const std::string& path, Workload& w, std::size_t n)
+void
+encodeRecords(snap::Writer& w, const TraceRecord* records, std::size_t n)
 {
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    const std::uint32_t magic = kTraceMagic;
-    const std::uint64_t count = n;
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    w.u64(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const TraceRecord r = w.next();
-        const DiskRecord d{r.pc, r.addr, r.gap,
-                           static_cast<std::uint16_t>(r.is_write ? 1 : 0),
-                           static_cast<std::uint16_t>(
-                               r.depends_on_prev ? 1 : 0)};
-        out.write(reinterpret_cast<const char*>(&d), sizeof(d));
+        const TraceRecord& r = records[i];
+        w.u64(r.pc);
+        w.u64(r.addr);
+        w.u32(r.gap);
+        std::uint8_t flags = 0;
+        if (r.is_write)
+            flags |= kFlagWrite;
+        if (r.depends_on_prev)
+            flags |= kFlagDependsOnPrev;
+        w.u8(flags);
     }
-    return static_cast<bool>(out);
+}
+
+std::vector<TraceRecord>
+decodeRecords(snap::Reader& r)
+{
+    std::vector<TraceRecord> records(r.count(kRecordBytes));
+    for (TraceRecord& rec : records) {
+        rec.pc = r.u64();
+        rec.addr = r.u64();
+        rec.gap = r.u32();
+        const std::uint8_t flags = r.u8();
+        // Unknown bits are rejected, not ignored: they are the format's
+        // forward-compat escape hatch.
+        if (flags & ~(kFlagWrite | kFlagDependsOnPrev))
+            throw snap::CorruptError("record with unknown flags " +
+                                     std::to_string(flags));
+        rec.is_write = (flags & kFlagWrite) != 0;
+        rec.depends_on_prev = (flags & kFlagDependsOnPrev) != 0;
+    }
+    return records;
 }
 
 bool
 writeTraceFile(const std::string& path,
                const std::vector<TraceRecord>& records)
 {
+    snap::Writer w;
+    w.u32(kTraceMagic);
+    encodeRecords(w, records.data(), records.size());
+    w.u64(snap::fnv1a(w.buffer().data(), w.size()));
     std::ofstream out(path, std::ios::binary);
-    if (!out)
-        return false;
-    const std::uint32_t magic = kTraceMagic;
-    const std::uint64_t count = records.size();
-    out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    for (const TraceRecord& r : records) {
-        const DiskRecord d{r.pc, r.addr, r.gap,
-                           static_cast<std::uint16_t>(r.is_write ? 1 : 0),
-                           static_cast<std::uint16_t>(
-                               r.depends_on_prev ? 1 : 0)};
-        out.write(reinterpret_cast<const char*>(&d), sizeof(d));
-    }
+    out.write(reinterpret_cast<const char*>(w.buffer().data()),
+              static_cast<std::streamsize>(w.size()));
     return static_cast<bool>(out);
+}
+
+bool
+writeTraceFile(const std::string& path, Workload& w, std::size_t n)
+{
+    std::vector<TraceRecord> records(n);
+    for (TraceRecord& r : records)
+        r = w.next();
+    return writeTraceFile(path, records);
 }
 
 std::vector<TraceRecord>
 readTraceFile(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    const std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+    if (size < 0)
+        throw TraceFileError(path, "cannot open");
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(bytes.data()), size);
     if (!in)
-        throw std::runtime_error("cannot open trace file: " + path);
-    std::uint32_t magic = 0;
-    std::uint64_t count = 0;
-    in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    in.read(reinterpret_cast<char*>(&count), sizeof(count));
-    if (!in || magic != kTraceMagic)
-        throw std::runtime_error("bad trace file header: " + path);
-    std::vector<TraceRecord> records(count);
-    for (auto& r : records) {
-        DiskRecord d{};
-        in.read(reinterpret_cast<char*>(&d), sizeof(d));
-        if (!in)
-            throw std::runtime_error("truncated trace file: " + path);
-        r = TraceRecord{d.pc, d.addr, d.gap, d.is_write != 0,
-                        d.depends_on_prev != 0};
+        throw TraceFileError(path, "cannot read");
+    try {
+        snap::Reader r(bytes.data(), bytes.size());
+        if (r.u32() != kTraceMagic)
+            throw snap::CorruptError("not a PYT3 trace (bad magic)");
+        std::vector<TraceRecord> records = decodeRecords(r);
+        const std::size_t body = r.position();
+        if (r.u64() != snap::fnv1a(bytes.data(), body))
+            throw snap::CorruptError("checksum mismatch");
+        if (!r.atEnd())
+            throw snap::CorruptError(std::to_string(r.remaining()) +
+                                     " trailing bytes");
+        return records;
+    } catch (const snap::SnapshotError& e) {
+        throw TraceFileError(path, e.what());
     }
-    return records;
 }
 
 FileWorkload::FileWorkload(const std::string& path,
@@ -113,7 +134,7 @@ FileWorkload::FileWorkload(const std::string& path,
       records_(readTraceFile(path))
 {
     if (records_.empty())
-        throw std::runtime_error("empty trace file: " + path);
+        throw TraceFileError(path, "holds no records");
 }
 
 FileWorkload::FileWorkload(std::string name, std::vector<TraceRecord> records)

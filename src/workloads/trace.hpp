@@ -13,10 +13,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
+
+namespace pythia::snap {
+class Reader;
+class Writer;
+} // namespace pythia::snap
 
 namespace pythia::wl {
 
@@ -67,25 +73,57 @@ class Workload
         const = 0;
 };
 
-/**
- * Write @p n records of @p w to a binary trace file.
- * @return false on I/O failure.
- */
-bool writeTraceFile(const std::string& path, Workload& w, std::size_t n);
+// ------------------------------------------------------ record codec
 
 /**
- * Write an explicit record vector to a binary trace file (same format;
- * the service layer persists a tenant's streamed history this way on
- * eviction). @return false on I/O failure.
+ * The one record codec, shared by trace files and the serve wire's
+ * kAccess payload (service/wire.hpp): a u64 count, then per record
+ * (21 bytes) u64 pc, u64 addr, u32 gap and a u8 flag byte (bit 0
+ * is_write, bit 1 depends_on_prev), little-endian.
+ */
+void encodeRecords(snap::Writer& w, const TraceRecord* records,
+                   std::size_t n);
+
+/** Read what encodeRecords wrote. The count is bounded by the bytes
+ *  left (snap::Reader::count) before anything is allocated.
+ *  @throws snap::CorruptError on a hostile count, truncation or
+ *  unknown flag bits. */
+std::vector<TraceRecord> decodeRecords(snap::Reader& r);
+
+// --------------------------------------------------------- trace files
+
+/**
+ * A trace file that cannot be read, or whose bytes are not a whole
+ * PYT3 trace (bad magic, hostile count, truncation, trailing bytes,
+ * checksum mismatch). The message names the file.
+ */
+class TraceFileError : public std::runtime_error
+{
+  public:
+    TraceFileError(const std::string& path, const std::string& why)
+        : std::runtime_error("trace file '" + path + "': " + why)
+    {
+    }
+};
+
+/**
+ * Write @p records to a binary trace file: u32 magic "PYT3", the
+ * record codec above, then a u64 FNV-1a 64 of every preceding byte.
+ * @return false on I/O failure.
  */
 bool writeTraceFile(const std::string& path,
                     const std::vector<TraceRecord>& records);
 
+/** Write the next @p n records of @p w (same format).
+ *  @return false on I/O failure. */
+bool writeTraceFile(const std::string& path, Workload& w, std::size_t n);
+
 /**
  * Load a binary trace file as a record vector (an empty file — count
  * zero — is valid here, unlike FileWorkload which needs at least one
- * record to loop over). @throws std::runtime_error when unreadable,
- * truncated or not a trace file.
+ * record to loop over). Allocation follows the file's size, never
+ * the count its header announces.
+ * @throws TraceFileError when unreadable or not a whole PYT3 trace.
  */
 std::vector<TraceRecord> readTraceFile(const std::string& path);
 
@@ -97,7 +135,7 @@ std::vector<TraceRecord> readTraceFile(const std::string& path);
 class FileWorkload : public Workload
 {
   public:
-    /** Load a trace file; throws std::runtime_error when unreadable.
+    /** Load a trace file; throws TraceFileError when unreadable.
      *  @p display_name overrides name() (catalog aliases and registry
      *  specs pass theirs); empty keeps the path. */
     explicit FileWorkload(const std::string& path,

@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the spec-string construction API: the shared spec parser,
- * the self-registering prefetcher registry (round-trips, parameterized
- * construction, compositions, error quality) and the cache-boundary
- * fill-level validation.
+ * the shared pythia::Registry, the self-registering prefetcher registry
+ * (round-trips, parameterized construction, compositions, error
+ * quality) and the cache-boundary fill-level validation.
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
 #include <type_traits>
 
+#include "common/registry.hpp"
 #include "common/spec.hpp"
 #include "core/agent.hpp"
 #include "harness/runner.hpp"
@@ -231,6 +234,34 @@ TEST(SpecRegistry, NoneVariantsAreNull)
     EXPECT_EQ(sim::makePrefetcher("NONE"), nullptr);
     EXPECT_EQ(sim::makePrefetcher(" none "), nullptr);
     EXPECT_THROW(sim::makePrefetcher("none:x=1"), std::invalid_argument);
+}
+
+// ------------------------------------------------------- shared registry
+
+TEST(Registry, WordingIsConstructorData)
+{
+    Registry<std::function<int(const SpecParams&)>> r("widget", "widgets",
+                                                      {"group"});
+    r.add({"knob", {"size"}, [](const SpecParams& p) {
+               return static_cast<int>(p.getU32("size", 1));
+           }});
+    EXPECT_THROW(r.add({"knob", {}, nullptr}), std::logic_error);
+    EXPECT_THROW(r.add({"group", {}, nullptr}), std::logic_error);
+    EXPECT_EQ(r.names(), (std::vector<std::string>{"group", "knob"}));
+
+    const auto ok = r.resolve(parseSpecList("KNOB:size=3")[0]);
+    ASSERT_EQ(ok.entry, r.find("knob"));
+    EXPECT_EQ(ok.entry->factory(ok.params), 3);
+
+    try {
+        (void)r.resolve(parseSpecList("knb")[0]);
+        FAIL() << "unknown name resolved";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "unknown widget 'knb'; did you mean "
+                               "'knob'? (widgets: group, knob)");
+    }
+    EXPECT_THROW((void)r.resolve(parseSpecList("knob:sise=3")[0]),
+                 std::invalid_argument);
 }
 
 // ---------------------------------------------------------- experiment spec

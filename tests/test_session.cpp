@@ -24,8 +24,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -289,7 +287,7 @@ TEST(TimeSeries, ComposeRangeAlignsOrThrows)
                  std::invalid_argument);
 }
 
-TEST(TimeSeries, CsvAndJsonEmission)
+TEST(TimeSeries, CsvEmission)
 {
     const auto spec = specFor("429.mcf-184B", "spp", 1);
     harness::Runner runner;
@@ -301,131 +299,6 @@ TEST(TimeSeries, CsvAndJsonEmission)
     // Header + one row per window.
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
     EXPECT_NE(text.find("ipc_geomean"), std::string::npos);
-    std::ostringstream json;
-    out.run.writeJson(json);
-    EXPECT_NE(json.str().find("\"schema\": \"pythia-timeseries-v1\""),
-              std::string::npos);
-    EXPECT_NE(json.str().find("\"instrs_end\": 40000"),
-              std::string::npos);
-}
-
-namespace {
-
-/** The raw text of `"key": <number>` inside @p obj, or "" if absent. */
-std::string
-jsonNumber(const std::string& obj, const std::string& key)
-{
-    const std::string needle = "\"" + key + "\": ";
-    const std::size_t at = obj.find(needle);
-    if (at == std::string::npos)
-        return "";
-    const std::size_t begin = at + needle.size();
-    const std::size_t end = obj.find_first_of(",}", begin);
-    return obj.substr(begin, end - begin);
-}
-
-/** Split one csvRow() line into its comma-separated fields. */
-std::vector<std::string>
-csvFields(const std::string& row)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    for (std::size_t i = 0; i <= row.size(); ++i) {
-        if (i < row.size() && row[i] != ',')
-            continue;
-        out.push_back(row.substr(start, i - start));
-        start = i + 1;
-    }
-    return out;
-}
-
-/** Reformat a parsed JSON double the way csvRow() prints it. */
-std::string
-asCsvDouble(const std::string& json_value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g",
-                  std::strtod(json_value.c_str(), nullptr));
-    return buf;
-}
-
-} // namespace
-
-TEST(TimeSeries, JsonRoundTripMatchesCsvNumbers)
-{
-    // Parse the JSON we emit and check every field against both the
-    // in-memory samples and the CSV emission: the two serializations
-    // must describe the same numbers (JSON carries %.9g, CSV %.6g, so
-    // doubles are compared after reformatting at CSV precision).
-    const auto spec = specFor("429.mcf-184B", "pythia", 1);
-    harness::Runner runner;
-    const auto out = runner.evaluateWindowed(
-        spec, {10'000, 20'000, 30'000, spec.sim_instrs});
-    const auto& samples = out.run.samples();
-    ASSERT_GE(samples.size(), 3u);
-
-    std::ostringstream json;
-    out.run.writeJson(json);
-    const std::string text = json.str();
-
-    // Slice the windows array into one object string per sample.
-    std::vector<std::string> objects;
-    std::size_t cursor = text.find('[');
-    ASSERT_NE(cursor, std::string::npos);
-    for (;;) {
-        const std::size_t open = text.find('{', cursor);
-        if (open == std::string::npos)
-            break;
-        const std::size_t close = text.find('}', open);
-        ASSERT_NE(close, std::string::npos);
-        objects.push_back(text.substr(open, close - open + 1));
-        cursor = close + 1;
-    }
-    // Slicing starts after '[', so the outer schema object is skipped.
-    ASSERT_EQ(objects.size(), samples.size());
-
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        SCOPED_TRACE("window " + std::to_string(i));
-        const std::string& obj = objects[i];
-        const auto fields =
-            csvFields(harness::TimeSeries::csvRow(samples[i]));
-        ASSERT_EQ(fields.size(), 14u);
-
-        // Integers must round-trip exactly and agree with the sample.
-        EXPECT_EQ(jsonNumber(obj, "window"), std::to_string(i));
-        EXPECT_EQ(jsonNumber(obj, "instrs_begin"),
-                  std::to_string(samples[i].instrs_begin));
-        EXPECT_EQ(jsonNumber(obj, "instrs_end"),
-                  std::to_string(samples[i].instrs_end));
-        EXPECT_EQ(jsonNumber(obj, "llc_demand_load_misses"), fields[5]);
-        EXPECT_EQ(jsonNumber(obj, "llc_read_misses"), fields[6]);
-        EXPECT_EQ(jsonNumber(obj, "prefetch_issued"), fields[7]);
-        EXPECT_EQ(jsonNumber(obj, "prefetch_useful"), fields[8]);
-        EXPECT_EQ(jsonNumber(obj, "prefetch_useless"), fields[9]);
-        EXPECT_EQ(jsonNumber(obj, "prefetch_late"), fields[10]);
-
-        // Doubles: JSON carries more digits than CSV; reformatted at
-        // CSV precision they must match the CSV text byte for byte.
-        EXPECT_EQ(asCsvDouble(jsonNumber(obj, "ipc_geomean")),
-                  fields[3]);
-        EXPECT_EQ(asCsvDouble(jsonNumber(obj, "cum_ipc_geomean")),
-                  fields[4]);
-        EXPECT_EQ(asCsvDouble(jsonNumber(obj, "accuracy")), fields[11]);
-        EXPECT_EQ(asCsvDouble(jsonNumber(obj, "cum_accuracy")),
-                  fields[12]);
-        EXPECT_EQ(asCsvDouble(jsonNumber(obj, "dram_utilization")),
-                  fields[13]);
-
-        // And the JSON text itself is exactly what %.9g produces from
-        // the in-memory doubles — no second formatting path.
-        char nine[64];
-        std::snprintf(nine, sizeof nine, "%.9g",
-                      samples[i].delta.ipc_geomean);
-        EXPECT_EQ(jsonNumber(obj, "ipc_geomean"), nine);
-        std::snprintf(nine, sizeof nine, "%.9g",
-                      samples[i].delta.accuracy());
-        EXPECT_EQ(jsonNumber(obj, "accuracy"), nine);
-    }
 }
 
 // ------------------------------------------- zero-denominator contracts

@@ -154,6 +154,11 @@ TEST(SpecRoundTrip, MisspelledParameterGetsDidYouMeanNeverDefaults)
             << err;
         EXPECT_NE(err.find("did you mean"), std::string::npos) << err;
     }
+    // A key no field reads is no key: Bingo models no filter table, so
+    // ft_entries is refused like a typo, never silently ignored.
+    const std::string err = errorOf("bingo:ft_entries=64");
+    EXPECT_NE(err.find("unknown parameter 'ft_entries'"), std::string::npos)
+        << err;
 }
 
 TEST(SpecRoundTrip, StructurallyMalformedSpecsThrow)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Edge-case tests for binary trace I/O (ctest label: property):
- * empty traces, truncated files, bad headers, loop-boundary replay in
- * FileWorkload, and write → read round-trip equality of TraceRecord
- * streams.
+ * empty traces, truncated files, bad headers, hostile record counts,
+ * flipped bytes, loop-boundary replay in FileWorkload, and write →
+ * read round-trip equality of TraceRecord streams.
  */
 #include <gtest/gtest.h>
 
@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "workloads/trace.hpp"
 
@@ -114,6 +116,84 @@ TEST(TraceIo, TruncatedFileIsRejected)
     // A header announcing more records than the file holds, too.
     fs::resize_file(f.str(), 12); // magic + count only
     EXPECT_THROW(wl::FileWorkload{f.str()}, std::runtime_error);
+}
+
+/** Peak resident set of this process, in KiB. */
+long
+peakRssKib()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_maxrss;
+}
+
+/** Overwrite @p path with a 12-byte header: the magic of a real trace
+ *  file, then a count of @p n records, and no records. */
+void
+writeBareHeader(const std::string& path, std::uint64_t n)
+{
+    ASSERT_TRUE(wl::writeTraceFile(path, std::vector<wl::TraceRecord>{}));
+    fs::resize_file(path, 4); // keep the magic
+    std::ofstream out(path, std::ios::binary | std::ios::app);
+    for (int i = 0; i < 8; ++i)
+        out.put(static_cast<char>(n >> (8 * i)));
+}
+
+TEST(TraceIo, HostileCountIsRejectedBeforeAllocating)
+{
+    ScratchFile f("hostile");
+    for (const std::uint64_t n : {std::uint64_t{1} << 26,
+                                  std::uint64_t{1} << 40}) {
+        SCOPED_TRACE("count " + std::to_string(n));
+        writeBareHeader(f.str(), n);
+        ASSERT_EQ(fs::file_size(f.str()), 12u);
+        const long before = peakRssKib();
+        try {
+            (void)wl::readTraceFile(f.str());
+            ADD_FAILURE() << "a 12-byte file announcing " << n
+                          << " records was accepted";
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(f.str()), std::string::npos) << what;
+            EXPECT_NE(what.find(std::to_string(n)), std::string::npos)
+                << what;
+        }
+        // Sizing a record vector from the header alone would touch
+        // 1.5 GiB for 2^26 records before noticing the file is short.
+        EXPECT_LT(peakRssKib() - before, 64 * 1024);
+    }
+}
+
+TEST(TraceIo, FlippedRecordByteIsRejected)
+{
+    ScratchFile f("flipped");
+    ASSERT_TRUE(wl::writeTraceFile(f.str(), sampleRecords(10)));
+    std::fstream io(f.str(), std::ios::binary | std::ios::in |
+                                 std::ios::out);
+    // Byte 3 of record 5's pc: a silently different address, unless
+    // the checksum catches it.
+    const std::streamoff at = 12 + 5 * 21 + 3;
+    io.seekg(at);
+    const char byte = static_cast<char>(io.get());
+    io.seekp(at);
+    io.put(static_cast<char>(byte ^ 0x10));
+    io.close();
+    try {
+        (void)wl::readTraceFile(f.str());
+        ADD_FAILURE() << "a trace with a flipped record byte was read";
+    } catch (const wl::TraceFileError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(f.str()), std::string::npos) << what;
+        EXPECT_NE(what.find("checksum"), std::string::npos) << what;
+    }
+}
+
+TEST(TraceIo, TrailingBytesAreRejected)
+{
+    ScratchFile f("trailing");
+    ASSERT_TRUE(wl::writeTraceFile(f.str(), sampleRecords(3)));
+    std::ofstream(f.str(), std::ios::binary | std::ios::app).put('\0');
+    EXPECT_THROW(wl::readTraceFile(f.str()), wl::TraceFileError);
 }
 
 TEST(TraceIo, RoundTripPreservesEveryField)
