@@ -227,7 +227,7 @@ scanJournal(const std::string& path,
 
     std::size_t header_end = 0;
     try {
-        snap::Reader r(bytes.data(), bytes.size());
+        snap::Reader r(bytes.data(), bytes.size(), "journal header");
         r.skip(sizeof kJournalMagic);
         const std::uint32_t version = r.u32();
         if (version != kJournalVersion)
@@ -294,7 +294,7 @@ scanJournal(const std::string& path,
                 ": checksum mismatch (stored " + std::to_string(stored) +
                 ", computed " + std::to_string(computed) + ")");
         try {
-            snap::Reader r(payload, len);
+            snap::Reader r(payload, len, "journal record");
             const std::uint8_t kind = r.u8();
             if (kind != 1)
                 throw JournalCorruptError(
@@ -373,7 +373,7 @@ shardWorkerMain(int argc, char** argv)
         const std::optional<Payload> hello = transport::readFrame(in_fd);
         if (!hello)
             return 1;
-        snap::Reader r(hello->data(), hello->size());
+        snap::Reader r(hello->data(), hello->size(), "shard hello frame");
         if (r.u8() != kFrameHello)
             throw WireError("worker: first frame is not Hello");
         const std::string schema = r.str();
@@ -398,7 +398,7 @@ shardWorkerMain(int argc, char** argv)
 
         // Until the coordinator closes the pipe: clean shutdown.
         while (const auto frame = transport::readFrame(in_fd)) {
-            snap::Reader rd(frame->data(), frame->size());
+            snap::Reader rd(frame->data(), frame->size(), "shard job frame");
             if (rd.u8() != kFrameJob)
                 throw WireError("worker: expected a Job frame");
             const std::uint64_t job = rd.u64();
@@ -772,7 +772,8 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             }
             if (!frame)
                 return;
-            snap::Reader r(frame->data(), frame->size());
+            snap::Reader r(frame->data(), frame->size(),
+                           "shard worker frame");
             const std::uint8_t type = r.u8();
             if (type == kFrameHelloAck) {
                 const std::string schema = r.str();

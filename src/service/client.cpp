@@ -21,8 +21,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** Records per kAccess frame. */
-constexpr std::uint64_t kSendBatch = 4096;
+/** Instructions of the largest of @p records. */
+std::uint64_t
+maxRecordInstrs(const std::vector<wl::TraceRecord>& records)
+{
+    std::uint64_t max_record = 0;
+    for (const wl::TraceRecord& r : records)
+        max_record = std::max(max_record, r.instrs());
+    return max_record;
+}
 
 /** Connect @p fd to @p addr, closing it on failure. */
 int
@@ -38,6 +45,12 @@ connectOrClose(int fd, const sockaddr* addr, socklen_t len,
 }
 
 } // namespace
+
+std::uint64_t
+readAheadBound(const std::vector<wl::TraceRecord>& records)
+{
+    return 2 * kGateSlack + 3 * maxRecordInstrs(records);
+}
 
 int
 connectToServe(const std::string& address)
@@ -73,8 +86,8 @@ connectToServe(const std::string& address)
                           sizeof(addr), address);
 }
 
-ServeClient::ServeClient(std::string address)
-    : address_(std::move(address))
+ServeClient::ServeClient(std::string address, int frame_timeout_ms)
+    : address_(std::move(address)), frame_timeout_ms_(frame_timeout_ms)
 {
 }
 
@@ -150,10 +163,10 @@ ServeClient::pollOnce(int timeout_ms)
 }
 
 transport::Payload
-ServeClient::waitFrame(int timeout_ms)
+ServeClient::waitFrame()
 {
     const auto deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
+        Clock::now() + std::chrono::milliseconds(frame_timeout_ms_);
     for (;;) {
         const auto left = std::chrono::duration_cast<
                               std::chrono::milliseconds>(deadline -
@@ -214,31 +227,55 @@ ServeClient::streamRun(const std::vector<wl::TraceRecord>& records,
                        std::optional<std::uint64_t> stop_after_windows)
 {
     RunProgress progress;
-    // Never run further ahead of the daemon's acknowledged consumption
-    // than one warmup + one window + double slack: bounded daemon
-    // memory, and always enough for it to finish the next window.
-    const std::uint64_t ahead = spec_.warmup_instrs + window_instrs_ +
-                                2 * kGateSlack;
-    std::uint64_t sent = from;
+    const std::uint64_t n = records.size();
+    const std::uint64_t max_record = maxRecordInstrs(records);
+    const std::uint64_t run = spec_.warmup_instrs + spec_.sim_instrs;
+
+    // Instructions of records[0..sent) and of records[0..consumed),
+    // the prefix the daemon has acknowledged consuming.
+    std::uint64_t sent = std::min(from, n);
+    std::uint64_t sent_instrs = 0;
+    for (std::uint64_t i = 0; i < sent; ++i)
+        sent_instrs += records[i].instrs();
+    std::uint64_t consumed = 0;
+    std::uint64_t consumed_instrs = 0;
+
     auto last_window_at = Clock::now();
     for (;;) {
-        while (sent < records.size() &&
-               sent - records_consumed_ < ahead &&
-               out_.bytes() < (4u << 20)) {
-            const std::uint64_t n = std::min(
-                {kSendBatch,
-                 static_cast<std::uint64_t>(records.size()) - sent,
-                 ahead - (sent - records_consumed_)});
+        for (; consumed < std::min(records_consumed_, n); ++consumed)
+            consumed_instrs += records[consumed].instrs();
+        // Read-ahead cap, in instructions of records[consumed..sent):
+        // one warmup + one window + double slack (the daemon
+        // acknowledges no consumption between warmup and the first
+        // window), clamped to what the run can still consume, plus two
+        // records' worth for the warmup and window boundaries a
+        // gap-heavy record may overshoot. The daemon's next gate is
+        // always inside it, and nothing past the run's end plus slack
+        // is sent.
+        const std::uint64_t left =
+            run > consumed_instrs ? run - consumed_instrs : 0;
+        const std::uint64_t limit =
+            consumed_instrs +
+            std::min(spec_.warmup_instrs + window_instrs_, left) +
+            2 * kGateSlack + 2 * max_record;
+        while (sent < n && out_.bytes() < (4u << 20)) {
+            std::uint64_t end = sent;
+            while (end < n && end - sent < kSendBatch &&
+                   sent_instrs < limit)
+                sent_instrs += records[end++].instrs();
+            if (end == sent)
+                break;
             out_.push(encodeAccess(records.data() + sent,
-                                    static_cast<std::size_t>(n)));
-            sent += n;
-            progress.records_streamed += n;
+                                    static_cast<std::size_t>(end - sent)));
+            progress.records_streamed += end - sent;
+            sent = end;
         }
         const std::vector<std::uint8_t> frame = waitFrame();
         switch (frameType(frame)) {
         case FrameType::kWindow: {
             const WindowMsg wm = decodeWindow(frame);
             records_consumed_ = wm.records_consumed;
+            progress.records_consumed = wm.records_consumed;
             progress.series.append(wm.window);
             const auto now = Clock::now();
             progress.window_gaps_s.push_back(
@@ -253,6 +290,7 @@ ServeClient::streamRun(const std::vector<wl::TraceRecord>& records,
         case FrameType::kRunEnd: {
             const RunEndMsg rm = decodeRunEnd(frame);
             records_consumed_ = rm.records_consumed;
+            progress.records_consumed = rm.records_consumed;
             progress.final_result = rm.final_result;
             progress.windows_completed = rm.windows_completed;
             return progress;

@@ -10,10 +10,17 @@
  * windows. Frames go out through the shared transport's OutboxRing
  * and come in through its FrameReader (common/transport.hpp).
  *
- * Flow control: streamRun() keeps at most
- * (warmup + window + 2·kGateSlack) records ahead of the daemon's
- * acknowledged consumption (the records_consumed field every kWindow
- * frame carries), sending in batches.
+ * Flow control counts instructions, like the daemon's pump gates
+ * (wire.hpp, kGateSlack): streamRun() keeps the records sent past the
+ * daemon's acknowledged consumption (the records_consumed field every
+ * kWindow frame carries) under min(warmup + window, instructions the
+ * run has left) + 2·kGateSlack + twice the largest record's
+ * instructions, sending in batches. The warmup share keeps the first
+ * window fed while the daemon acknowledges nothing; the clamp stops
+ * the stream just past the run's end; the largest-record term covers
+ * a gap-heavy record overshooting the warmup or a window boundary. A
+ * finished replay has therefore streamed fewer than 2·kGateSlack +
+ * 3·(largest record) records past what the run consumed.
  */
 #pragma once
 
@@ -35,8 +42,10 @@ class ServeClient
   public:
     /** @p address is a parseServeAddress() address, e.g. as printed
      *  by ServeServer::boundAddress() / pythia_serve. Does not
-     *  connect yet; open()/stats() connect on demand. */
-    explicit ServeClient(std::string address);
+     *  connect yet; open()/stats() connect on demand. Every wait for
+     *  a daemon frame fails after @p frame_timeout_ms. */
+    explicit ServeClient(std::string address,
+                         int frame_timeout_ms = 120'000);
     ~ServeClient();
 
     ServeClient(const ServeClient&) = delete;
@@ -60,6 +69,9 @@ class ServeClient
         std::optional<sim::RunResult> final_result; ///< set at run end
         std::uint64_t windows_completed = 0; ///< per kRunEnd
         std::uint64_t records_streamed = 0;  ///< sent this attach
+        /** Records the daemon had consumed at its last kWindow or
+         *  kRunEnd this attach. */
+        std::uint64_t records_consumed = 0;
         /** Seconds between consecutive received kWindow frames. */
         std::vector<double> window_gaps_s;
     };
@@ -90,8 +102,8 @@ class ServeClient
   private:
     void ensureConnected();
     /** Flush pending output and wait for the next complete frame.
-     *  @throws ServeWireError on EOF or @p timeout_ms expiry. */
-    transport::Payload waitFrame(int timeout_ms = 120'000);
+     *  @throws ServeWireError on EOF or frame-timeout expiry. */
+    transport::Payload waitFrame();
     /** One poll round; returns a frame if one completed. Waits with
      *  ::poll, not transport::EventLoop: the client watches one fd,
      *  so each wait is one call with no epoll fd to create or keep
@@ -101,6 +113,7 @@ class ServeClient
     std::optional<transport::Payload> nextFrame();
 
     std::string address_;
+    int frame_timeout_ms_;
     int fd_ = -1;
     transport::FrameReader in_;
     transport::OutboxRing out_;
@@ -108,6 +121,14 @@ class ServeClient
     harness::ExperimentSpec spec_;
     std::uint64_t window_instrs_ = 0;
 };
+
+/** Records per kAccess frame streamRun() sends. */
+inline constexpr std::uint64_t kSendBatch = 4096;
+
+/** Most records a finished streamRun() of @p records sends past what
+ *  its run consumed: 2·kGateSlack + 3·(largest record's instructions),
+ *  the bound of the flow control above. */
+std::uint64_t readAheadBound(const std::vector<wl::TraceRecord>& records);
 
 /** Connect a blocking socket to a parseServeAddress() address.
  *  @throws ServeError on a bad address (before any connect) or a

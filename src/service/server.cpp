@@ -499,8 +499,11 @@ struct ServeServer::Impl
             // implicit warmup inside advance(): advance() calls
             // runWarmup() first) so a warm-pool leader can publish
             // the post-warmup machine state before any window runs.
+            // Both gates count streamed-but-unconsumed instructions
+            // (wire.hpp, kGateSlack): every record the core starts
+            // begins within kGateSlack instructions of its target.
             if (!s.warmupDone()) {
-                if (t->stream->available() <
+                if (t->stream->availableInstrs() <
                     t->spec.warmup_instrs + kGateSlack)
                     return; // starved: wait for more records
                 s.runWarmup();
@@ -514,7 +517,7 @@ struct ServeServer::Impl
             while (!s.done()) {
                 const std::uint64_t step =
                     std::min(t->window_instrs, s.instrsRemaining());
-                if (t->stream->available() < step + kGateSlack)
+                if (t->stream->availableInstrs() < step + kGateSlack)
                     return; // starved: wait for more records
                 if (c && c->out_bytes.load() > opt.max_outbox_bytes) {
                     // Slow client: stop simulating until its write

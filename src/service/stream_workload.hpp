@@ -14,9 +14,14 @@
  *  - It does NOT loop at the end: running past the appended history is
  *    a server bug (the pump's gating rule must prevent it) and throws
  *    StreamUnderrunError instead of silently replaying stale records.
+ *
+ * The pump gates in instructions, not records (DESIGN.md §12.2), so
+ * the stream keeps running totals of the instructions streamed and
+ * consumed (TraceRecord::instrs(): gap + 1 per record).
  */
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -41,6 +46,8 @@ class StreamWorkload : public wl::Workload
                             std::vector<wl::TraceRecord> history = {})
         : name_(std::move(name)), records_(std::move(history))
     {
+        for (const wl::TraceRecord& r : records_)
+            streamed_instrs_ += r.instrs();
     }
 
     wl::TraceRecord next() override
@@ -50,10 +57,15 @@ class StreamWorkload : public wl::Workload
                 "StreamWorkload '" + name_ + "': consumed past streamed "
                 "history (" + std::to_string(records_.size()) +
                 " records) — pump gating bug");
+        consumed_instrs_ += records_[pos_].instrs();
         return records_[pos_++];
     }
 
-    void reset() override { pos_ = 0; }
+    void reset() override
+    {
+        pos_ = 0;
+        consumed_instrs_ = 0;
+    }
 
     const std::string& name() const override { return name_; }
 
@@ -67,6 +79,8 @@ class StreamWorkload : public wl::Workload
     void append(const std::vector<wl::TraceRecord>& batch)
     {
         records_.insert(records_.end(), batch.begin(), batch.end());
+        for (const wl::TraceRecord& r : batch)
+            streamed_instrs_ += r.instrs();
     }
 
     /** Records streamed so far (monotonic). */
@@ -75,7 +89,12 @@ class StreamWorkload : public wl::Workload
     /** Records the session has consumed (≤ size()). */
     std::size_t consumed() const { return pos_; }
 
-    std::size_t available() const { return records_.size() - pos_; }
+    /** Instructions streamed but not yet consumed — what the pump's
+     *  gates test. */
+    std::uint64_t availableInstrs() const
+    {
+        return streamed_instrs_ - consumed_instrs_;
+    }
 
     /** Full history, for eviction persistence (writeTraceFile). */
     const std::vector<wl::TraceRecord>& records() const { return records_; }
@@ -84,6 +103,8 @@ class StreamWorkload : public wl::Workload
     std::string name_;
     std::vector<wl::TraceRecord> records_;
     std::size_t pos_ = 0;
+    std::uint64_t streamed_instrs_ = 0; ///< Σ instrs() over records_
+    std::uint64_t consumed_instrs_ = 0; ///< Σ instrs() over [0, pos_)
 };
 
 } // namespace pythia::service

@@ -44,30 +44,32 @@ beginPayload(FrameType type)
     return w;
 }
 
-/** Reader over the payload with the type byte already consumed. */
+/** Reader over the payload with the type byte already consumed; its
+ *  errors name the frame (@p format, e.g. "hello frame"). */
 snap::Reader
-bodyReader(const std::vector<std::uint8_t>& payload, FrameType expected)
+bodyReader(const std::vector<std::uint8_t>& payload, FrameType expected,
+           const char* format)
 {
     if (frameType(payload) != expected)
         throw ServeWireError("serve wire: unexpected frame type " +
                              std::to_string(payload.empty() ? 0
                                                             : payload[0]));
-    snap::Reader r(payload.data(), payload.size());
+    snap::Reader r(payload.data(), payload.size(), format);
     r.u8(); // type
     return r;
 }
 
 /** Decode bodies under one catch: a malformed payload surfaces as a
- *  ServeWireError naming the frame, never a bare snap error. */
+ *  ServeWireError ("serve wire: <frame> corrupt: …"), never a bare
+ *  snap error. */
 template <typename Fn>
 auto
-decodeGuard(const char* what, Fn&& fn) -> decltype(fn())
+decodeGuard(Fn&& fn) -> decltype(fn())
 {
     try {
         return fn();
     } catch (const snap::SnapshotError& e) {
-        throw ServeWireError(std::string("serve wire: malformed ") +
-                             what + " frame: " + e.what());
+        throw ServeWireError(std::string("serve wire: ") + e.what());
     }
 }
 
@@ -197,8 +199,9 @@ frameType(const std::vector<std::uint8_t>& payload)
 HelloMsg
 decodeHello(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("hello", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kHello);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kHello, "hello frame");
         const std::string schema = r.str();
         if (schema != kServeSchemaName)
             throw ServeWireError("serve wire: schema mismatch: got '" +
@@ -225,8 +228,9 @@ decodeHello(const std::vector<std::uint8_t>& payload)
 HelloAckMsg
 decodeHelloAck(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("hello-ack", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kHelloAck);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kHelloAck, "hello-ack frame");
         const std::string schema = r.str();
         if (schema != kServeSchemaName)
             throw ServeWireError("serve wire: schema mismatch: got '" +
@@ -250,8 +254,9 @@ decodeHelloAck(const std::vector<std::uint8_t>& payload)
 std::vector<wl::TraceRecord>
 decodeAccess(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("access", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kAccess);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kAccess, "access frame");
         std::vector<wl::TraceRecord> records = wl::decodeRecords(r);
         requireEnd(r, "access");
         return records;
@@ -261,8 +266,9 @@ decodeAccess(const std::vector<std::uint8_t>& payload)
 WindowMsg
 decodeWindow(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("window", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kWindow);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kWindow, "window frame");
         WindowMsg m;
         m.window = harness::readWindowSample(r);
         m.records_consumed = r.u64();
@@ -274,8 +280,9 @@ decodeWindow(const std::vector<std::uint8_t>& payload)
 RunEndMsg
 decodeRunEnd(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("run-end", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kRunEnd);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kRunEnd, "run-end frame");
         RunEndMsg m;
         m.final_result = harness::readRunResult(r);
         m.windows_completed = r.u64();
@@ -288,8 +295,9 @@ decodeRunEnd(const std::vector<std::uint8_t>& payload)
 DetachAckMsg
 decodeDetachAck(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("detach-ack", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kDetachAck);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kDetachAck, "detach-ack frame");
         DetachAckMsg m;
         m.records_received = r.u64();
         m.instrs_advanced = r.u64();
@@ -302,8 +310,9 @@ decodeDetachAck(const std::vector<std::uint8_t>& payload)
 std::string
 decodeStatsAck(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("stats-ack", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kStatsAck);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kStatsAck, "stats-ack frame");
         std::string json = r.str();
         requireEnd(r, "stats-ack");
         return json;
@@ -313,8 +322,9 @@ decodeStatsAck(const std::vector<std::uint8_t>& payload)
 ErrorMsg
 decodeError(const std::vector<std::uint8_t>& payload)
 {
-    return decodeGuard("error", [&] {
-        snap::Reader r = bodyReader(payload, FrameType::kError);
+    return decodeGuard([&] {
+        snap::Reader r =
+            bodyReader(payload, FrameType::kError, "error frame");
         ErrorMsg m;
         m.kind = r.u32();
         m.message = r.str();

@@ -44,6 +44,7 @@
 
 #include "harness/session.hpp"
 #include "harness/spec.hpp"
+#include "sim/core.hpp"
 #include "workloads/trace.hpp"
 
 namespace pythia::service {
@@ -106,20 +107,37 @@ inline constexpr const char* kServeSchemaName = "pythia-serve-v1";
 inline constexpr std::uint32_t kServeVersion = 2;
 
 /**
- * Gating slack, in records: the pump advances a window of W instrs
- * only when the streamed history holds W + kGateSlack unconsumed
- * records. Every record retires at least one instruction, so a window
- * consumes at most W records plus the pipeline drain margin (256-entry
- * ROB × dispatch width 4); 1024 over-covers that with headroom.
+ * Gating slack, in instructions. The pump advances a window of W
+ * instructions only when the streamed-but-unconsumed records carry at
+ * least W + kGateSlack instructions (a record retires gap + 1), and
+ * runs warmup only past warmup_instrs + kGateSlack. The core calls
+ * next() only while its instruction count is below the window's
+ * target, and a core of this shape never reads further ahead of
+ * retirement than its ROB plus one dispatch group (rob_size + width):
+ * every record it starts therefore begins inside the gated span, and
+ * a gap-heavy record that straddles the target was already streamed
+ * whole. kGateSlack over-covers that read-ahead with headroom.
  */
 inline constexpr std::uint64_t kGateSlack = 1024;
+static_assert(kGateSlack >= sim::CoreConfig{}.rob_size +
+                                sim::CoreConfig{}.width,
+              "the pump gates must cover the core's ROB read-ahead");
 
-/** Records a client must stream for @p spec to run to completion:
- *  warmup + measurement budget + gating slack. */
+/**
+ * Records a client must capture for @p spec to run to completion: a
+ * safe upper bound, not what a run streams. The daemon's last gate
+ * asks for the run's warmup + measurement instructions, one kGateSlack,
+ * and the overshoot of the warmup and the last window boundary (each
+ * under a dispatch group plus one record's gap). Every record retires
+ * at least one instruction and each overshooting record contributes
+ * its own gap, so warmup + measurement + 2·kGateSlack records always
+ * reach it. ServeClient::streamRun sends only the prefix the run
+ * consumes plus its instruction-counted read-ahead.
+ */
 inline std::uint64_t
 recordBudgetFor(const harness::ExperimentSpec& spec)
 {
-    return spec.warmup_instrs + spec.sim_instrs + kGateSlack;
+    return spec.warmup_instrs + spec.sim_instrs + 2 * kGateSlack;
 }
 
 // -------------------------------------------------------- frame types

@@ -229,13 +229,17 @@ class Writer
  * Bounds-checked reader over a byte span. Any read past the end of
  * the buffer — or past the end of the innermost entered section —
  * throws CorruptError; leaveSection() additionally requires the
- * section to be consumed exactly.
+ * section to be consumed exactly. The same codec decodes snapshots,
+ * trace files and wire frames, so its errors name the @p format the
+ * caller gives ("<format> corrupt: …"); @p format must outlive the
+ * Reader (pass a string literal).
  */
 class Reader
 {
   public:
-    Reader(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size)
+    Reader(const std::uint8_t* data, std::size_t size,
+           const char* format = "snapshot")
+        : data_(data), size_(size), format_(format)
     {
     }
 
@@ -256,7 +260,7 @@ class Reader
     {
         const std::uint8_t v = u8();
         if (v > 1)
-            throw CorruptError("snapshot corrupt: invalid bool encoding");
+            throw corrupt("invalid bool encoding");
         return v != 0;
     }
 
@@ -342,11 +346,10 @@ class Reader
     {
         const std::uint64_t n = u64();
         if (n > remaining() / width)
-            throw CorruptError(
-                "snapshot corrupt: truncated (wanted " +
-                std::to_string(n) + " elements of " +
-                std::to_string(width) + " bytes, " +
-                std::to_string(remaining()) + " bytes available)");
+            throw corrupt("truncated (wanted " + std::to_string(n) +
+                          " elements of " + std::to_string(width) +
+                          " bytes, " + std::to_string(remaining()) +
+                          " bytes available)");
         return static_cast<std::size_t>(n);
     }
 
@@ -358,8 +361,8 @@ class Reader
     {
         const std::string name = str();
         if (name != expected)
-            throw CorruptError("snapshot corrupt: expected section '" +
-                               expected + "', found '" + name + "'");
+            throw corrupt("expected section '" + expected +
+                          "', found '" + name + "'");
         const std::uint64_t len = u64();
         need(len);
         section_end_.push_back(pos_ + static_cast<std::size_t>(len));
@@ -373,9 +376,9 @@ class Reader
         const std::size_t end = section_end_.back();
         section_end_.pop_back();
         if (pos_ != end)
-            throw CorruptError(
-                "snapshot corrupt: section length mismatch (" +
-                std::to_string(end - pos_) + " bytes unconsumed)");
+            throw corrupt("section length mismatch (" +
+                          std::to_string(end - pos_) +
+                          " bytes unconsumed)");
     }
 
     /** Advance @p n bytes without decoding (tools walking sections). */
@@ -397,16 +400,22 @@ class Reader
 
     std::size_t position() const { return pos_; }
 
+    /** The error a structural violation throws, naming the format;
+     *  decoders layered on the Reader use it for their own checks. */
+    CorruptError corrupt(const std::string& what) const
+    {
+        return CorruptError(std::string(format_) + " corrupt: " + what);
+    }
+
   private:
     void need(std::uint64_t n) const
     {
         const std::size_t end =
             section_end_.empty() ? size_ : section_end_.back();
         if (n > end - pos_)
-            throw CorruptError(
-                "snapshot corrupt: truncated (wanted " +
-                std::to_string(n) + " bytes, " +
-                std::to_string(end - pos_) + " available)");
+            throw corrupt("truncated (wanted " + std::to_string(n) +
+                          " bytes, " + std::to_string(end - pos_) +
+                          " available)");
     }
 
     std::uint64_t getLe(int width)
@@ -421,6 +430,7 @@ class Reader
 
     const std::uint8_t* data_;
     std::size_t size_;
+    const char* format_;
     std::size_t pos_ = 0;
     std::vector<std::size_t> section_end_;
 };

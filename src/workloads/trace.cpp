@@ -68,8 +68,8 @@ decodeRecords(snap::Reader& r)
         // Unknown bits are rejected, not ignored: they are the format's
         // forward-compat escape hatch.
         if (flags & ~(kFlagWrite | kFlagDependsOnPrev))
-            throw snap::CorruptError("record with unknown flags " +
-                                     std::to_string(flags));
+            throw r.corrupt("record with unknown flags " +
+                            std::to_string(flags));
         rec.is_write = (flags & kFlagWrite) != 0;
         rec.depends_on_prev = (flags & kFlagDependsOnPrev) != 0;
     }
@@ -112,7 +112,7 @@ readTraceFile(const std::string& path)
     if (!in)
         throw TraceFileError(path, "cannot read");
     try {
-        snap::Reader r(bytes.data(), bytes.size());
+        snap::Reader r(bytes.data(), bytes.size(), "trace file");
         if (r.u32() != kTraceMagic)
             throw snap::CorruptError("not a PYT3 trace (bad magic)");
         std::vector<TraceRecord> records = decodeRecords(r);

@@ -45,6 +45,9 @@ struct TraceRecord
      *  the previous load completes — the serialization that makes
      *  prefetching pay off in real programs. */
     bool depends_on_prev = false;
+
+    /** Instructions this record retires: the gap plus the access. */
+    std::uint64_t instrs() const { return std::uint64_t{gap} + 1; }
 };
 
 /**

@@ -406,10 +406,18 @@ TEST_F(ServiceTest, WireRejectsMalformedFrames)
 
     // Wrong frame type for the decoder.
     EXPECT_THROW(decodeHelloAck(hello), ServeWireError);
-    // Truncated payload.
+    // Truncated payload; the error names the frame, not a snapshot.
     auto truncated = hello;
     truncated.pop_back();
-    EXPECT_THROW(decodeHello(truncated), ServeWireError);
+    try {
+        (void)decodeHello(truncated);
+        ADD_FAILURE() << "a truncated hello was accepted";
+    } catch (const ServeWireError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("hello frame corrupt"), std::string::npos)
+            << what;
+        EXPECT_EQ(what.find("snapshot"), std::string::npos) << what;
+    }
     // Trailing garbage.
     auto trailing = hello;
     trailing.push_back(0);
@@ -477,7 +485,7 @@ TEST_F(ServiceTest, StreamWorkloadRetainsHistoryAndThrowsOnUnderrun)
     for (int i = 0; i < 10; ++i)
         s.next();
     EXPECT_EQ(s.consumed(), 10u);
-    EXPECT_EQ(s.available(), 0u);
+    EXPECT_EQ(s.availableInstrs(), 0u);
     EXPECT_THROW(s.next(), StreamUnderrunError);
 
     // Appending more resumes exactly where the stream stopped.
@@ -492,6 +500,49 @@ TEST_F(ServiceTest, StreamWorkloadRetainsHistoryAndThrowsOnUnderrun)
     // clone() keeps the full history, not the cursor.
     auto c = s.clone(0);
     EXPECT_EQ(c->next().addr, records[0].addr);
+}
+
+TEST_F(ServiceTest, StreamWorkloadCountsInstructionsNotRecords)
+{
+    // The pump gates on availableInstrs(): every record carries
+    // gap + 1 instructions, including a gap at the u32 maximum.
+    const auto rec = [](std::uint32_t gap) {
+        wl::TraceRecord r;
+        r.gap = gap;
+        return r;
+    };
+    constexpr std::uint64_t kHuge = std::uint64_t{UINT32_MAX} + 1;
+    StreamWorkload s("t", {rec(0), rec(3), rec(5000)});
+    EXPECT_EQ(s.availableInstrs(), 1u + 4u + 5001u);
+
+    s.next();
+    EXPECT_EQ(s.availableInstrs(), 4u + 5001u);
+    s.append({rec(7), rec(UINT32_MAX)});
+    EXPECT_EQ(s.availableInstrs(), 4u + 5001u + 8u + kHuge);
+    s.next();
+    s.next();
+    EXPECT_EQ(s.consumed(), 3u);
+    EXPECT_EQ(s.availableInstrs(), 8u + kHuge);
+
+    // clone() carries the whole history with nothing consumed, and
+    // leaves the original's position alone.
+    auto c = s.clone(0);
+    auto* copy = dynamic_cast<StreamWorkload*>(c.get());
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(copy->availableInstrs(), 5014u + kHuge);
+    EXPECT_EQ(s.availableInstrs(), 8u + kHuge);
+
+    // reset() rewinds the consumed count with the cursor (the replay
+    // a restore performs), and replaying lands on the same count.
+    s.reset();
+    EXPECT_EQ(s.availableInstrs(), 5014u + kHuge);
+    for (int i = 0; i < 4; ++i)
+        s.next();
+    EXPECT_EQ(s.availableInstrs(), kHuge);
+    s.next();
+    EXPECT_EQ(s.availableInstrs(), 0u);
+    EXPECT_THROW(s.next(), StreamUnderrunError);
+    EXPECT_EQ(s.availableInstrs(), 0u) << "an underrun consumes nothing";
 }
 
 TEST_F(ServiceTest, TraceRecordVectorFileRoundTrip)
@@ -1701,6 +1752,235 @@ TEST_F(ServiceTest, WarmPoolTinyBudgetEvictsInsteadOfServing)
     EXPECT_EQ(s.warm_misses, 2u);
     EXPECT_GE(s.warm_evictions, 1u);
     EXPECT_EQ(server.stop(), 0);
+}
+
+
+// ------------------------------------------- instruction-counted gating
+
+/** The index of the record whose instructions cover position @p at
+ *  (the first instruction is position 0). */
+std::size_t
+recordCovering(const std::vector<wl::TraceRecord>& records,
+               std::uint64_t at)
+{
+    std::uint64_t end = 0;
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        end += records[i].instrs();
+        if (end > at)
+            return i;
+    }
+    return records.size() - 1;
+}
+
+/** Offline reference over an explicit record vector, noting the
+ *  records consumed after warmup ([0]) and after each window. */
+struct RecordedRun
+{
+    OfflineRun run;
+    std::vector<std::uint64_t> consumed;
+};
+
+RecordedRun
+runOfflineOn(const harness::ExperimentSpec& spec,
+             const std::vector<wl::TraceRecord>& records,
+             std::uint64_t window)
+{
+    auto stream = std::make_unique<StreamWorkload>("offline", records);
+    const StreamWorkload& s = *stream;
+    std::vector<std::unique_ptr<wl::Workload>> workloads;
+    workloads.push_back(std::move(stream));
+    RecordedRun rec;
+    harness::SimSession session(spec, std::move(workloads));
+    session.addObserver(&rec.run.series);
+    session.runWarmup();
+    rec.consumed.push_back(s.consumed());
+    while (!session.done()) {
+        session.advance(window);
+        rec.consumed.push_back(s.consumed());
+    }
+    rec.run.final_result = session.cumulative();
+    return rec;
+}
+
+TEST_F(ServiceTest, GateAndReadAheadTableMatchesOfflineWithinBound)
+{
+    // Record shapes × window sizes × open kinds. Each served series
+    // must byte-match offline without the daemon starving (a client
+    // frame timeout far below the default) or reading past its stream
+    // (kErrInternal from StreamUnderrunError), and each attach must
+    // stream no more than readAheadBound() records past what the run
+    // consumed. A gate or cap that is too tight stalls a row; one that
+    // is too loose underruns or breaks the bound.
+    constexpr std::uint64_t kWarmup = 3000;
+    constexpr std::uint64_t kSim = 4000;
+    constexpr int kFrameTimeoutMs = 10'000;
+
+    struct Shape
+    {
+        std::string name;
+        harness::ExperimentSpec spec;
+        std::vector<wl::TraceRecord> records;
+        bool catalog; ///< records are exactly the spec's generator
+    };
+    std::vector<Shape> shapes;
+    for (const char* name : {"gap0", "catalog", "gap-heavy"}) {
+        Shape sh{name, makeSpec("602.gcc_s-734B", "pythia", kWarmup, kSim),
+                 {}, std::string(name) == "catalog"};
+        // A distinct seed per shape keeps warm-pool fingerprints apart.
+        sh.spec.workload_seed = 11 + shapes.size();
+        sh.records = captureRecords(sh.spec);
+        shapes.push_back(std::move(sh));
+    }
+    for (wl::TraceRecord& r : shapes[0].records)
+        r.gap = 0;
+    {
+        // Gap-heavy: every record × 8 + 16, then one gap = 5000 record
+        // straddling the warmup target and one straddling the last
+        // 1000-instruction window boundary (inside the only window at
+        // window = sim, the run's end at window = 1).
+        auto& rs = shapes[2].records;
+        for (wl::TraceRecord& r : rs)
+            r.gap = r.gap * 8 + 16;
+        const std::size_t at_warmup = recordCovering(rs, kWarmup - 2);
+        rs[at_warmup].gap = 5000;
+        const std::uint64_t origin = instrsCovered(rs, at_warmup + 1);
+        rs[recordCovering(rs, origin + kSim - 1002)].gap = 5000;
+    }
+
+    std::vector<std::string> failures;
+    for (const Shape& sh : shapes) {
+        // What a finished replay may stream past the records its run
+        // consumed: the read-ahead cap clamps to the run's end, so
+        // fewer than 2·kGateSlack + 3·(largest record's instructions)
+        // instructions, hence records, are ever sent beyond it.
+        std::uint64_t max_record = 0;
+        for (const wl::TraceRecord& r : sh.records)
+            max_record = std::max(max_record, r.instrs());
+        const std::uint64_t bound = 2 * kGateSlack + 3 * max_record;
+        EXPECT_EQ(readAheadBound(sh.records), bound) << sh.name;
+        for (const std::uint64_t window : {std::uint64_t{1},
+                                           std::uint64_t{1000}, kSim}) {
+            const std::string row =
+                sh.name + " window=" + std::to_string(window);
+            const RecordedRun rec = runOfflineOn(sh.spec, sh.records, window);
+            const OfflineRun& off = rec.run;
+            if (sh.catalog) {
+                // The captured records are exactly the generator's.
+                const OfflineRun gen = runOffline(sh.spec, window);
+                expectSeriesEqual(off.series.samples(),
+                                  gen.series.samples(), row);
+                EXPECT_EQ(resultBits(off.final_result),
+                          resultBits(gen.final_result))
+                    << row;
+            }
+            // One daemon per row: its first open is cold, later opens
+            // of the same spec fork the pooled post-warmup machine.
+            auto opt = baseOptions();
+            opt.warm_pool_bytes = 64u << 20;
+            ServeServer server(opt);
+            server.start();
+            const std::string addr = server.boundAddress();
+
+            const auto check = [&](const std::string& what,
+                                   std::uint64_t sent,
+                                   const ServeClient::RunProgress& last,
+                                   const std::vector<
+                                       std::vector<harness::WindowSample>>&
+                                       parts) {
+                if (!last.final_result) {
+                    failures.push_back(what + ": no final result");
+                    return;
+                }
+                if (resultBits(*last.final_result) !=
+                    resultBits(off.final_result))
+                    failures.push_back(what + ": final result diverges");
+                expectWindowsMatchOffline(parts, off, true, what);
+                if (sent > last.records_consumed + bound)
+                    failures.push_back(
+                        what + ": streamed to record " +
+                        std::to_string(sent) + ", run consumed " +
+                        std::to_string(last.records_consumed) +
+                        ", read-ahead bound " + std::to_string(bound));
+            };
+
+            std::string what = row;
+            try {
+                for (const char* kind : {"cold", "warm"}) {
+                    what = row + " " + kind;
+                    ServeClient client(addr, kFrameTimeoutMs);
+                    const HelloAckMsg ack =
+                        client.open(what, sh.spec, window);
+                    if (ack.warm != (std::string(kind) == "warm"))
+                        failures.push_back(what + ": wrong open kind");
+                    const auto run =
+                        client.streamRun(sh.records, ack.records_received);
+                    check(what, ack.records_received + run.records_streamed,
+                          run, {run.series.samples()});
+                }
+
+                // Detach mid-run, then resume and finish. The first
+                // attach streams only a prefix that gates through half
+                // the windows but not the run's end. With a single
+                // window the detach lands between warmup (skipped by
+                // the warm open) and that window.
+                what = row + " detach-resume";
+                const std::uint64_t windows = off.series.size();
+                ServeClient first(addr, kFrameTimeoutMs);
+                const HelloAckMsg ack = first.open(what, sh.spec, window);
+                ServeClient::RunProgress part1;
+                std::uint64_t sent1 = ack.records_received;
+                if (windows >= 2) {
+                    const std::uint64_t half = windows / 2;
+                    const std::uint64_t prefix = recordsForInstrs(
+                        sh.records,
+                        instrsCovered(sh.records, rec.consumed[half - 1]) +
+                            window + kGateSlack);
+                    // The last window's gate must stay shut.
+                    const std::uint64_t last_step =
+                        kSim - (windows - 1) * window;
+                    if (instrsCovered(sh.records, prefix) >=
+                        instrsCovered(sh.records,
+                                      rec.consumed[windows - 1]) +
+                            last_step + kGateSlack)
+                        failures.push_back(what + ": prefix can finish "
+                                                  "the run");
+                    part1 = first.streamRun(
+                        {sh.records.begin(), sh.records.begin() + prefix},
+                        ack.records_received, half);
+                    sent1 += part1.records_streamed;
+                }
+                harness::TimeSeries strays;
+                const DetachAckMsg detached = first.detach(&strays);
+                first.close();
+                if (detached.records_received != sent1)
+                    failures.push_back(what + ": detach ack holds " +
+                                       std::to_string(
+                                           detached.records_received) +
+                                       " records, client sent " +
+                                       std::to_string(sent1));
+                ServeClient second(addr, kFrameTimeoutMs);
+                const HelloAckMsg hello = second.open(what, sh.spec, window);
+                if (!hello.resumed)
+                    failures.push_back(what + ": second open not resumed");
+                const auto part2 =
+                    second.streamRun(sh.records, hello.records_received);
+                // The resumed attach streams on from what the first one
+                // sent, so its end covers both attaches.
+                check(what, hello.records_received + part2.records_streamed,
+                      part2,
+                      {part1.series.samples(), strays.samples(),
+                       part2.series.samples()});
+            } catch (const std::exception& e) {
+                failures.push_back(what + ": threw " + e.what());
+            }
+            EXPECT_EQ(server.stats().frames_rejected, 0u) << row;
+            EXPECT_EQ(server.stop(), 0) << row;
+        }
+    }
+    std::string joined;
+    for (const auto& f : failures)
+        joined += "\n  " + f;
+    EXPECT_TRUE(failures.empty()) << joined;
 }
 
 } // namespace

@@ -157,6 +157,10 @@ TEST(TraceIo, HostileCountIsRejectedBeforeAllocating)
             EXPECT_NE(what.find(f.str()), std::string::npos) << what;
             EXPECT_NE(what.find(std::to_string(n)), std::string::npos)
                 << what;
+            // The codec names the format it was decoding.
+            EXPECT_NE(what.find("trace file corrupt"), std::string::npos)
+                << what;
+            EXPECT_EQ(what.find("snapshot"), std::string::npos) << what;
         }
         // Sizing a record vector from the header alone would touch
         // 1.5 GiB for 2^26 records before noticing the file is short.

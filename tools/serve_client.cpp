@@ -37,6 +37,12 @@
  * (reported as warm_hits/warm_misses in the service block): the
  * client streams from ack.records_received, past the pooled warmup
  * prefix the daemon already holds.
+ *
+ * A replay also fails when it streamed more than its read-ahead bound
+ * (2·kGateSlack + 3·(largest record's instructions)) plus one
+ * 4096-record send batch past the records its run consumed, so the CI
+ * smoke and soak steps exit 1 if streaming ever counts records where
+ * the daemon counts instructions.
  */
 #include <algorithm>
 #include <atomic>
@@ -73,6 +79,7 @@ struct SpecCase
 {
     harness::ExperimentSpec spec;
     std::vector<wl::TraceRecord> records; ///< exactly what offline runs
+    std::uint64_t read_ahead_bound = 0;   ///< service::readAheadBound
 };
 
 } // namespace
@@ -143,6 +150,7 @@ main(int argc, char** argv)
             c.records.reserve(budget);
             for (std::uint64_t i = 0; i < budget; ++i)
                 c.records.push_back(workloads[0]->next());
+            c.read_ahead_bound = service::readAheadBound(c.records);
             cases.push_back(std::move(c));
         }
     } catch (const std::invalid_argument& e) {
@@ -208,6 +216,21 @@ main(int argc, char** argv)
                                 .count();
                         records_streamed += progress.records_streamed;
                         windows_received += progress.series.size();
+                        const std::uint64_t sent =
+                            ack.records_received +
+                            progress.records_streamed;
+                        if (sent > progress.records_consumed +
+                                       sc.read_ahead_bound +
+                                       service::kSendBatch)
+                            throw std::runtime_error(
+                                "streamed to record " +
+                                std::to_string(sent) + " but the run "
+                                "consumed " +
+                                std::to_string(
+                                    progress.records_consumed) +
+                                " (read-ahead bound " +
+                                std::to_string(sc.read_ahead_bound) +
+                                " + one batch)");
                         {
                             std::lock_guard<std::mutex> lk(agg_mu);
                             replay_latency_s.push_back(secs);
