@@ -11,7 +11,7 @@
  *   trace_tools mode=replay   in=<path> [prefetcher=<name>]
  *
  * workload= accepts catalog names and registry workload specs alike
- * ("stream:footprint=256M", "phase:stream@40+graph@60"); see
+ * ("stream:streams=2", "phase:stream@40+graph@60"); see
  * tools/trace_capture for the strict-CLI capture tool with built-in
  * replay verification. A missing or unknown workload, an unknown
  * prefetcher or mode, or a prefetcher parameter that cannot run is a

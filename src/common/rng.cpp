@@ -1,6 +1,6 @@
 #include "common/rng.hpp"
 
-#include <stdexcept>
+#include "snapshot/codec.hpp"
 
 namespace pythia {
 
@@ -29,14 +29,10 @@ Rng::Rng(std::uint64_t seed)
 }
 
 void
-Rng::setState(const RngState& st)
+Rng::afterRestore() const
 {
-    if (st.s0 == 0 && st.s1 == 0)
-        throw std::invalid_argument(
-            "Rng::setState: all-zero state is not a valid xorshift128+ "
-            "state");
-    s0_ = st.s0;
-    s1_ = st.s1;
+    if (s0_ == 0 && s1_ == 0)
+        throw snap::CorruptError("snapshot corrupt: all-zero RNG state");
 }
 
 std::uint64_t

@@ -14,17 +14,6 @@
 
 namespace pythia {
 
-/** The full internal state of an Rng stream (two xorshift128+ words).
- *  Serializable: setState(state()) reproduces the stream exactly from
- *  the current position — the property snapshots rely on. */
-struct RngState
-{
-    std::uint64_t s0 = 0;
-    std::uint64_t s1 = 0;
-
-    bool operator==(const RngState&) const = default;
-};
-
 /**
  * Deterministic xorshift128+ PRNG.
  *
@@ -38,12 +27,17 @@ class Rng
     /** Construct from a 64-bit seed via splitmix64 expansion. */
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-    /** Mid-stream state, exactly as positioned now. */
-    RngState state() const { return {s0_, s1_}; }
+    /** Snapshot state (snapshot/archive.hpp): both xorshift words, so a
+     *  restore continues the stream exactly where it was. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.s0_, s.s1_);
+    }
 
-    /** Restore a state captured by state(). Rejects the all-zero state
-     *  (unreachable by any seed; xorshift would emit zeros forever). */
-    void setState(const RngState& st);
+    /** Restore hook: rejects the all-zero state (unreachable by any
+     *  seed; xorshift would emit zeros forever) as snap::CorruptError. */
+    void afterRestore() const;
 
     // The per-draw primitives are defined inline: the simulator draws
     // tens of millions of values per run (workload generators, the

@@ -50,7 +50,7 @@ std::vector<std::string> split(const std::string& s, char sep);
 
 /**
  * Split a ';'-separated list of specs — ',' belongs to spec parameters,
- * so list-valued options ("stream:footprint=256M,mem_ratio=0.4;spp")
+ * so list-valued options ("stream:streams=2,mem_ratio=0.4;spp")
  * cannot use it. Entries are trimmed and empty ones dropped.
  */
 std::vector<std::string> splitSpecs(const std::string& list);

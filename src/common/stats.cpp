@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "snapshot/codec.hpp"
-
 namespace pythia {
 
 StatGroup::StatGroup(std::string name) : name_(std::move(name)) {}
@@ -47,50 +45,6 @@ StatGroup::reset()
         v = 0;
     for (auto& [k, v] : values_)
         v = 0.0;
-}
-
-void
-StatGroup::saveState(snap::Writer& w) const
-{
-    // std::map iterates in sorted key order, so identical statistics
-    // always serialize to identical bytes (snapshot diffing depends on
-    // byte-stable encodings).
-    w.u64(counters_.size());
-    for (const auto& [k, v] : counters_) {
-        w.str(k);
-        w.u64(v);
-    }
-    w.u64(values_.size());
-    for (const auto& [k, v] : values_) {
-        w.str(k);
-        w.f64(v);
-    }
-}
-
-void
-StatGroup::loadState(snap::Reader& r)
-{
-    reset();
-    const std::uint64_t n_counters = r.u64();
-    for (std::uint64_t i = 0; i < n_counters; ++i) {
-        const std::string k = r.str();
-        counters_[k] = r.u64();
-    }
-    const std::uint64_t n_values = r.u64();
-    for (std::uint64_t i = 0; i < n_values; ++i) {
-        const std::string k = r.str();
-        values_[k] = r.f64();
-    }
-}
-
-void
-StatGroup::copyStateFrom(const StatGroup& other)
-{
-    reset();
-    for (const auto& [k, v] : other.counters_)
-        counters_[k] = v;
-    for (const auto& [k, v] : other.values_)
-        values_[k] = v;
 }
 
 void

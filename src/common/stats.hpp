@@ -12,11 +12,6 @@
 #include <ostream>
 #include <string>
 
-namespace pythia::snap {
-class Writer;
-class Reader;
-} // namespace pythia::snap
-
 namespace pythia {
 
 /**
@@ -77,24 +72,15 @@ class StatGroup
     /** All floating-point values (for test introspection). */
     const std::map<std::string, double>& values() const { return values_; }
 
-    /** Serialize every counter and value (snapshot subsystem). */
-    void saveState(snap::Writer& w) const;
-
-    /**
-     * Restore a saveState() image: reset() in place, then assign the
-     * serialized entries. Existing map nodes are reused, so counter
-     * pointers handed out by counterSlot() stay valid across a load —
-     * the same stability guarantee reset() gives the hot paths.
-     */
-    void loadState(snap::Reader& r);
-
-    /**
-     * Value copy of @p other's counters and values, with the same
-     * node-reuse guarantee as loadState(): reset() in place, then
-     * assign, so counterSlot() pointers stay valid (machine fork,
-     * sim::System::copyStateFrom).
-     */
-    void copyStateFrom(const StatGroup& other);
+    /** Snapshot state (snapshot/archive.hpp): every counter and value,
+     *  in sorted key order. A load or copy zeroes the maps in place and
+     *  assigns, so counterSlot() pointers stay valid across it. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.map(s.counters_);
+        ar.map(s.values_);
+    }
 
   private:
     std::string name_;

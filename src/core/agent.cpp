@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "snapshot/codec.hpp"
-
 namespace pythia::rl {
 
 namespace {
@@ -51,7 +49,7 @@ checked(const PythiaConfig& cfg)
 } // namespace
 
 PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig& cfg)
-    : PrefetcherBase(cfg.name, 26112 /* 25.5KB, Table 4 */),
+    : StatefulPrefetcher(cfg.name, 26112 /* 25.5KB, Table 4 */),
       cfg_(checked(cfg)), qv_(qvConfigOf(cfg)), eq_(cfg.eq_size),
       rng_(cfg.seed), stats_("pythia")
 {
@@ -228,34 +226,6 @@ void
 PythiaPrefetcher::onFill(Addr block, Cycle at)
 {
     eq_.markFill(block, at);
-}
-
-void
-PythiaPrefetcher::saveState(snap::Writer& w) const
-{
-    qv_.saveState(w);
-    eq_.saveState(w);
-    extractor_.saveState(w);
-    const RngState rs = rng_.state();
-    w.u64(rs.s0);
-    w.u64(rs.s1);
-    stats_.saveState(w);
-}
-
-void
-PythiaPrefetcher::loadState(snap::Reader& r)
-{
-    qv_.loadState(r);
-    eq_.loadState(r);
-    extractor_.loadState(r);
-    RngState rs;
-    rs.s0 = r.u64();
-    rs.s1 = r.u64();
-    if (rs.s0 == 0 && rs.s1 == 0)
-        throw snap::CorruptError(
-            "snapshot corrupt: all-zero exploration RNG state");
-    rng_.setState(rs);
-    stats_.loadState(r);
 }
 
 } // namespace pythia::rl

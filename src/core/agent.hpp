@@ -70,7 +70,7 @@ struct PythiaConfig
  * eviction, default-reward unresolved entries (R_IN by bandwidth) and run
  * the SARSA update against the EQ head.
  */
-class PythiaPrefetcher : public pf::PrefetcherBase
+class PythiaPrefetcher : public pf::StatefulPrefetcher<PythiaPrefetcher>
 {
   public:
     explicit PythiaPrefetcher(const PythiaConfig& cfg = PythiaConfig{});
@@ -83,10 +83,13 @@ class PythiaPrefetcher : public pf::PrefetcherBase
                std::vector<sim::PrefetchRequest>& out) override;
     void onFill(Addr block, Cycle at) override;
 
-    /** Serialize the QVStore, EQ, feature histories, exploration RNG
-     *  and agent counters (snapshot subsystem). */
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
+    /** Snapshot state (snapshot/archive.hpp): the QVStore, EQ, feature
+     *  histories, exploration RNG and agent counters. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.qv_, s.eq_, s.extractor_, s.rng_, s.stats_);
+    }
 
     /** Live configuration-register updates (paper §6.6): swap the reward
      *  levels without touching learned state. */

@@ -219,9 +219,8 @@ EvaluationQueue::clear()
 }
 
 void
-EvaluationQueue::saveState(snap::Writer& w) const
+EvaluationQueue::saveQueue(snap::Writer& w) const
 {
-    w.u64(capacity_);
     w.u64(count_);
     for (std::size_t i = 0; i < count_; ++i) {
         const EqEntry& e = ring_[(head_ + i) & mask_];
@@ -256,14 +255,8 @@ EvaluationQueue::saveState(snap::Writer& w) const
 }
 
 void
-EvaluationQueue::loadState(snap::Reader& r)
+EvaluationQueue::loadQueue(snap::Reader& r)
 {
-    const std::uint64_t capacity = r.u64();
-    if (capacity != capacity_)
-        throw snap::CorruptError(
-            "snapshot corrupt: eq capacity " + std::to_string(capacity) +
-            " does not match this configuration (" +
-            std::to_string(capacity_) + ")");
     const std::uint64_t n = r.u64();
     if (n > capacity_)
         throw snap::CorruptError(

@@ -196,19 +196,26 @@ class EvaluationQueue
     /** Drop all entries (Algorithm 1 line 3). */
     void clear();
 
-    /** Serialize entries (queue order) + the pending-block index, the
-     *  latter sorted by address for byte-stable output (snapshot
-     *  subsystem). Byte-identical to the PR 6 deque-backed stream: the
-     *  ring is walked oldest-first and states write as length-prefixed
-     *  u64 runs, so the in-memory layout never leaks into the wire. */
-    void saveState(snap::Writer& w) const;
-
-    /** Restore a saveState() image into a queue of equal capacity.
-     *  @throws snap::CorruptError on capacity/occupancy/state-width
-     *  mismatch. */
-    void loadState(snap::Reader& r);
+    /** Snapshot state (snapshot/archive.hpp): the capacity stamp, then
+     *  a custom form — entries in queue order and the pending-block
+     *  index sorted by address — so neither the ring layout nor the
+     *  probe table's slot order leaks into the bytes. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.expect("eq capacity", static_cast<std::uint64_t>(s.capacity_));
+        ar.custom(s, &EvaluationQueue::saveQueue,
+                  &EvaluationQueue::loadQueue);
+    }
 
   private:
+    /** The custom form: states write as length-prefixed u64 runs. */
+    void saveQueue(snap::Writer& w) const;
+
+    /** @throws snap::CorruptError on occupancy above capacity or a
+     *  state wider than the inline slots. */
+    void loadQueue(snap::Reader& r);
+
     /**
      * Per-block occupancy counts for the O(1) early exit in front of
      * the queue scans. A 256-entry EQ is scanned on *every* demand

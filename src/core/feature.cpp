@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/hashing.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::rl {
 
@@ -107,11 +106,11 @@ FeatureExtractor::reset()
     last_block_ = 0;
     last_page_ = ~0ull;
     has_last_ = false;
-    rebuildDerived();
+    afterRestore();
 }
 
 void
-FeatureExtractor::rebuildDerived()
+FeatureExtractor::afterRestore()
 {
     packed_offsets_ = 0;
     for (int i = 0; i < 4; ++i)
@@ -122,35 +121,6 @@ FeatureExtractor::rebuildDerived()
     packed_delta0_ = packDelta(deltas_[0]);
     pc_path3_ = pcs_[0] ^ (pcs_[1] << 1) ^ (pcs_[2] << 2);
     pc_xor_prev_ = pcs_[0] ^ pcs_[1];
-}
-
-void
-FeatureExtractor::saveState(snap::Writer& w) const
-{
-    for (Addr pc : pcs_)
-        w.u64(pc);
-    for (std::int32_t d : deltas_)
-        w.i32(d);
-    for (std::uint32_t o : offsets_)
-        w.u32(o);
-    w.u64(last_block_);
-    w.u64(last_page_);
-    w.boolean(has_last_);
-}
-
-void
-FeatureExtractor::loadState(snap::Reader& r)
-{
-    for (Addr& pc : pcs_)
-        pc = r.u64();
-    for (std::int32_t& d : deltas_)
-        d = r.i32();
-    for (std::uint32_t& o : offsets_)
-        o = r.u32();
-    last_block_ = r.u64();
-    last_page_ = r.u64();
-    has_last_ = r.boolean();
-    rebuildDerived();
 }
 
 void

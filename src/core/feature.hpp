@@ -16,11 +16,6 @@
 
 #include "common/types.hpp"
 
-namespace pythia::snap {
-class Writer;
-class Reader;
-} // namespace pythia::snap
-
 namespace pythia::rl {
 
 /** Control-flow feature components (paper Table 3). */
@@ -107,19 +102,21 @@ class FeatureExtractor
     /** Reset all histories. */
     void reset();
 
-    /** Serialize the rolling histories (snapshot subsystem). */
-    void saveState(snap::Writer& w) const;
+    /** Snapshot state (snapshot/archive.hpp): the raw histories. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.pcs_, s.deltas_, s.offsets_, s.last_block_, s.last_page_,
+           s.has_last_);
+    }
 
-    /** Restore a saveState() image. */
-    void loadState(snap::Reader& r);
+    /** Restore hook: recompute the packed/derived caches from the raw
+     *  histories (also the last step of the constructor and reset()). */
+    void afterRestore();
 
   private:
     std::uint64_t controlValue(ControlKind kind) const;
     std::uint64_t dataValue(DataKind kind) const;
-
-    /** Recompute the packed/derived caches from the raw histories
-     *  (constructor, reset, loadState). */
-    void rebuildDerived();
 
     // Histories, most recent first. These remain the serialized
     // representation (the snapshot wire format predates the caches).

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 
 #include "common/hashing.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::rl {
 
@@ -293,28 +291,6 @@ QVStore::updateCached(const std::uint64_t* s1, std::size_t n1,
         table[b[i] + a1] += step;
     scan_valid_ = false;
     ++updates_;
-}
-
-void
-QVStore::saveState(snap::Writer& w) const
-{
-    w.vecF32(table_);
-    w.u64(updates_);
-}
-
-void
-QVStore::loadState(snap::Reader& r)
-{
-    std::vector<float> table = r.vecF32();
-    if (table.size() != table_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: qvstore table has " +
-            std::to_string(table.size()) +
-            " cells but this configuration has " +
-            std::to_string(table_.size()));
-    table_ = std::move(table);
-    updates_ = r.u64();
-    scan_valid_ = false;
 }
 
 } // namespace pythia::rl

@@ -25,11 +25,6 @@
 
 #include "common/types.hpp"
 
-namespace pythia::snap {
-class Writer;
-class Reader;
-} // namespace pythia::snap
-
 namespace pythia::rl {
 
 /** Planes per vault: one design-time shift constant each (§4.2.1). */
@@ -182,16 +177,18 @@ class QVStore
 
     const QVStoreConfig& config() const { return cfg_; }
 
-    /** Serialize the full Q table + update count (snapshot subsystem).
-     *  The wire layout is the PR 6 v1 stream — logical cell values in
-     *  [vault][plane][row][action] order — independent of the in-memory
-     *  layout, so old snapshots restore into the scan-kernel store
-     *  unchanged. Lookup scratch is recomputed and excluded. */
-    void saveState(snap::Writer& w) const;
+    /** Snapshot state (snapshot/archive.hpp): the Q table, in its
+     *  [vault][plane][row][action] cell order, and the update count.
+     *  Lookup scratch is excluded. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.table("qvstore table", s.table_);
+        ar(s.updates_);
+    }
 
-    /** Restore a saveState() image of identical geometry.
-     *  @throws snap::CorruptError on table-size mismatch. */
-    void loadState(snap::Reader& r);
+    /** Restore hook: the cached scan no longer matches the table. */
+    void afterRestore() { scan_valid_ = false; }
 
   private:
     std::uint32_t planeRow(std::uint32_t plane,

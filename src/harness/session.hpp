@@ -182,9 +182,7 @@ class SimSession
      * window results, and the complete machine (caches, cores, DRAM,
      * prefetchers, RNG streams) — to @p path as a pythia-snap-v1 file
      * stamped with fingerprintFor(spec()). Atomic: the file appears
-     * complete or not at all. @throws snap::UnsupportedError when an
-     * attached prefetcher cannot serialize; snap::IoError on I/O
-     * failure.
+     * complete or not at all. @throws snap::IoError on I/O failure.
      */
     void snapshotTo(const std::string& path) const;
 
@@ -231,8 +229,7 @@ class SimSession
      * windows from here on. The injected streams must replay the
      * records this session consumed. Reads this session only, so
      * concurrent forks of one const session are safe. Observers are
-     * not copied. @throws snap::UnsupportedError when an attached
-     * prefetcher cannot serialize.
+     * not copied.
      */
     SimSession
     fork(std::vector<std::unique_ptr<wl::Workload>> workloads) const;

@@ -23,7 +23,7 @@ namespace pythia::harness {
  * ("stride+spp+bingo") specs included. Workloads (and mix entries) are
  * workload specs too (workloads/suites.hpp): catalog names
  * ("482.sphinx3-417B") or registry spec strings
- * ("stream:footprint=256M,mem_ratio=0.4", "trace:file=foo.bin",
+ * ("stream:streams=2,mem_ratio=0.4", "trace:file=foo.bin",
  * "phase:stream@40+graph@60").
  *
  * A plain aggregate: write it with designated initializers, naming

@@ -5,7 +5,6 @@
 
 #include "common/hashing.hpp"
 #include "sim/prefetcher_registry.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::pf {
 
@@ -26,7 +25,7 @@ namespace {
 } // namespace
 
 BingoPrefetcher::BingoPrefetcher(const BingoConfig& cfg)
-    : PrefetcherBase("bingo", 47104 /* ~46KB, Table 7 */), cfg_(cfg)
+    : StatefulPrefetcher("bingo", 47104 /* ~46KB, Table 7 */), cfg_(cfg)
 {
     // The footprint bitvector is 64 bits wide; smaller regions round up
     // to one block.
@@ -191,63 +190,6 @@ BingoPrefetcher::train(const PrefetchAccess& access,
     victim->trigger_offset = offset;
     victim->footprint = 1ull << offset;
     victim->lru = ++tick_;
-}
-
-void
-BingoPrefetcher::saveState(snap::Writer& w) const
-{
-    w.u64(tick_);
-    w.u64(at_.size());
-    for (const AtEntry& e : at_) {
-        w.u64(e.region);
-        w.u64(e.trigger_pc);
-        w.u32(e.trigger_offset);
-        w.u64(e.footprint);
-        w.u64(e.lru);
-        w.boolean(e.valid);
-    }
-    w.u64(pht_.size());
-    for (const PhtEntry& e : pht_) {
-        w.u64(e.long_event);
-        w.u64(e.short_event);
-        w.u64(e.footprint);
-        w.u64(e.lru);
-        w.boolean(e.valid);
-    }
-}
-
-void
-BingoPrefetcher::loadState(snap::Reader& r)
-{
-    const std::uint64_t tick = r.u64();
-    const std::uint64_t n_at = r.u64();
-    if (n_at != at_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: bingo accumulation table has " +
-            std::to_string(n_at) + " entries but this configuration has " +
-            std::to_string(at_.size()));
-    tick_ = tick;
-    for (AtEntry& e : at_) {
-        e.region = r.u64();
-        e.trigger_pc = r.u64();
-        e.trigger_offset = r.u32();
-        e.footprint = r.u64();
-        e.lru = r.u64();
-        e.valid = r.boolean();
-    }
-    const std::uint64_t n_pht = r.u64();
-    if (n_pht != pht_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: bingo history table has " +
-            std::to_string(n_pht) + " entries but this configuration has " +
-            std::to_string(pht_.size()));
-    for (PhtEntry& e : pht_) {
-        e.long_event = r.u64();
-        e.short_event = r.u64();
-        e.footprint = r.u64();
-        e.lru = r.u64();
-        e.valid = r.boolean();
-    }
 }
 
 } // namespace pythia::pf

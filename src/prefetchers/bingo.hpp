@@ -29,7 +29,7 @@ struct BingoConfig
  * Bingo. Footprints are bitvectors over the blocks of one region,
  * anchored at the trigger offset.
  */
-class BingoPrefetcher : public PrefetcherBase
+class BingoPrefetcher : public StatefulPrefetcher<BingoPrefetcher>
 {
   public:
     explicit BingoPrefetcher(const BingoConfig& cfg = BingoConfig{});
@@ -37,8 +37,14 @@ class BingoPrefetcher : public PrefetcherBase
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;
 
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.tick_);
+        ar.table("bingo accumulation table", s.at_);
+        ar.table("bingo history table", s.pht_);
+    }
 
     /** Blocks per region (32 for 2KB regions). */
     std::uint32_t blocksPerRegion() const { return blocks_per_region_; }
@@ -52,6 +58,13 @@ class BingoPrefetcher : public PrefetcherBase
         std::uint64_t footprint = 0;
         std::uint64_t lru = 0;
         bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.region, e.trigger_pc, e.trigger_offset, e.footprint, e.lru,
+               e.valid);
+        }
     };
 
     struct PhtEntry
@@ -61,6 +74,12 @@ class BingoPrefetcher : public PrefetcherBase
         std::uint64_t footprint = 0;   ///< anchored at trigger offset
         std::uint64_t lru = 0;
         bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.long_event, e.short_event, e.footprint, e.lru, e.valid);
+        }
     };
 
     Addr regionOf(Addr block) const;

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "sim/prefetcher_registry.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::pf {
 
@@ -24,7 +23,7 @@ totalStorage(const std::vector<std::unique_ptr<PrefetcherApi>>& children)
 
 CompositePrefetcher::CompositePrefetcher(
     std::string name, std::vector<std::unique_ptr<PrefetcherApi>> children)
-    : PrefetcherBase(std::move(name), totalStorage(children)),
+    : StatefulPrefetcher(std::move(name), totalStorage(children)),
       children_(std::move(children))
 {
 }
@@ -81,27 +80,6 @@ CompositePrefetcher::setBandwidthInfo(const BandwidthInfo* bw)
     PrefetcherBase::setBandwidthInfo(bw);
     for (auto& c : children_)
         c->setBandwidthInfo(bw);
-}
-
-void
-CompositePrefetcher::saveState(snap::Writer& w) const
-{
-    w.u64(children_.size());
-    for (const auto& c : children_)
-        c->saveState(w);
-}
-
-void
-CompositePrefetcher::loadState(snap::Reader& r)
-{
-    const std::uint64_t n = r.u64();
-    if (n != children_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: composite '" + name() + "' has " +
-            std::to_string(n) + " children in the snapshot but " +
-            std::to_string(children_.size()) + " in this configuration");
-    for (auto& c : children_)
-        c->loadState(r);
 }
 
 // ------------------------------------------------------------ registration

@@ -14,7 +14,7 @@
 namespace pythia::pf {
 
 /** Trains every child on every access; unions their candidate lists. */
-class CompositePrefetcher : public PrefetcherBase
+class CompositePrefetcher : public StatefulPrefetcher<CompositePrefetcher>
 {
   public:
     /** @param name display name (e.g. "St+S+B")
@@ -30,10 +30,16 @@ class CompositePrefetcher : public PrefetcherBase
     void onPrefetchEvicted(Addr block, bool used) override;
     void setBandwidthInfo(const BandwidthInfo* bw) override;
 
-    /** Delegates to every child in training order; any child without
-     *  snapshot support propagates its UnsupportedError. */
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
+    /** Snapshot state (snapshot/archive.hpp): the child count, then
+     *  every child's own state in training order. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.expect("composite children",
+                  static_cast<std::uint64_t>(s.children_.size()));
+        for (const auto& c : s.children_)
+            ar(*c);
+    }
 
     /** Number of children. */
     std::size_t size() const { return children_.size(); }

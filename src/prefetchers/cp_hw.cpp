@@ -4,6 +4,7 @@
 
 #include "common/hashing.hpp"
 #include "sim/prefetcher_registry.hpp"
+#include "snapshot/codec.hpp"
 
 namespace pythia::pf {
 
@@ -37,16 +38,34 @@ CpHwPrefetcher::actionList()
 }
 
 CpHwPrefetcher::CpHwPrefetcher(const CpHwConfig& cfg)
-    : PrefetcherBase("cp_hw",
-                     cfg.table_entries * actionList().size() * 2),
-      cfg_(cfg), tracker_(256), rng_(cfg.seed)
+    : StatefulPrefetcher("cp_hw",
+                         cfg.table_entries * actionList().size() * 2),
+      cfg_(cfg), tracker_(256), rng_(cfg.seed), pending_(kPendingSlots)
 {
     requireConfig(
         "cp_hw",
         {{cfg.table_entries >= 1 && cfg.table_entries <= kMaxTableEntries,
           "table_entries", kTableRule}});
-    q_.assign(cfg.table_entries,
-              std::vector<double>(actionList().size(), 0.0));
+    q_.assign(cfg.table_entries * actionList().size(), 0.0);
+}
+
+void
+CpHwPrefetcher::afterRestore() const
+{
+    for (const Pending& p : pending_)
+        if (p.valid && (p.ctx >= cfg_.table_entries ||
+                        p.action >= actionList().size()))
+            throw snap::CorruptError(
+                "snapshot corrupt: cp_hw pending prefetch names context " +
+                std::to_string(p.ctx) + ", action " +
+                std::to_string(p.action));
+}
+
+CpHwPrefetcher::Pending*
+CpHwPrefetcher::pendingOf(Addr block)
+{
+    Pending& p = pending_[block & (kPendingSlots - 1)];
+    return p.valid && p.block == block ? &p : nullptr;
 }
 
 std::uint32_t
@@ -61,7 +80,7 @@ void
 CpHwPrefetcher::reinforce(std::uint32_t ctx, std::size_t action,
                           double reward)
 {
-    double& q = q_[ctx][action];
+    double& q = q_[ctx * actionList().size() + action];
     // Myopic bandit update: no bootstrapping from successor state.
     q += cfg_.alpha * (reward - q);
 }
@@ -78,9 +97,10 @@ CpHwPrefetcher::train(const PrefetchAccess& access,
     if (rng_.nextBool(cfg_.epsilon)) {
         choice = rng_.nextBounded(actions.size());
     } else {
+        const double* q = q_.data() + ctx * actions.size();
         choice = 0;
         for (std::size_t a = 1; a < actions.size(); ++a)
-            if (q_[ctx][a] > q_[ctx][choice])
+            if (q[a] > q[choice])
                 choice = a;
     }
 
@@ -93,31 +113,30 @@ CpHwPrefetcher::train(const PrefetchAccess& access,
     }
     const Addr target = static_cast<Addr>(
         static_cast<std::int64_t>(access.block) + offset);
-    pending_[target] = Pending{ctx, choice};
-    if (pending_.size() > 2048)
-        pending_.erase(pending_.begin());
+    pending_[target & (kPendingSlots - 1)] =
+        Pending{target, ctx, static_cast<std::uint32_t>(choice), true};
 }
 
 void
 CpHwPrefetcher::onPrefetchUsed(Addr block, bool timely)
 {
-    auto it = pending_.find(block);
-    if (it == pending_.end())
+    Pending* p = pendingOf(block);
+    if (p == nullptr)
         return;
-    reinforce(it->second.ctx, it->second.action,
+    reinforce(p->ctx, p->action,
               timely ? cfg_.reward_timely : cfg_.reward_late);
-    pending_.erase(it);
+    p->valid = false;
 }
 
 void
 CpHwPrefetcher::onPrefetchEvicted(Addr block, bool used)
 {
-    auto it = pending_.find(block);
-    if (it == pending_.end())
+    Pending* p = pendingOf(block);
+    if (p == nullptr)
         return;
     if (!used)
-        reinforce(it->second.ctx, it->second.action, cfg_.reward_unused);
-    pending_.erase(it);
+        reinforce(p->ctx, p->action, cfg_.reward_unused);
+    p->valid = false;
 }
 
 } // namespace pythia::pf

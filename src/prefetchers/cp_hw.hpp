@@ -12,8 +12,6 @@
 #include "common/rng.hpp"
 #include "prefetchers/prefetcher.hpp"
 
-#include <unordered_map>
-
 namespace pythia::pf {
 
 /** CP-HW knobs. */
@@ -29,7 +27,7 @@ struct CpHwConfig
 };
 
 /** Contextual-bandit prefetcher over hardware contexts (PC + last delta). */
-class CpHwPrefetcher : public PrefetcherBase
+class CpHwPrefetcher : public StatefulPrefetcher<CpHwPrefetcher>
 {
   public:
     explicit CpHwPrefetcher(const CpHwConfig& cfg = CpHwConfig{});
@@ -43,17 +41,49 @@ class CpHwPrefetcher : public PrefetcherBase
      *  comparison isolates the learning algorithm). */
     static const std::vector<std::int32_t>& actionList();
 
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.table("cp_hw q table", s.q_);
+        ar(s.tracker_, s.rng_);
+        ar.table("cp_hw pending table", s.pending_);
+    }
+
+    /** Restore hook: every pending prefetch must name a context row and
+     *  an action of this configuration. */
+    void afterRestore() const;
+
   private:
+    /** Pending-prefetch slots (DESIGN.md §9.1): direct-mapped by target
+     *  block, a new prefetch overwriting its slot. */
+    static constexpr std::size_t kPendingSlots = 2048;
+
+    struct Pending
+    {
+        Addr block = 0;
+        std::uint32_t ctx = 0;
+        std::uint32_t action = 0;
+        bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.block, e.ctx, e.action, e.valid);
+        }
+    };
+
     std::uint32_t contextOf(Addr pc, std::int32_t delta) const;
     void reinforce(std::uint32_t ctx, std::size_t action, double reward);
 
+    /** The slot of @p block when it holds @p block's prefetch. */
+    Pending* pendingOf(Addr block);
+
     CpHwConfig cfg_;
-    std::vector<std::vector<double>> q_; ///< [context][action]
+    std::vector<double> q_; ///< [context * actions + action]
     PageTracker tracker_;
     Rng rng_;
-
-    struct Pending { std::uint32_t ctx; std::size_t action; };
-    std::unordered_map<Addr, Pending> pending_;
+    std::vector<Pending> pending_;
 };
 
 } // namespace pythia::pf

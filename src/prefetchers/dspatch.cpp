@@ -24,7 +24,7 @@ namespace {
 } // namespace
 
 DspatchPrefetcher::DspatchPrefetcher(const DspatchConfig& cfg)
-    : PrefetcherBase("dspatch", 3686 /* ~3.6KB, Table 7 */), cfg_(cfg)
+    : StatefulPrefetcher("dspatch", 3686 /* ~3.6KB, Table 7 */), cfg_(cfg)
 {
     // Footprints are 64-bit; smaller regions round up to one block.
     requireConfig("dspatch", {

@@ -21,13 +21,22 @@ struct DspatchConfig
 };
 
 /** Dual Spatial Pattern prefetcher. */
-class DspatchPrefetcher : public PrefetcherBase
+class DspatchPrefetcher : public StatefulPrefetcher<DspatchPrefetcher>
 {
   public:
     explicit DspatchPrefetcher(const DspatchConfig& cfg = DspatchConfig{});
 
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;
+
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.tick_);
+        ar.table("dspatch pattern table", s.spt_);
+        ar.table("dspatch accumulation table", s.at_);
+    }
 
   private:
     struct SptEntry
@@ -37,6 +46,12 @@ class DspatchPrefetcher : public PrefetcherBase
         std::uint64_t acc_pattern = 0; ///< intersection (accuracy-biased)
         std::uint8_t trained = 0;
         bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.sig, e.cov_pattern, e.acc_pattern, e.trained, e.valid);
+        }
     };
 
     struct AtEntry
@@ -47,6 +62,12 @@ class DspatchPrefetcher : public PrefetcherBase
         std::uint64_t footprint = 0;
         std::uint64_t lru = 0;
         bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.region, e.sig, e.anchor, e.footprint, e.lru, e.valid);
+        }
     };
 
     Addr regionOf(Addr block) const;

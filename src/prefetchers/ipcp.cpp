@@ -22,7 +22,8 @@ namespace {
 } // namespace
 
 IpcpPrefetcher::IpcpPrefetcher(const IpcpConfig& cfg)
-    : PrefetcherBase("ipcp", cfg.ip_entries * 12 + cfg.cspt_entries * 2),
+    : StatefulPrefetcher("ipcp",
+                         cfg.ip_entries * 12 + cfg.cspt_entries * 2),
       cfg_(cfg)
 {
     requireConfig(

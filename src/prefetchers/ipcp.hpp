@@ -21,13 +21,21 @@ struct IpcpConfig
 };
 
 /** Bouquet-of-IP-classes prefetcher. */
-class IpcpPrefetcher : public PrefetcherBase
+class IpcpPrefetcher : public StatefulPrefetcher<IpcpPrefetcher>
 {
   public:
     explicit IpcpPrefetcher(const IpcpConfig& cfg = IpcpConfig{});
 
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;
+
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.table("ipcp ip table", s.ip_);
+        ar.table("ipcp pattern table", s.cspt_);
+    }
 
   private:
     enum class IpClass : std::uint8_t { None, ConstStride, Stream, Cplx };
@@ -42,12 +50,25 @@ class IpcpPrefetcher : public PrefetcherBase
         std::uint32_t signature = 0;
         IpClass cls = IpClass::None;
         bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.pc, e.last_block, e.stride, e.stride_conf, e.stream_conf,
+               e.signature, e.cls, e.valid);
+        }
     };
 
     struct CsptEntry
     {
         std::int32_t delta = 0;
         std::uint8_t conf = 0;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.delta, e.conf);
+        }
     };
 
     IpcpConfig cfg_;

@@ -24,7 +24,7 @@ namespace {
 } // namespace
 
 MlopPrefetcher::MlopPrefetcher(const MlopConfig& cfg)
-    : PrefetcherBase("mlop", 8192 /* ~8KB, Table 7 */), cfg_(cfg)
+    : StatefulPrefetcher("mlop", 8192 /* ~8KB, Table 7 */), cfg_(cfg)
 {
     // Candidate offsets stay within one page.
     requireConfig(
@@ -36,8 +36,8 @@ MlopPrefetcher::MlopPrefetcher(const MlopConfig& cfg)
               cfg.max_offset < static_cast<std::int32_t>(kBlocksPerPage),
           "max_offset", "in [0, 63]"}});
     maps_.resize(cfg.amt_entries);
-    scores_.assign(cfg.max_degree,
-                   std::vector<std::uint32_t>(2 * cfg.max_offset + 1, 0));
+    width_ = 2 * static_cast<std::size_t>(cfg.max_offset) + 1;
+    scores_.assign(cfg.max_degree * width_, 0);
 }
 
 MlopPrefetcher::MapEntry&
@@ -54,9 +54,9 @@ MlopPrefetcher::finishRound()
     chosen_.clear();
     const std::uint32_t min_score = cfg_.update_round / 8;
     for (std::uint32_t l = 0; l < cfg_.max_degree; ++l) {
-        const auto& row = scores_[l];
+        const std::uint32_t* row = scores_.data() + l * width_;
         std::size_t best = 0;
-        for (std::size_t i = 1; i < row.size(); ++i)
+        for (std::size_t i = 1; i < width_; ++i)
             if (row[i] > row[best])
                 best = i;
         const auto offset = static_cast<std::int32_t>(best) -
@@ -67,8 +67,7 @@ MlopPrefetcher::finishRound()
     std::sort(chosen_.begin(), chosen_.end());
     chosen_.erase(std::unique(chosen_.begin(), chosen_.end()),
                   chosen_.end());
-    for (auto& row : scores_)
-        std::fill(row.begin(), row.end(), 0u);
+    std::fill(scores_.begin(), scores_.end(), 0u);
     updates_ = 0;
 }
 
@@ -102,7 +101,8 @@ MlopPrefetcher::train(const PrefetchAccess& access,
         const std::uint32_t levels =
             std::min<std::uint32_t>(dist, cfg_.max_degree);
         for (std::uint32_t l = 0; l < levels; ++l)
-            ++scores_[l][static_cast<std::size_t>(d + cfg_.max_offset)];
+            ++scores_[l * width_ +
+                      static_cast<std::size_t>(d + cfg_.max_offset)];
     }
 
     m.bitmap |= 1ull << offset;

@@ -29,7 +29,7 @@ struct MlopConfig
  * by an access to (block - d) in the same page — i.e. prefetching d ahead
  * from that earlier access would have covered this demand in time.
  */
-class MlopPrefetcher : public PrefetcherBase
+class MlopPrefetcher : public StatefulPrefetcher<MlopPrefetcher>
 {
   public:
     explicit MlopPrefetcher(const MlopConfig& cfg = MlopConfig{});
@@ -43,6 +43,16 @@ class MlopPrefetcher : public PrefetcherBase
         return chosen_;
     }
 
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.table("mlop access maps", s.maps_);
+        ar.table("mlop scores", s.scores_);
+        ar.list("mlop chosen offsets", s.chosen_, s.cfg_.max_degree);
+        ar(s.updates_);
+    }
+
   private:
     struct MapEntry
     {
@@ -51,6 +61,12 @@ class MlopPrefetcher : public PrefetcherBase
         std::uint8_t access_seq[64] = {}; ///< per-block recency rank
         std::uint8_t seq = 0;
         bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.page, e.bitmap, e.access_seq, e.seq, e.valid);
+        }
     };
 
     MapEntry& mapOf(Addr page);
@@ -58,8 +74,11 @@ class MlopPrefetcher : public PrefetcherBase
 
     MlopConfig cfg_;
     std::vector<MapEntry> maps_;
-    /** score[level][offset_index]; offset_index 0 => -max_offset. */
-    std::vector<std::vector<std::uint32_t>> scores_;
+    /** Candidate offsets per level: 2 * max_offset + 1. */
+    std::size_t width_;
+    /** score[level * width_ + offset_index]; offset_index 0 =>
+     *  -max_offset. */
+    std::vector<std::uint32_t> scores_;
     std::vector<std::int32_t> chosen_;
     std::uint32_t updates_ = 0;
 };

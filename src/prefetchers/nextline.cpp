@@ -1,12 +1,12 @@
 #include "prefetchers/nextline.hpp"
 
 #include "sim/prefetcher_registry.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::pf {
 
 NextLinePrefetcher::NextLinePrefetcher(std::uint32_t degree)
-    : PrefetcherBase("nextline", 8 /* degree register */), degree_(degree)
+    : StatefulPrefetcher("nextline", 8 /* degree register */),
+      degree_(degree)
 {
     requireConfig("nextline", {{degree <= kMaxDegree, "degree", kDegreeRule}});
 }
@@ -17,17 +17,6 @@ NextLinePrefetcher::train(const PrefetchAccess& access,
 {
     for (std::uint32_t d = 1; d <= degree_; ++d)
         emitWithinPage(access.block, static_cast<std::int32_t>(d), out);
-}
-
-void
-NextLinePrefetcher::saveState(snap::Writer&) const
-{
-    // No learned state; presence of the override is the whole point.
-}
-
-void
-NextLinePrefetcher::loadState(snap::Reader&)
-{
 }
 
 namespace {

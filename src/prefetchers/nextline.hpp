@@ -11,7 +11,7 @@
 namespace pythia::pf {
 
 /** Prefetches the next @p degree sequential cachelines on every demand. */
-class NextLinePrefetcher : public PrefetcherBase
+class NextLinePrefetcher : public StatefulPrefetcher<NextLinePrefetcher>
 {
   public:
     explicit NextLinePrefetcher(std::uint32_t degree = 1);
@@ -19,11 +19,11 @@ class NextLinePrefetcher : public PrefetcherBase
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;
 
-    // Stateless: nothing to serialize, but the overrides opt next-line
-    // configurations into snapshot support (the default implementations
-    // throw UnsupportedError).
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
+    /** Snapshot state: none (degree_ is configuration). */
+    template <class Self, class Ar>
+    static void fields(Self&, Ar&)
+    {
+    }
 
   private:
     std::uint32_t degree_;

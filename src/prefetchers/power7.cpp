@@ -23,7 +23,7 @@ namespace {
 } // namespace
 
 Power7Prefetcher::Power7Prefetcher(const Power7Config& cfg)
-    : PrefetcherBase("power7", 1024), cfg_(cfg),
+    : StatefulPrefetcher("power7", 1024), cfg_(cfg),
       streamer_(64, /*degree=*/4, /*train_len=*/2)
 {
     // The depths become the inner streamer's degree.

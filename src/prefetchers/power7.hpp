@@ -22,7 +22,7 @@ struct Power7Config
 };
 
 /** Streamer with epoch-based adaptive depth selection. */
-class Power7Prefetcher : public PrefetcherBase
+class Power7Prefetcher : public StatefulPrefetcher<Power7Prefetcher>
 {
   public:
     explicit Power7Prefetcher(const Power7Config& cfg = Power7Config{});
@@ -34,6 +34,14 @@ class Power7Prefetcher : public PrefetcherBase
 
     /** Current adaptive depth (for tests). */
     std::uint32_t depth() const { return streamer_.degree(); }
+
+    /** Snapshot state (snapshot/archive.hpp): the inner streamer (its
+     *  degree is the adaptive depth) and the epoch counters. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.streamer_, s.issued_, s.used_, s.wasted_);
+    }
 
   private:
     void maybeRetune();

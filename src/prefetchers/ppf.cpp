@@ -1,9 +1,11 @@
 #include "prefetchers/ppf.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "common/hashing.hpp"
 #include "sim/prefetcher_registry.hpp"
+#include "snapshot/codec.hpp"
 
 namespace pythia::pf {
 
@@ -48,11 +50,43 @@ checked(const PpfConfig& cfg, const SppConfig& spp)
 } // namespace
 
 PpfPrefetcher::PpfPrefetcher(const PpfConfig& cfg, const SppConfig& spp_cfg)
-    : PrefetcherBase("spp_ppf", 40243 /* ~39.3KB, Table 7 */),
+    : StatefulPrefetcher("spp_ppf", 40243 /* ~39.3KB, Table 7 */),
       cfg_(checked(cfg, spp_cfg)),
       spp_(spp_cfg),
-      weights_(static_cast<std::size_t>(kFeatures) * cfg.table_entries, 0)
+      weights_(static_cast<std::size_t>(kFeatures) * cfg.table_entries, 0),
+      pending_(kPendingSlots)
 {
+}
+
+void
+PpfPrefetcher::afterRestore() const
+{
+    for (const std::int32_t w : weights_)
+        if (w < -cfg_.weight_max || w > cfg_.weight_max)
+            throw snap::CorruptError("snapshot corrupt: ppf weight " +
+                                     std::to_string(w) +
+                                     " outside its saturation bound");
+    // A pending sum is at most kFeatures saturated weights, so adjust()
+    // can subtract the threshold without overflow.
+    const std::int64_t max_sum = std::int64_t{kFeatures} * cfg_.weight_max;
+    for (const PendingPrefetch& p : pending_) {
+        if (p.valid && std::abs(std::int64_t{p.sum}) > max_sum)
+            throw snap::CorruptError("snapshot corrupt: ppf pending sum " +
+                                     std::to_string(p.sum) +
+                                     " outside its weight bound");
+        for (const std::uint32_t idx : p.feature_idx)
+            if (p.valid && idx >= cfg_.table_entries)
+                throw snap::CorruptError(
+                    "snapshot corrupt: ppf pending feature index " +
+                    std::to_string(idx) + " outside the weight tables");
+    }
+}
+
+PpfPrefetcher::PendingPrefetch*
+PpfPrefetcher::pendingOf(Addr block)
+{
+    PendingPrefetch& p = pending_[block & (kPendingSlots - 1)];
+    return p.valid && p.block == block ? &p : nullptr;
 }
 
 void
@@ -113,14 +147,13 @@ PpfPrefetcher::train(const PrefetchAccess& access,
         std::uint32_t idx[kFeatures];
         featureIndices(access, pr.block, idx);
         const std::int32_t s = score(idx);
-        PendingPrefetch pending;
-        std::copy(idx, idx + kFeatures, pending.feature_idx);
-        pending.sum = s;
         if (s >= cfg_.threshold) {
             out.push_back(pr);
-            pending_[pr.block] = pending;
-            if (pending_.size() > 4096)
-                pending_.erase(pending_.begin()); // bounded metadata
+            PendingPrefetch& p = pending_[pr.block & (kPendingSlots - 1)];
+            p.block = pr.block;
+            std::copy(idx, idx + kFeatures, p.feature_idx);
+            p.sum = s;
+            p.valid = true;
         } else {
             ++rejected_;
             // Track rejects too: if the line is demanded later we learn
@@ -138,11 +171,10 @@ PpfPrefetcher::onFill(Addr block, Cycle at)
 void
 PpfPrefetcher::onPrefetchEvicted(Addr block, bool used)
 {
-    auto it = pending_.find(block);
-    if (it != pending_.end()) {
+    if (PendingPrefetch* p = pendingOf(block)) {
         if (!used)
-            adjust(it->second, false); // wasted prefetch: train to reject
-        pending_.erase(it);
+            adjust(*p, false); // wasted prefetch: train to reject
+        p->valid = false;
     }
     spp_.onPrefetchEvicted(block, used);
 }
@@ -150,10 +182,9 @@ PpfPrefetcher::onPrefetchEvicted(Addr block, bool used)
 void
 PpfPrefetcher::onPrefetchUsed(Addr block, bool timely)
 {
-    auto it = pending_.find(block);
-    if (it != pending_.end()) {
-        adjust(it->second, true);
-        pending_.erase(it);
+    if (PendingPrefetch* p = pendingOf(block)) {
+        adjust(*p, true);
+        p->valid = false;
     }
     spp_.onPrefetchUsed(block, timely);
 }

@@ -7,8 +7,6 @@
  */
 #pragma once
 
-#include <unordered_map>
-
 #include "prefetchers/prefetcher.hpp"
 #include "prefetchers/spp.hpp"
 
@@ -28,7 +26,7 @@ struct PpfConfig
  * candidates are scored by summing per-feature weights (PC, page offset,
  * delta, signature). Outcomes (useful / useless) adjust the weights.
  */
-class PpfPrefetcher : public PrefetcherBase
+class PpfPrefetcher : public StatefulPrefetcher<PpfPrefetcher>
 {
   public:
     explicit PpfPrefetcher(const PpfConfig& cfg = PpfConfig{},
@@ -43,13 +41,38 @@ class PpfPrefetcher : public PrefetcherBase
     /** Number of candidates rejected by the filter so far. */
     std::uint64_t rejected() const { return rejected_; }
 
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.spp_);
+        ar.table("ppf weights", s.weights_);
+        ar.table("ppf pending table", s.pending_);
+        ar(s.rejected_);
+    }
+
+    /** Restore hook: weights within their saturation bound, pending
+     *  feature indices within the weight tables. */
+    void afterRestore() const;
+
   private:
     static constexpr int kFeatures = 4;
+    /** Pending-prefetch slots (DESIGN.md §9.1): direct-mapped by target
+     *  block, a new prefetch overwriting its slot. */
+    static constexpr std::size_t kPendingSlots = 4096;
 
     struct PendingPrefetch
     {
+        Addr block = 0;
         std::uint32_t feature_idx[kFeatures] = {0, 0, 0, 0};
         std::int32_t sum = 0;
+        bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.block, e.feature_idx, e.sum, e.valid);
+        }
     };
 
     /** Compute the perceptron feature indices of a candidate. */
@@ -58,10 +81,13 @@ class PpfPrefetcher : public PrefetcherBase
     std::int32_t score(const std::uint32_t idx[kFeatures]) const;
     void adjust(const PendingPrefetch& p, bool useful);
 
+    /** The slot of @p block when it holds @p block's prefetch. */
+    PendingPrefetch* pendingOf(Addr block);
+
     PpfConfig cfg_;
     SppPrefetcher spp_;
     std::vector<std::int32_t> weights_; ///< kFeatures * table_entries
-    std::unordered_map<Addr, PendingPrefetch> pending_;
+    std::vector<PendingPrefetch> pending_;
     std::uint64_t rejected_ = 0;
 };
 

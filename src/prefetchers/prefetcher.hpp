@@ -13,6 +13,7 @@
 
 #include "common/types.hpp"
 #include "sim/prefetcher_api.hpp"
+#include "snapshot/archive.hpp"
 
 namespace pythia::pf {
 
@@ -100,6 +101,28 @@ class PrefetcherBase : public PrefetcherApi
 };
 
 /**
+ * PrefetcherBase whose snapshot codec derives from Derived's one state
+ * declaration, `template <class Self, class Ar> static void fields(Self&,
+ * Ar&)` (snapshot/archive.hpp). Every prefetcher inherits from it.
+ */
+template <class Derived>
+class StatefulPrefetcher : public PrefetcherBase
+{
+  public:
+    using PrefetcherBase::PrefetcherBase;
+
+    void saveState(snap::Writer& w) const override
+    {
+        snap::save(static_cast<const Derived&>(*this), w);
+    }
+
+    void loadState(snap::Reader& r) override
+    {
+        snap::load(static_cast<Derived&>(*this), r);
+    }
+};
+
+/**
  * Rolling per-page last-offset tracker used by delta-based prefetchers
  * (SPP, DSPatch, Pythia's feature extraction). Small direct-mapped table
  * keyed by page id.
@@ -119,11 +142,24 @@ class PageTracker
     /** Last recorded in-page offset for @p block's page (-1 if unknown). */
     std::int32_t lastOffset(Addr block) const;
 
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.table("page tracker", s.entries_);
+    }
+
   private:
     struct Entry
     {
         Addr page = ~0ull;
         std::int32_t last_offset = -1;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.page, e.last_offset);
+        }
     };
     std::size_t index(Addr page) const;
     std::vector<Entry> entries_;

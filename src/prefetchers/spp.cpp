@@ -4,7 +4,6 @@
 
 #include "common/hashing.hpp"
 #include "sim/prefetcher_registry.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::pf {
 
@@ -29,7 +28,7 @@ namespace {
 } // namespace
 
 SppPrefetcher::SppPrefetcher(const SppConfig& cfg)
-    : PrefetcherBase("spp", 6349 /* ~6.2KB, Table 7 */), cfg_(cfg)
+    : StatefulPrefetcher("spp", 6349 /* ~6.2KB, Table 7 */), cfg_(cfg)
 {
     requireConfig(
         "spp",
@@ -206,58 +205,6 @@ SppPrefetcher::train(const PrefetchAccess& access,
         if (!emitWithinPage(access.block, total_off, out, fill))
             break; // SPP never crosses the page in this model
         sig = advanceSignature(sig, p.delta);
-    }
-}
-
-void
-SppPrefetcher::saveState(snap::Writer& w) const
-{
-    w.u64(st_.size());
-    for (const StEntry& e : st_) {
-        w.u64(e.page);
-        w.u32(e.signature);
-        w.i32(e.last_offset);
-    }
-    w.u64(pt_.size());
-    for (const PtEntry& e : pt_) {
-        w.u32(e.signature);
-        w.boolean(e.valid);
-        for (std::int32_t d : e.delta)
-            w.i32(d);
-        for (std::uint16_t c : e.c_delta)
-            w.u16(c);
-        w.u16(e.c_sig);
-    }
-}
-
-void
-SppPrefetcher::loadState(snap::Reader& r)
-{
-    const std::uint64_t n_st = r.u64();
-    if (n_st != st_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: spp signature table has " +
-            std::to_string(n_st) + " entries but this configuration has " +
-            std::to_string(st_.size()));
-    for (StEntry& e : st_) {
-        e.page = r.u64();
-        e.signature = r.u32();
-        e.last_offset = r.i32();
-    }
-    const std::uint64_t n_pt = r.u64();
-    if (n_pt != pt_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: spp pattern table has " +
-            std::to_string(n_pt) + " entries but this configuration has " +
-            std::to_string(pt_.size()));
-    for (PtEntry& e : pt_) {
-        e.signature = r.u32();
-        e.valid = r.boolean();
-        for (std::int32_t& d : e.delta)
-            d = r.i32();
-        for (std::uint16_t& c : e.c_delta)
-            c = r.u16();
-        e.c_sig = r.u16();
     }
 }
 

@@ -34,7 +34,7 @@ struct SppConfig
  * per-step confidences along the speculative path and stops below
  * threshold, exactly the lookahead scheme of the original design.
  */
-class SppPrefetcher : public PrefetcherBase
+class SppPrefetcher : public StatefulPrefetcher<SppPrefetcher>
 {
   public:
     explicit SppPrefetcher(const SppConfig& cfg = SppConfig{});
@@ -42,8 +42,13 @@ class SppPrefetcher : public PrefetcherBase
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;
 
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.table("spp signature table", s.st_);
+        ar.table("spp pattern table", s.pt_);
+    }
 
     /** Expose the predicted (delta, confidence) list for one signature —
      *  consumed by the PPF wrapper and by unit tests. */
@@ -73,6 +78,12 @@ class SppPrefetcher : public PrefetcherBase
         Addr page = ~0ull;
         std::uint32_t signature = 0;
         std::int32_t last_offset = -1;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.page, e.signature, e.last_offset);
+        }
     };
 
     struct PtEntry
@@ -82,6 +93,12 @@ class SppPrefetcher : public PrefetcherBase
         std::array<std::int32_t, 4> delta{};
         std::array<std::uint16_t, 4> c_delta{};
         std::uint16_t c_sig = 0;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.signature, e.valid, e.delta, e.c_delta, e.c_sig);
+        }
     };
 
     StEntry& stEntry(Addr page);

@@ -21,7 +21,7 @@ namespace {
 StreamerPrefetcher::StreamerPrefetcher(std::uint32_t streams,
                                        std::uint32_t degree,
                                        std::uint32_t train_len)
-    : PrefetcherBase("streamer", streams * 12), degree_(degree),
+    : StatefulPrefetcher("streamer", streams * 12), degree_(degree),
       train_len_(train_len)
 {
     requireConfig("streamer",
@@ -29,6 +29,15 @@ StreamerPrefetcher::StreamerPrefetcher(std::uint32_t streams,
                     kTableRule},
                    {degree <= kMaxDegree, "degree", kDegreeRule}});
     streams_.resize(streams);
+}
+
+void
+StreamerPrefetcher::afterRestore() const
+{
+    if (degree_ > kMaxDegree)
+        throw snap::CorruptError("snapshot corrupt: streamer degree " +
+                                 std::to_string(degree_) + " above " +
+                                 std::to_string(kMaxDegree));
 }
 
 void
@@ -65,7 +74,7 @@ StreamerPrefetcher::train(const PrefetchAccess& access,
     if (delta == 0)
         return;
 
-    const std::int8_t dir = delta > 0 ? 1 : -1;
+    const std::int32_t dir = delta > 0 ? 1 : -1;
     if (dir == s->dir) {
         if (s->confirmations < 255)
             ++s->confirmations;
@@ -78,44 +87,6 @@ StreamerPrefetcher::train(const PrefetchAccess& access,
         for (std::uint32_t d = 1; d <= degree_; ++d)
             emitWithinPage(access.block,
                            s->dir * static_cast<std::int32_t>(d), out);
-    }
-}
-
-void
-StreamerPrefetcher::saveState(snap::Writer& w) const
-{
-    w.u64(tick_);
-    // degree_ is runtime-adjustable (setDegree), hence state not config.
-    w.u32(degree_);
-    w.u64(streams_.size());
-    for (const Stream& s : streams_) {
-        w.u64(s.page);
-        w.i32(s.last_offset);
-        w.i32(s.dir);
-        w.u8(s.confirmations);
-        w.u64(s.lru);
-    }
-}
-
-void
-StreamerPrefetcher::loadState(snap::Reader& r)
-{
-    const std::uint64_t tick = r.u64();
-    const std::uint32_t degree = r.u32();
-    const std::uint64_t n = r.u64();
-    if (n != streams_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: streamer tracks " + std::to_string(n) +
-            " streams but this configuration has " +
-            std::to_string(streams_.size()));
-    tick_ = tick;
-    degree_ = degree;
-    for (Stream& s : streams_) {
-        s.page = r.u64();
-        s.last_offset = r.i32();
-        s.dir = static_cast<std::int8_t>(r.i32());
-        s.confirmations = r.u8();
-        s.lru = r.u64();
     }
 }
 

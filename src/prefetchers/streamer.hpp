@@ -15,7 +15,7 @@ namespace pythia::pf {
  * direction is confirmed by @p train_len accesses it runs @p degree lines
  * ahead of the demand stream.
  */
-class StreamerPrefetcher : public PrefetcherBase
+class StreamerPrefetcher : public StatefulPrefetcher<StreamerPrefetcher>
 {
   public:
     StreamerPrefetcher(std::uint32_t streams = 64, std::uint32_t degree = 8,
@@ -24,8 +24,18 @@ class StreamerPrefetcher : public PrefetcherBase
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;
 
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
+    /** Snapshot state (snapshot/archive.hpp). degree_ is state, not
+     *  configuration: setDegree() adjusts it at run time. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar(s.tick_, s.degree_);
+        ar.table("streamer streams", s.streams_);
+    }
+
+    /** Restore hook: the degree bounds train()'s loop, so it stays
+     *  within the configuration rule (kMaxDegree). */
+    void afterRestore() const;
 
     /** Adjust the run-ahead distance (used by the POWER7-style wrapper). */
     void setDegree(std::uint32_t degree) { degree_ = degree; }
@@ -38,9 +48,15 @@ class StreamerPrefetcher : public PrefetcherBase
     {
         Addr page = ~0ull;
         std::int32_t last_offset = -1;
-        std::int8_t dir = 0;      ///< +1 ascending, -1 descending, 0 unset
+        std::int32_t dir = 0;     ///< +1 ascending, -1 descending, 0 unset
         std::uint8_t confirmations = 0;
         std::uint64_t lru = 0;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.page, e.last_offset, e.dir, e.confirmations, e.lru);
+        }
     };
 
     std::vector<Stream> streams_;

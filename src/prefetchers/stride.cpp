@@ -2,7 +2,6 @@
 
 #include "common/hashing.hpp"
 #include "sim/prefetcher_registry.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::pf {
 
@@ -20,8 +19,8 @@ namespace {
 
 StridePrefetcher::StridePrefetcher(std::uint32_t entries,
                                    std::uint32_t degree)
-    : PrefetcherBase("stride",
-                     entries * 16 /* pc tag + addr + stride + conf */),
+    : StatefulPrefetcher("stride",
+                         entries * 16 /* pc tag + addr + stride + conf */),
       degree_(degree)
 {
     requireConfig("stride",
@@ -63,37 +62,6 @@ StridePrefetcher::train(const PrefetchAccess& access,
         for (std::uint32_t d = 1; d <= degree_; ++d)
             emitWithinPage(access.block,
                            e.stride * static_cast<std::int32_t>(d), out);
-    }
-}
-
-void
-StridePrefetcher::saveState(snap::Writer& w) const
-{
-    w.u64(table_.size());
-    for (const Entry& e : table_) {
-        w.u64(e.pc);
-        w.u64(e.last_block);
-        w.i32(e.stride);
-        w.u8(e.confidence);
-        w.boolean(e.valid);
-    }
-}
-
-void
-StridePrefetcher::loadState(snap::Reader& r)
-{
-    const std::uint64_t n = r.u64();
-    if (n != table_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: stride table has " + std::to_string(n) +
-            " entries but this configuration has " +
-            std::to_string(table_.size()));
-    for (Entry& e : table_) {
-        e.pc = r.u64();
-        e.last_block = r.u64();
-        e.stride = r.i32();
-        e.confidence = r.u8();
-        e.valid = r.boolean();
     }
 }
 

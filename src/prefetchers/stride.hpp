@@ -15,7 +15,7 @@ namespace pythia::pf {
  * same cacheline stride twice in a row the entry becomes confident and
  * prefetches @p degree strides ahead.
  */
-class StridePrefetcher : public PrefetcherBase
+class StridePrefetcher : public StatefulPrefetcher<StridePrefetcher>
 {
   public:
     /**
@@ -28,8 +28,12 @@ class StridePrefetcher : public PrefetcherBase
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;
 
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.table("stride table", s.table_);
+    }
 
   private:
     struct Entry
@@ -39,6 +43,12 @@ class StridePrefetcher : public PrefetcherBase
         std::int32_t stride = 0;
         std::uint8_t confidence = 0; ///< saturating 0..3; >=2 prefetches
         bool valid = false;
+
+        template <class Self, class Ar>
+        static void fields(Self& e, Ar& ar)
+        {
+            ar(e.pc, e.last_block, e.stride, e.confidence, e.valid);
+        }
     };
 
     std::vector<Entry> table_;

@@ -342,24 +342,17 @@ struct ServeServer::Impl
     }
 
     /** Leader just finished warmup: publish a fork of its post-warmup
-     *  machine over the warmup record prefix it consumed. A spec whose
-     *  prefetcher cannot serialize abandons the entry — those specs
-     *  simply keep warming per-tenant. */
+     *  machine over the warmup record prefix it consumed. A throw
+     *  leaves t the leader, so failTenant abandons the entry. */
     void publishWarm(const std::shared_ptr<Tenant>& t)
     {
         if (!t->warm_leader)
             return;
+        warm_pool.publish(t->warm_fp,
+                          forkWarmSnapshot(*t->session,
+                                           t->stream->records(),
+                                           t->stream->consumed()));
         t->warm_leader = false;
-        try {
-            warm_pool.publish(t->warm_fp,
-                              forkWarmSnapshot(*t->session,
-                                               t->stream->records(),
-                                               t->stream->consumed()));
-        } catch (const std::exception& e) {
-            warm_pool.abandon(t->warm_fp);
-            log("warm-pool publish failed for tenant '" + t->id +
-                "': " + e.what());
-        }
     }
 
     void failTenant(const std::shared_ptr<Tenant>& t,

@@ -125,8 +125,7 @@ std::size_t warmSnapshotBytes(const WarmPool::Snapshot& snap);
 
 /** Build a pool entry: fork @p leader's post-warmup session over a
  *  pool-owned StreamWorkload holding the first @p consumed records of
- *  @p records. @throws snap::UnsupportedError when a prefetcher of the
- *  spec cannot serialize. */
+ *  @p records. */
 WarmPool::Snapshot
 forkWarmSnapshot(const harness::SimSession& leader,
                  const std::vector<wl::TraceRecord>& records,

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <stdexcept>
 
 #include "sim/dram.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::sim {
 
@@ -84,7 +82,7 @@ Cache::findBlockAt(std::size_t base, Addr block)
 }
 
 void
-Cache::rebuildTags()
+Cache::afterRestore()
 {
     for (std::size_t i = 0; i < blocks_.size(); ++i)
         tags_[i] = blocks_[i].valid ? blocks_[i].addr : kInvalidTag;
@@ -326,85 +324,6 @@ Cache::flush()
     std::fill(tags_.begin(), tags_.end(), kInvalidTag);
     inflight_.clear();
     stats_.reset();
-}
-
-void
-Cache::saveState(snap::Writer& w) const
-{
-    // Geometry header so a mismatched restore fails loudly instead of
-    // scattering blocks into the wrong sets.
-    w.u32(sets_);
-    w.u32(cfg_.ways);
-    for (const Block& b : blocks_) {
-        w.u64(b.addr);
-        w.boolean(b.valid);
-        w.boolean(b.dirty);
-        w.boolean(b.prefetched);
-        w.boolean(b.used);
-        w.boolean(b.reused);
-        w.u64(b.fill_time);
-    }
-    // The in-flight min-heap is serialized in its vector layout, which
-    // preserves the heap invariant verbatim on restore.
-    w.vecU64(inflight_);
-    repl_->saveState(w);
-    stats_.saveState(w);
-}
-
-void
-Cache::loadState(snap::Reader& r)
-{
-    const std::uint32_t sets = r.u32();
-    const std::uint32_t ways = r.u32();
-    if (sets != sets_ || ways != cfg_.ways)
-        throw snap::CorruptError(
-            "snapshot corrupt: cache '" + cfg_.name + "' geometry " +
-            std::to_string(sets) + "x" + std::to_string(ways) +
-            " does not match this configuration (" +
-            std::to_string(sets_) + "x" + std::to_string(cfg_.ways) + ")");
-    for (Block& b : blocks_) {
-        b.addr = r.u64();
-        b.valid = r.boolean();
-        b.dirty = r.boolean();
-        b.prefetched = r.boolean();
-        b.used = r.boolean();
-        b.reused = r.boolean();
-        b.fill_time = r.u64();
-    }
-    rebuildTags();
-    inflight_ = r.vecU64();
-    if (inflight_.size() > cfg_.mshrs)
-        throw snap::CorruptError(
-            "snapshot corrupt: cache '" + cfg_.name + "' has " +
-            std::to_string(inflight_.size()) +
-            " in-flight misses but only " + std::to_string(cfg_.mshrs) +
-            " MSHRs");
-    repl_->loadState(r);
-    stats_.loadState(r);
-}
-
-void
-Cache::copyStateFrom(const Cache& other)
-{
-    if (other.sets_ != sets_ || other.cfg_.ways != cfg_.ways)
-        throw std::invalid_argument(
-            "cache copy: '" + other.cfg_.name + "' geometry " +
-            std::to_string(other.sets_) + "x" +
-            std::to_string(other.cfg_.ways) + " does not match '" +
-            cfg_.name + "' (" + std::to_string(sets_) + "x" +
-            std::to_string(cfg_.ways) + ")");
-    blocks_ = other.blocks_;
-    tags_ = other.tags_;
-    inflight_ = other.inflight_;
-    repl_->copyStateFrom(*other.repl_);
-    stats_.copyStateFrom(other.stats_);
-}
-
-std::size_t
-Cache::footprintBytes() const
-{
-    return blocks_.size() * sizeof(Block) + tags_.size() * sizeof(Addr) +
-           inflight_.size() * sizeof(Cycle) + repl_->footprintBytes();
 }
 
 } // namespace pythia::sim

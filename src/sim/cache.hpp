@@ -115,24 +115,28 @@ class Cache : public MemoryLevel
 
     const CacheConfig& config() const { return cfg_; }
 
-    /** Serialize contents, in-flight misses, replacement state and
-     *  statistics (snapshot subsystem). The attached prefetcher is NOT
-     *  included — it serializes through its own section. */
-    void saveState(snap::Writer& w) const;
+    /** Snapshot state (snapshot/archive.hpp): the geometry stamp,
+     *  contents, in-flight misses (the min-heap in its vector layout,
+     *  which keeps the heap invariant verbatim), replacement state and
+     *  statistics. The attached prefetcher is not included — it
+     *  serializes through its own section. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        ar.expect("cache sets", s.sets_);
+        ar.expect("cache ways", s.cfg_.ways);
+        ar.each(s.blocks_);
+        ar.derived(s.tags_);
+        ar.list("cache in-flight misses", s.inflight_, s.cfg_.mshrs);
+        if (s.lru_)
+            ar(*s.lru_);
+        else
+            ar(*s.ship_);
+        ar(s.stats_);
+    }
 
-    /** Restore a saveState() image taken from a cache of identical
-     *  geometry. @throws snap::CorruptError on shape mismatch. */
-    void loadState(snap::Reader& r);
-
-    /** Copy contents, in-flight misses, replacement state and
-     *  statistics from @p other, a cache of identical geometry (machine
-     *  fork, System::copyStateFrom). Like saveState(), the attached
-     *  prefetcher is not included. @throws std::invalid_argument on
-     *  geometry mismatch. */
-    void copyStateFrom(const Cache& other);
-
-    /** Host bytes held by the state copyStateFrom() copies. */
-    std::size_t footprintBytes() const;
+    /** Restore hook: re-derive tags_ from blocks_. */
+    void afterRestore();
 
   private:
     struct Block
@@ -144,6 +148,13 @@ class Cache : public MemoryLevel
         bool used = false;    ///< prefetched block later hit by a demand
         bool reused = false;  ///< any demand hit during residency
         Cycle fill_time = 0;  ///< when the data actually arrives
+
+        template <class Self, class Ar>
+        static void fields(Self& b, Ar& ar)
+        {
+            ar(b.addr, b.valid, b.dirty, b.prefetched, b.used, b.reused,
+               b.fill_time);
+        }
     };
 
     std::uint32_t setOf(Addr block) const;
@@ -173,9 +184,6 @@ class Cache : public MemoryLevel
 
     void issuePrefetches(const PrefetchAccess& acc,
                          std::vector<PrefetchRequest>& candidates);
-
-    /** Re-derive tags_ from blocks_ (flush / loadState). */
-    void rebuildTags();
 
     // Devirtualized replacement dispatch: the factory returns one of
     // two concrete policies; branching on a cached downcast lets the

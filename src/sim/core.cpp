@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
-#include <string>
-
-#include "snapshot/codec.hpp"
 
 namespace pythia::sim {
 
@@ -132,68 +128,8 @@ Core::runUntil(Cycle until)
 }
 
 void
-Core::saveState(snap::Writer& w) const
+Core::afterRestore()
 {
-    w.u64(instr_count_);
-    w.u64(records_consumed_);
-    w.u64(next_dispatch_slot_);
-    w.u64(last_retire_slot_);
-    w.u64(last_load_done_);
-    w.vecU64(rob_retire_slot_);
-    stats_.saveState(w);
-}
-
-void
-Core::loadState(snap::Reader& r)
-{
-    const std::uint64_t instr_count = r.u64();
-    const std::uint64_t records_consumed = r.u64();
-    const std::uint64_t next_dispatch_slot = r.u64();
-    const std::uint64_t last_retire_slot = r.u64();
-    const std::uint64_t last_load_done = r.u64();
-    std::vector<std::uint64_t> rob = r.vecU64();
-    if (rob.size() != rob_retire_slot_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: core ROB size " +
-            std::to_string(rob.size()) +
-            " does not match this configuration (" +
-            std::to_string(rob_retire_slot_.size()) + ")");
-    stats_.loadState(r);
-
-    instr_count_ = instr_count;
-    records_consumed_ = records_consumed;
-    next_dispatch_slot_ = next_dispatch_slot;
-    last_retire_slot_ = last_retire_slot;
-    last_load_done_ = last_load_done;
-    rob_retire_slot_ = std::move(rob);
-    replayWorkload();
-}
-
-void
-Core::copyStateFrom(const Core& other)
-{
-    if (other.rob_retire_slot_.size() != rob_retire_slot_.size())
-        throw std::invalid_argument(
-            "core copy: ROB size " +
-            std::to_string(other.rob_retire_slot_.size()) +
-            " does not match " + std::to_string(rob_retire_slot_.size()));
-    instr_count_ = other.instr_count_;
-    records_consumed_ = other.records_consumed_;
-    next_dispatch_slot_ = other.next_dispatch_slot_;
-    last_retire_slot_ = other.last_retire_slot_;
-    last_load_done_ = other.last_load_done_;
-    rob_retire_slot_ = other.rob_retire_slot_;
-    stats_.copyStateFrom(other.stats_);
-    replayWorkload();
-}
-
-void
-Core::replayWorkload()
-{
-    // Re-derive the workload's mid-stream position by replay: rewind to
-    // the seed state, then discard exactly as many records as the saved
-    // run had consumed. Generators are pure functions of their seed, so
-    // this lands bit-exactly where the snapshot was taken.
     workload_.reset();
     for (std::uint64_t i = 0; i < records_consumed_; ++i)
         (void)workload_.next();

@@ -75,37 +75,28 @@ class Core
      *  restore replays the workload this far). */
     std::uint64_t recordsConsumed() const { return records_consumed_; }
 
-    /** Serialize pipeline state + trace position (snapshot subsystem). */
-    void saveState(snap::Writer& w) const;
-
-    /**
-     * Restore a saveState() image. The bound workload is reset() and
-     * fast-forwarded by discarding the serialized number of records —
-     * generators are deterministic functions of their seed, so this
-     * reproduces the exact mid-stream position without serializing
-     * generator internals. @throws snap::CorruptError on ROB mismatch.
-     */
-    void loadState(snap::Reader& r);
-
-    /**
-     * Copy pipeline state, statistics and trace position from @p other
-     * (machine fork, System::copyStateFrom). The bound workload is
-     * positioned by the same reset-and-replay loadState() uses, so it
-     * must yield the records @p other's workload did.
-     * @throws std::invalid_argument on ROB mismatch.
-     */
-    void copyStateFrom(const Core& other);
-
-    /** Host bytes held by the pipeline state. */
-    std::size_t footprintBytes() const
+    /** Snapshot state (snapshot/archive.hpp): pipeline slots, the
+     *  trace position and statistics. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
     {
-        return rob_retire_slot_.size() * sizeof(std::uint64_t);
+        ar(s.instr_count_, s.records_consumed_, s.next_dispatch_slot_,
+           s.last_retire_slot_, s.last_load_done_);
+        ar.table("core ROB", s.rob_retire_slot_);
+        ar(s.stats_);
     }
 
-  private:
-    /** Reset the workload and discard records_consumed_ records. */
-    void replayWorkload();
+    /**
+     * Restore hook: position the bound workload by replay — reset() it
+     * and discard recordsConsumed() records. Generators are
+     * deterministic functions of their seed, so this reproduces the
+     * exact mid-stream position without serializing generator
+     * internals; an injected stream must yield the records the saved
+     * run consumed.
+     */
+    void afterRestore();
 
+  private:
     /** Dispatch one instruction completing at @p completion_cycle
      *  (memory ops) or after the fixed execute latency (pass 0). */
     void dispatch(Cycle completion_cycle);

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <iterator>
-#include <stdexcept>
-#include <string>
 
 #include "common/hashing.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::sim {
 
@@ -160,71 +156,6 @@ Dram::resetStats()
     stats_.reset();
     for (auto& b : bucket_epochs_)
         b = 0;
-}
-
-void
-Dram::saveState(snap::Writer& w) const
-{
-    w.u64(banks_.size());
-    for (const Bank& b : banks_) {
-        w.u64(b.next_free);
-        w.u64(b.open_row);
-    }
-    w.vecU64(bus_next_free_);
-    w.u64(epoch_start_);
-    w.u64(busy_in_epoch_);
-    w.f64(util_);
-    for (std::uint64_t b : bucket_epochs_)
-        w.u64(b);
-    stats_.saveState(w);
-}
-
-void
-Dram::loadState(snap::Reader& r)
-{
-    const std::uint64_t n_banks = r.u64();
-    if (n_banks != banks_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: dram has " + std::to_string(n_banks) +
-            " banks but this configuration has " +
-            std::to_string(banks_.size()));
-    for (Bank& b : banks_) {
-        b.next_free = r.u64();
-        b.open_row = r.u64();
-    }
-    std::vector<Cycle> bus = r.vecU64();
-    if (bus.size() != bus_next_free_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: dram has " + std::to_string(bus.size()) +
-            " channels but this configuration has " +
-            std::to_string(bus_next_free_.size()));
-    bus_next_free_ = std::move(bus);
-    epoch_start_ = r.u64();
-    busy_in_epoch_ = r.u64();
-    util_ = r.f64();
-    for (auto& b : bucket_epochs_)
-        b = r.u64();
-    stats_.loadState(r);
-}
-
-void
-Dram::copyStateFrom(const Dram& other)
-{
-    if (other.banks_.size() != banks_.size() ||
-        other.bus_next_free_.size() != bus_next_free_.size())
-        throw std::invalid_argument(
-            "dram copy: " + std::to_string(other.banks_.size()) +
-            " banks / " + std::to_string(other.bus_next_free_.size()) +
-            " channels do not match " + std::to_string(banks_.size()) +
-            " / " + std::to_string(bus_next_free_.size()));
-    banks_ = other.banks_;
-    bus_next_free_ = other.bus_next_free_;
-    epoch_start_ = other.epoch_start_;
-    busy_in_epoch_ = other.busy_in_epoch_;
-    util_ = other.util_;
-    std::copy(std::begin(other.bucket_epochs_),
-              std::end(other.bucket_epochs_), bucket_epochs_);
-    stats_.copyStateFrom(other.stats_);
 }
 
 } // namespace pythia::sim

@@ -19,11 +19,6 @@
 #include "common/types.hpp"
 #include "sim/prefetcher_api.hpp"
 
-namespace pythia::snap {
-class Writer;
-class Reader;
-} // namespace pythia::snap
-
 namespace pythia::sim {
 
 /** DRAM configuration; defaults model single-channel DDR4-2400 at a 4GHz
@@ -104,24 +99,15 @@ class Dram : public BandwidthInfo
 
     const DramConfig& config() const { return cfg_; }
 
-    /** Serialize bank/bus timing state + bandwidth monitor + statistics
-     *  (snapshot subsystem). */
-    void saveState(snap::Writer& w) const;
-
-    /** Restore a saveState() image from an identical DRAM geometry.
-     *  @throws snap::CorruptError on shape mismatch. */
-    void loadState(snap::Reader& r);
-
-    /** Copy the device and bandwidth-monitor state plus statistics from
-     *  @p other, a DRAM of identical geometry (machine fork).
-     *  @throws std::invalid_argument on geometry mismatch. */
-    void copyStateFrom(const Dram& other);
-
-    /** Host bytes held by the bank and bus state. */
-    std::size_t footprintBytes() const
+    /** Snapshot state (snapshot/archive.hpp): bank and bus timing,
+     *  the bandwidth monitor and statistics. */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
     {
-        return banks_.size() * sizeof(Bank) +
-               bus_next_free_.size() * sizeof(Cycle);
+        ar.table("dram banks", s.banks_);
+        ar.table("dram channels", s.bus_next_free_);
+        ar(s.epoch_start_, s.busy_in_epoch_, s.util_, s.bucket_epochs_,
+           s.stats_);
     }
 
   private:
@@ -129,6 +115,12 @@ class Dram : public BandwidthInfo
     {
         Cycle next_free = 0;
         std::uint64_t open_row = ~0ull;
+
+        template <class Self, class Ar>
+        static void fields(Self& b, Ar& ar)
+        {
+            ar(b.next_free, b.open_row);
+        }
     };
 
     void advanceEpoch(Cycle now);

@@ -107,18 +107,14 @@ class PrefetcherApi
     /** Metadata storage cost in bytes (paper Table 7 comparisons). */
     virtual std::size_t storageBytes() const = 0;
 
-    /**
-     * Serialize all learned/tracked state (snapshot subsystem). The
-     * default implementation throws snap::UnsupportedError, so a
-     * configuration containing a prefetcher without serialization
-     * support fails a snapshot request loudly instead of silently
-     * dropping its state.
-     */
-    virtual void saveState(snap::Writer& w) const;
+    /** Serialize all learned/tracked state (snapshot subsystem,
+     *  DESIGN.md §9). Prefetchers declare their state once and inherit
+     *  both codec functions from pf::StatefulPrefetcher. */
+    virtual void saveState(snap::Writer& w) const = 0;
 
-    /** Restore a saveState() image. Defaults to snap::UnsupportedError
-     *  like saveState(). */
-    virtual void loadState(snap::Reader& r);
+    /** Restore a saveState() image. @throws snap::CorruptError when
+     *  the image does not fit this configuration. */
+    virtual void loadState(snap::Reader& r) = 0;
 };
 
 } // namespace pythia::sim

@@ -4,39 +4,8 @@
 #include <stdexcept>
 
 #include "common/hashing.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::sim {
-
-namespace {
-
-/** Geometry guard shared by the policy loaders: a state vector restored
- *  into a policy of different shape would index out of bounds later. */
-void
-requireSize(const char* what, std::size_t got, std::size_t want)
-{
-    if (got != want)
-        throw snap::CorruptError(
-            std::string("snapshot corrupt: replacement ") + what +
-            " size " + std::to_string(got) + " does not match policy "
-            "geometry " + std::to_string(want));
-}
-
-/** Downcast guard shared by the policies' copyStateFrom: @p other
- *  must be the same kind of policy as @p self. */
-template <typename Policy>
-const Policy&
-sameKind(const ReplacementPolicy& self, const ReplacementPolicy& other)
-{
-    const auto* o = dynamic_cast<const Policy*>(&other);
-    if (!o)
-        throw std::invalid_argument("replacement copy: cannot copy '" +
-                                    other.name() + "' state into '" +
-                                    self.name() + "'");
-    return *o;
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------------
 // LruPolicy
@@ -84,33 +53,6 @@ LruPolicy::onHit(std::uint32_t set, std::uint32_t way, const ReplAccess&)
 void
 LruPolicy::onEvict(std::uint32_t, std::uint32_t, bool)
 {
-}
-
-void
-LruPolicy::saveState(snap::Writer& w) const
-{
-    w.u64(tick_);
-    w.vecU64(stamp_);
-}
-
-void
-LruPolicy::loadState(snap::Reader& r)
-{
-    const std::uint64_t tick = r.u64();
-    std::vector<std::uint64_t> stamp = r.vecU64();
-    requireSize("lru stamp", stamp.size(), stamp_.size());
-    tick_ = tick;
-    stamp_ = std::move(stamp);
-}
-
-void
-LruPolicy::copyStateFrom(const ReplacementPolicy& other)
-{
-    const LruPolicy& o = sameKind<LruPolicy>(*this, other);
-    if (o.stamp_.size() != stamp_.size() || o.ways_ != ways_)
-        throw std::invalid_argument("replacement copy: lru geometry "
-                                    "differs");
-    *this = o;
 }
 
 // ---------------------------------------------------------------------------
@@ -180,38 +122,6 @@ ShipPolicy::onEvict(std::uint32_t set, std::uint32_t way, bool was_reused)
             --shct_[sig];
     }
     rrpv_[idx] = kMaxRrpv;
-}
-
-void
-ShipPolicy::saveState(snap::Writer& w) const
-{
-    w.vecU8(rrpv_);
-    w.vecU32(line_sig_);
-    w.vecU8(shct_);
-}
-
-void
-ShipPolicy::loadState(snap::Reader& r)
-{
-    std::vector<std::uint8_t> rrpv = r.vecU8();
-    std::vector<std::uint32_t> line_sig = r.vecU32();
-    std::vector<std::uint8_t> shct = r.vecU8();
-    requireSize("ship rrpv", rrpv.size(), rrpv_.size());
-    requireSize("ship line_sig", line_sig.size(), line_sig_.size());
-    requireSize("ship shct", shct.size(), shct_.size());
-    rrpv_ = std::move(rrpv);
-    line_sig_ = std::move(line_sig);
-    shct_ = std::move(shct);
-}
-
-void
-ShipPolicy::copyStateFrom(const ReplacementPolicy& other)
-{
-    const ShipPolicy& o = sameKind<ShipPolicy>(*this, other);
-    if (o.rrpv_.size() != rrpv_.size() || o.shct_.size() != shct_.size())
-        throw std::invalid_argument("replacement copy: ship geometry "
-                                    "differs");
-    *this = o;
 }
 
 // ---------------------------------------------------------------------------

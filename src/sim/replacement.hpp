@@ -14,11 +14,6 @@
 
 #include "common/types.hpp"
 
-namespace pythia::snap {
-class Writer;
-class Reader;
-} // namespace pythia::snap
-
 namespace pythia::sim {
 
 /** Per-access context handed to the replacement policy. */
@@ -58,21 +53,6 @@ class ReplacementPolicy
 
     /** Policy display name. */
     virtual const std::string& name() const = 0;
-
-    /** Serialize all victim-selection state (snapshot subsystem). */
-    virtual void saveState(snap::Writer& w) const = 0;
-
-    /** Restore a saveState() image taken from a policy of the same kind
-     *  and geometry. @throws snap::CorruptError on mismatch. */
-    virtual void loadState(snap::Reader& r) = 0;
-
-    /** Copy all victim-selection state from @p other, a policy of the
-     *  same kind and geometry (machine fork, System::copyStateFrom).
-     *  @throws std::invalid_argument on mismatch. */
-    virtual void copyStateFrom(const ReplacementPolicy& other) = 0;
-
-    /** Host bytes held by the per-line and predictor state. */
-    virtual std::size_t footprintBytes() const = 0;
 };
 
 /** Classic least-recently-used stack implemented with a global timestamp.
@@ -91,12 +71,13 @@ class LruPolicy final : public ReplacementPolicy
     void onEvict(std::uint32_t set, std::uint32_t way,
                  bool was_reused) override;
     const std::string& name() const override { return name_; }
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
-    void copyStateFrom(const ReplacementPolicy& other) override;
-    std::size_t footprintBytes() const override
+
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
     {
-        return stamp_.size() * sizeof(std::uint64_t);
+        ar(s.tick_);
+        ar.table("lru stamps", s.stamp_);
     }
 
   private:
@@ -130,13 +111,14 @@ class ShipPolicy final : public ReplacementPolicy
     void onEvict(std::uint32_t set, std::uint32_t way,
                  bool was_reused) override;
     const std::string& name() const override { return name_; }
-    void saveState(snap::Writer& w) const override;
-    void loadState(snap::Reader& r) override;
-    void copyStateFrom(const ReplacementPolicy& other) override;
-    std::size_t footprintBytes() const override
+
+    /** Snapshot state (snapshot/archive.hpp). */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
     {
-        return rrpv_.size() + line_sig_.size() * sizeof(std::uint32_t) +
-               shct_.size();
+        ar.table("ship rrpv", s.rrpv_);
+        ar.table("ship signatures", s.line_sig_);
+        ar.table("ship shct", s.shct_);
     }
 
   private:

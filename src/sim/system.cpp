@@ -7,7 +7,7 @@
 #include <string>
 
 #include "common/table.hpp"
-#include "snapshot/codec.hpp"
+#include "snapshot/archive.hpp"
 
 namespace pythia::sim {
 
@@ -270,146 +270,25 @@ System::run(std::uint64_t instrs_per_core)
 void
 System::saveState(snap::Writer& w) const
 {
-    w.beginSection("machine");
-    w.u32(cfg_.num_cores);
-    w.u64(prefetchers_.size());
-    w.boolean(measuring_);
-    w.u64(measured_instrs_);
-    w.vecU64(measure_origin_);
-    w.vecU64(measured_cycles_);
-    w.endSection();
-
-    w.beginSection("dram");
-    dram_->saveState(w);
-    w.endSection();
-
-    w.beginSection("llc");
-    llc_->saveState(w);
-    w.endSection();
-
-    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c) {
-        w.beginSection("l2." + std::to_string(c));
-        l2_[c]->saveState(w);
-        w.endSection();
-        w.beginSection("l1." + std::to_string(c));
-        l1_[c]->saveState(w);
-        w.endSection();
-        w.beginSection("core." + std::to_string(c));
-        cores_[c]->saveState(w);
-        w.endSection();
-    }
-
-    for (std::size_t i = 0; i < prefetchers_.size(); ++i) {
-        w.beginSection("pf." + std::to_string(i));
-        prefetchers_[i]->saveState(w);
-        w.endSection();
-    }
+    snap::save(*this, w);
 }
 
 void
 System::loadState(snap::Reader& r)
 {
-    r.enterSection("machine");
-    const std::uint32_t num_cores = r.u32();
-    if (num_cores != cfg_.num_cores)
-        throw snap::CorruptError(
-            "snapshot corrupt: machine has " + std::to_string(num_cores) +
-            " cores but this configuration has " +
-            std::to_string(cfg_.num_cores));
-    const std::uint64_t num_pf = r.u64();
-    if (num_pf != prefetchers_.size())
-        throw snap::CorruptError(
-            "snapshot corrupt: machine has " + std::to_string(num_pf) +
-            " prefetchers but this configuration has " +
-            std::to_string(prefetchers_.size()));
-    measuring_ = r.boolean();
-    measured_instrs_ = r.u64();
-    measure_origin_ = r.vecU64();
-    measured_cycles_ = r.vecU64();
-    r.leaveSection();
-
-    r.enterSection("dram");
-    dram_->loadState(r);
-    r.leaveSection();
-
-    r.enterSection("llc");
-    llc_->loadState(r);
-    r.leaveSection();
-
-    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c) {
-        r.enterSection("l2." + std::to_string(c));
-        l2_[c]->loadState(r);
-        r.leaveSection();
-        r.enterSection("l1." + std::to_string(c));
-        l1_[c]->loadState(r);
-        r.leaveSection();
-        r.enterSection("core." + std::to_string(c));
-        cores_[c]->loadState(r);
-        r.leaveSection();
-    }
-
-    for (std::size_t i = 0; i < prefetchers_.size(); ++i) {
-        r.enterSection("pf." + std::to_string(i));
-        prefetchers_[i]->loadState(r);
-        r.leaveSection();
-    }
+    snap::load(*this, r);
 }
 
 void
 System::copyStateFrom(const System& other)
 {
-    if (other.cfg_.num_cores != cfg_.num_cores ||
-        other.prefetchers_.size() != prefetchers_.size())
-        throw std::invalid_argument(
-            "machine copy: " + std::to_string(other.cfg_.num_cores) +
-            " cores / " + std::to_string(other.prefetchers_.size()) +
-            " prefetchers do not match " +
-            std::to_string(cfg_.num_cores) + " / " +
-            std::to_string(prefetchers_.size()));
-
-    // Prefetchers first: one without serialization fails before the
-    // bulk copies and the workload replay are paid for.
-    for (std::size_t i = 0; i < prefetchers_.size(); ++i) {
-        snap::Writer w;
-        other.prefetchers_[i]->saveState(w);
-        const std::vector<std::uint8_t>& buf = w.buffer();
-        snap::Reader r(buf.data(), buf.size());
-        prefetchers_[i]->loadState(r);
-        if (!r.atEnd())
-            throw std::invalid_argument(
-                "machine copy: prefetcher " + std::to_string(i) +
-                " left " + std::to_string(r.remaining()) +
-                " bytes of its state unread");
-    }
-
-    measuring_ = other.measuring_;
-    measured_instrs_ = other.measured_instrs_;
-    measure_origin_ = other.measure_origin_;
-    measured_cycles_ = other.measured_cycles_;
-    dram_->copyStateFrom(*other.dram_);
-    llc_->copyStateFrom(*other.llc_);
-    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c) {
-        l2_[c]->copyStateFrom(*other.l2_[c]);
-        l1_[c]->copyStateFrom(*other.l1_[c]);
-        cores_[c]->copyStateFrom(*other.cores_[c]);
-    }
+    snap::copy(*this, other);
 }
 
 std::size_t
 System::footprintBytes() const
 {
-    std::size_t n = (measure_origin_.size() + measured_cycles_.size()) *
-                        sizeof(std::uint64_t) +
-                    dram_->footprintBytes() + llc_->footprintBytes();
-    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c)
-        n += l2_[c]->footprintBytes() + l1_[c]->footprintBytes() +
-             cores_[c]->footprintBytes();
-    for (const auto& pf : prefetchers_) {
-        snap::Writer w;
-        pf->saveState(w);
-        n += w.size();
-    }
-    return n;
+    return snap::footprint(*this);
 }
 
 } // namespace pythia::sim

@@ -146,45 +146,62 @@ class System
     std::uint64_t measuredInstrs() const { return measured_instrs_; }
 
     /**
-     * Serialize the complete machine state as named sections —
-     * "machine" (measurement bookkeeping), "dram", "llc", then
+     * Snapshot state (snapshot/archive.hpp, DESIGN.md §9): named
+     * sections "machine" (measurement bookkeeping), "dram", "llc", then
      * "l2.<c>"/"l1.<c>"/"core.<c>" per core and "pf.<i>" per attached
-     * prefetcher in attach order (snapshot subsystem, DESIGN.md §9).
-     * @throws snap::UnsupportedError when an attached prefetcher does
-     * not implement serialization.
+     * prefetcher in attach order. Prefetchers are opaque codecs: a copy
+     * goes through their saveState()/loadState() in memory, and their
+     * footprint is their encoded size.
      */
+    template <class Self, class Ar>
+    static void fields(Self& s, Ar& ar)
+    {
+        const std::uint32_t cores = s.cfg_.num_cores;
+        ar.section("machine", [&] {
+            ar.expect("machine cores", cores);
+            ar.expect("machine prefetchers",
+                      static_cast<std::uint64_t>(s.prefetchers_.size()));
+            ar(s.measuring_, s.measured_instrs_);
+            ar.list("machine measure origins", s.measure_origin_, cores);
+            ar.list("machine measured cycles", s.measured_cycles_, cores);
+        });
+        ar.section("dram", *s.dram_);
+        ar.section("llc", *s.llc_);
+        for (std::uint32_t c = 0; c < cores; ++c) {
+            const std::string n = std::to_string(c);
+            ar.section("l2." + n, *s.l2_[c]);
+            ar.section("l1." + n, *s.l1_[c]);
+            ar.section("core." + n, *s.cores_[c]);
+        }
+        for (std::size_t i = 0; i < s.prefetchers_.size(); ++i)
+            ar.section("pf." + std::to_string(i), *s.prefetchers_[i]);
+    }
+
+    /** Serialize the complete machine state (see fields()). */
     void saveState(snap::Writer& w) const;
 
     /**
      * Restore a saveState() image into an identically-configured
      * machine. Workload positions are re-derived by deterministic
-     * replay (see Core::loadState). @throws snap::CorruptError on any
-     * structural mismatch.
+     * replay (see Core::afterRestore). @throws snap::CorruptError on
+     * any structural mismatch.
      */
     void loadState(snap::Reader& r);
 
     /**
      * Make this machine a fork of @p other, an identically-configured
-     * machine with the same prefetchers attached: measurement
-     * bookkeeping, DRAM, every cache and core, and each prefetcher's
-     * state, copied in memory without the snapshot file codec.
-     * Prefetchers copy through their saveState()/loadState(), so one
-     * without serialization throws snap::UnsupportedError. Workload
-     * positions are re-derived by replay (see Core::copyStateFrom), so
-     * this machine's workloads must yield the records @p other's
-     * consumed. @throws std::invalid_argument on a configuration
-     * mismatch, snap::CorruptError when a prefetcher's state does not
-     * fit its counterpart. A throw leaves this machine partially
-     * copied.
+     * machine with the same prefetchers attached, by member assignment
+     * of every listed field. Workload positions are re-derived by
+     * replay (see Core::afterRestore), so this machine's workloads must
+     * yield the records @p other's consumed. @throws
+     * std::invalid_argument on a configuration mismatch,
+     * snap::CorruptError when a prefetcher's state does not fit its
+     * counterpart. A throw leaves this machine partially copied.
      */
     void copyStateFrom(const System& other);
 
-    /**
-     * Host bytes of the state copyStateFrom() copies: the caches',
-     * replacement policies', DRAM's and cores' state vectors, plus each
-     * prefetcher's serialized state. Workload records are not
-     * included — their owner counts them.
-     */
+    /** Host bytes of the listed state (snap::footprint). Workload
+     *  records are not included — their owner counts them. */
     std::size_t footprintBytes() const;
 
     Dram& dram() { return *dram_; }

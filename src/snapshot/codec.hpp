@@ -65,14 +65,6 @@ class FingerprintError : public SnapshotError
     using SnapshotError::SnapshotError;
 };
 
-/** The simulated configuration contains a component (typically a
- *  prefetcher) that does not implement state serialization. */
-class UnsupportedError : public SnapshotError
-{
-  public:
-    using SnapshotError::SnapshotError;
-};
-
 // ----------------------------------------------------------- checksum
 
 /** FNV-1a 64-bit offset basis. */

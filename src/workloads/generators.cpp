@@ -488,7 +488,7 @@ CaseStudyGen::clone(std::uint64_t reseed) const
 // ---------------------------------------------------------------------------
 // Registry entries: one WorkloadRegistrar per generator family, so any
 // family is constructible from a parameterized spec string
-// ("stream:footprint=256M,mem_ratio=0.4") next to the catalog names.
+// ("stream:streams=2,mem_ratio=0.4") next to the catalog names.
 // Range checks live here, not in the constructors: spec strings are
 // user input, constructor arguments are programmer input (asserts).
 
@@ -511,9 +511,11 @@ unitFraction(const WorkloadParams& p, const std::string& key, double dflt)
     return v;
 }
 
-/** The GenParams keys every generator family accepts. */
+/** The GenParams keys every generator family accepts. `footprint` is
+ *  declared only by the families that read it (irregular, graph); for
+ *  the rest genParams() keeps the default. */
 const std::vector<std::string> kCommonKeys = {"mem_ratio", "write_ratio",
-                                              "dep_ratio", "footprint"};
+                                              "dep_ratio"};
 
 std::vector<std::string>
 withCommonKeys(std::vector<std::string> keys)
@@ -597,7 +599,7 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar irregular_registrar{
     "irregular",
-    withCommonKeys({"stride_fraction"}),
+    withCommonKeys({"stride_fraction", "footprint"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
         return std::make_unique<IrregularGen>(
@@ -607,7 +609,7 @@ genParams(const WorkloadParams& p)
 
 [[maybe_unused]] const WorkloadRegistrar graph_registrar{
     "graph",
-    withCommonKeys({"degree", "irregularity"}),
+    withCommonKeys({"degree", "irregularity", "footprint"}),
     [](const WorkloadParams& p, std::uint64_t seed,
        const std::string& name) -> std::unique_ptr<Workload> {
         const std::uint32_t degree = p.getU32("degree", 8);

@@ -9,7 +9,7 @@
  * strings (common/spec.hpp grammar, single part):
  *
  *     wl::WorkloadRegistry::instance().make("stream", seed)
- *     ... make("stream:footprint=256M,mem_ratio=0.4", seed)
+ *     ... make("stream:streams=2,mem_ratio=0.4", seed)
  *     ... make("irregular:dep_ratio=0.9", seed)
  *     ... make("trace:file=foo.bin", seed)          // binary replay
  *     ... make("phase:stream@40+graph@60", seed)    // phase composite

@@ -156,7 +156,7 @@ buildUnseenCatalog()
     // moral equivalent of the CVP-2 traces of §6.4.
     std::vector<WorkloadSpec> v;
     v.push_back({"crypto-aes-17", "Crypto",
-                 "stride:strides=1/1/4," + mp("0.125", 16)});
+                 "stride:strides=1/1/4," + mp("0.125")});
     v.push_back({"crypto-sha-5", "Crypto",
                  "stream:streams=2," + mp("0.14")});
     v.push_back({"int-41", "INT", cloudMix("0.3", 7000)});

@@ -47,7 +47,7 @@ const WorkloadSpec* findWorkload(const std::string& name);
 
 /**
  * Instantiate a workload by catalog name or registry spec string
- * ("482.sphinx3-417B", "stream:footprint=256M,mem_ratio=0.4",
+ * ("482.sphinx3-417B", "stream:streams=2,mem_ratio=0.4",
  * "trace:file=foo.bin", "phase:stream@40+graph@60"). @p seed_override
  * of 0 keeps the deterministic default seed (derived from the catalog
  * name, or from the canonical spec spelling for raw specs).

@@ -20,6 +20,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
+#include "snapshot/archive.hpp"
 
 namespace pythia {
 namespace {
@@ -105,27 +106,36 @@ TEST(Rng, StateRoundTripResumesStreamExactly)
     // Capture mid-stream, keep drawing on the original, then restore a
     // fresh generator from the captured state: both must produce the
     // identical remainder of the stream — the property the snapshot
-    // subsystem's RNG serialization rests on.
+    // subsystem's RNG serialization rests on. A copy does the same.
     Rng a(42);
     for (int i = 0; i < 1000; ++i)
         (void)a.next64();
-    const RngState st = a.state();
+    snap::Writer w;
+    snap::save(a, w);
+    Rng c(9);
+    snap::copy(c, a);
 
     std::vector<std::uint64_t> expect;
     for (int i = 0; i < 1000; ++i)
         expect.push_back(a.next64());
 
-    Rng b(7); // different position and seed; setState must erase both
-    b.setState(st);
-    EXPECT_EQ(b.state(), st);
-    for (int i = 0; i < 1000; ++i)
+    Rng b(7); // different position and seed; the load must erase both
+    snap::Reader r(w.buffer().data(), w.buffer().size());
+    snap::load(b, r);
+    for (int i = 0; i < 1000; ++i) {
         EXPECT_EQ(b.next64(), expect[static_cast<std::size_t>(i)]);
+        EXPECT_EQ(c.next64(), expect[static_cast<std::size_t>(i)]);
+    }
 }
 
-TEST(Rng, SetStateRejectsAllZeroState)
+TEST(Rng, RestoreRejectsAllZeroState)
 {
-    Rng r(1);
-    EXPECT_THROW(r.setState(RngState{0, 0}), std::invalid_argument);
+    snap::Writer w;
+    w.u64(0);
+    w.u64(0);
+    snap::Reader r(w.buffer().data(), w.buffer().size());
+    Rng rng(1);
+    EXPECT_THROW(snap::load(rng, r), snap::CorruptError);
 }
 
 TEST(Rng, BoundedStaysInRange)

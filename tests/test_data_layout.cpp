@@ -18,7 +18,7 @@
 #include "core/eq.hpp"
 #include "core/qvstore.hpp"
 #include "core/qvstore_ref.hpp"
-#include "snapshot/codec.hpp"
+#include "snapshot/archive.hpp"
 
 namespace {
 
@@ -110,7 +110,7 @@ TEST(DataLayoutQVStore, MatchesScalarReferenceAcrossRandomConfigs)
         // the SoA serialization must be byte-identical to a manual
         // write of the reference table.
         snap::Writer got;
-        soa.saveState(got);
+        snap::save(soa, got);
         snap::Writer want;
         want.vecF32(ref.table());
         want.u64(ref.updates());
@@ -153,8 +153,8 @@ TEST(DataLayoutQVStore, UpdateCachedMatchesPlainUpdate)
     }
 
     snap::Writer a, b;
-    plain.saveState(a);
-    cached.saveState(b);
+    snap::save(plain, a);
+    snap::save(cached, b);
     EXPECT_EQ(a.buffer(), b.buffer());
 }
 
@@ -287,7 +287,7 @@ expectEntryEq(const rl::EqEntry& want, const rl::EqEntry& got,
     EXPECT_EQ(want.reward, got.reward) << where;
 }
 
-/** saveState() bytes the reference model predicts. */
+/** snap::save() bytes the reference model predicts. */
 std::vector<std::uint8_t>
 expectedEqBytes(const RefEq& ref)
 {
@@ -306,7 +306,7 @@ expectedEqBytes(const RefEq& ref)
         w.boolean(e.has_reward);
         w.f64(e.reward);
     }
-    // std::map iterates address-ascending — the same order saveState
+    // std::map iterates address-ascending — the same order snap::save
     // sorts its open-addressed table into.
     w.u64(ref.pending.size());
     for (const auto& [addr, pc] : ref.pending) {
@@ -382,7 +382,7 @@ runEqTrafficTrial(std::size_t capacity, std::uint64_t seed)
     // Full-state equivalence: the ring must serialize to exactly the
     // bytes the deque-era layout produced, pending index included.
     snap::Writer w;
-    eq.saveState(w);
+    snap::save(eq, w);
     ASSERT_EQ(expectedEqBytes(ref), w.buffer());
 }
 
@@ -417,13 +417,13 @@ TEST(DataLayoutEq, SaveStateRoundTripsThroughLoad)
     }
 
     snap::Writer w;
-    eq.saveState(w);
+    snap::save(eq, w);
     snap::Reader r(w.buffer().data(), w.buffer().size());
     rl::EvaluationQueue restored(32);
-    restored.loadState(r);
+    snap::load(restored, r);
 
     snap::Writer w2;
-    restored.saveState(w2);
+    snap::save(restored, w2);
     EXPECT_EQ(w.buffer(), w2.buffer());
 }
 

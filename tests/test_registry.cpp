@@ -347,10 +347,15 @@ class FlatMemory : public sim::MemoryLevel
 };
 
 /** Emits one candidate with a bogus fill level and one valid one. */
-class BadFillPrefetcher : public pf::PrefetcherBase
+class BadFillPrefetcher : public pf::StatefulPrefetcher<BadFillPrefetcher>
 {
   public:
-    BadFillPrefetcher() : PrefetcherBase("badfill", 1) {}
+    BadFillPrefetcher() : StatefulPrefetcher("badfill", 1) {}
+
+    template <class Self, class Ar>
+    static void fields(Self&, Ar&)
+    {
+    }
 
     void train(const sim::PrefetchAccess& access,
                std::vector<sim::PrefetchRequest>& out) override

@@ -1755,6 +1755,83 @@ TEST_F(ServiceTest, WarmPoolTinyBudgetEvictsInsteadOfServing)
 }
 
 
+TEST_F(ServiceTest, PrefetcherFamiliesWarmHitAndDetachResumeMatchOffline)
+{
+    // Baselines whose state lives in tables of their own: the second
+    // tenant of a shared spec forks from the warm pool, is detached
+    // mid-run (evicted to state_dir), resumes, and still finishes
+    // byte-identical to the offline run, leaving no state files.
+    auto opt = baseOptions();
+    opt.warm_pool_bytes = 64u << 20;
+    ServeServer server(opt);
+    server.start();
+    const std::string addr = server.boundAddress();
+    constexpr std::uint64_t kWindow = 2000;
+    std::uint64_t hits = 0;
+    for (const std::string pf :
+         {"mlop", "dspatch", "cp_hw", "spp_ppf", "st_s_b_d_m"}) {
+        const auto spec = makeSpec("470.lbm-164B", pf, 2000, 60000);
+        const auto records = captureRecords(spec);
+        const OfflineRun off = runOffline(spec, kWindow);
+
+        ServeClient lead(addr);
+        EXPECT_FALSE(lead.open("lead-" + pf, spec, kWindow).warm) << pf;
+        const auto lead_run = lead.streamRun(records);
+        ASSERT_TRUE(lead_run.final_result.has_value()) << pf;
+        expectSeriesEqual(lead_run.series.samples(), off.series.samples(),
+                          pf + " leader");
+        lead.close();
+
+        const std::string tenant = "fork-" + pf;
+        const std::uint64_t prefix = midRunPrefix(spec, records, kWindow);
+        ASSERT_LT(instrsCovered(records, prefix),
+                  spec.warmup_instrs + spec.sim_instrs - 2 * kWindow)
+            << pf << ": prefix can complete the run";
+        const std::vector<wl::TraceRecord> part1(records.begin(),
+                                                 records.begin() + prefix);
+        ServeClient first(addr);
+        const HelloAckMsg warm = first.open(tenant, spec, kWindow);
+        EXPECT_TRUE(warm.warm) << pf << ": second open should hit";
+        const auto progress1 =
+            first.streamRun(part1, warm.records_received, 1);
+        ASSERT_GE(progress1.series.size(), 1u) << pf;
+        harness::TimeSeries strays;
+        const DetachAckMsg ack = first.detach(&strays);
+        first.close();
+        EXPECT_TRUE(fs::exists(snapPath(tenant))) << pf;
+
+        ServeClient second(addr);
+        const HelloAckMsg hello = second.open(tenant, spec, kWindow);
+        EXPECT_TRUE(hello.resumed) << pf;
+        EXPECT_EQ(hello.windows_completed, ack.windows_completed) << pf;
+        const auto progress2 =
+            second.streamRun(records, hello.records_received);
+        ASSERT_TRUE(progress2.final_result.has_value()) << pf;
+        expectWindowsMatchOffline({progress1.series.samples(),
+                                   strays.samples(),
+                                   progress2.series.samples()},
+                                  off, true, pf + " warm fork + resume");
+        EXPECT_EQ(resultBits(*progress2.final_result),
+                  resultBits(off.final_result))
+            << pf;
+        second.close();
+        hits += warm.warm ? 1 : 0;
+    }
+
+    for (const auto& f : fs::directory_iterator(dir_ / "state")) {
+        const std::string ext = f.path().extension().string();
+        EXPECT_TRUE(ext != ".trace" && ext != ".snap")
+            << "left behind: " << f.path();
+    }
+    const auto s = server.stats();
+    EXPECT_EQ(s.warm_hits, hits);
+    EXPECT_GE(s.warm_hits, 1u);
+    EXPECT_EQ(s.sessions_resumed, 5u);
+    ServeClient probe(addr);
+    EXPECT_EQ(probe.stats().find("\"hits\": 0,"), std::string::npos);
+    EXPECT_EQ(server.stop(), 0);
+}
+
 // ------------------------------------------- instruction-counted gating
 
 /** The index of the record whose instructions cover position @p at

@@ -300,6 +300,8 @@ class PlusOnePrefetcher : public PrefetcherApi
     }
     const std::string& name() const override { return name_; }
     std::size_t storageBytes() const override { return 0; }
+    void saveState(snap::Writer&) const override {}
+    void loadState(snap::Reader&) override {}
 
     int trained = 0;
     std::vector<std::pair<Addr, Cycle>> fills;

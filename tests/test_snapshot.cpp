@@ -5,10 +5,10 @@
  * Covers the pythia-snap-v1 stack bottom-up: codec primitive round
  * trips and section discipline, the file container's validation order
  * and corruption taxonomy (each failure mode its own typed error),
- * configuration fingerprints, StatGroup serialization, SimSession
- * snapshot/resume equivalence (post-warmup and mid-run), the
- * and the UnsupportedError contract for prefetchers without
- * serialization.
+ * configuration fingerprints, StatGroup save/load/copy, SimSession
+ * snapshot/resume equivalence (post-warmup and mid-run), and, for
+ * every registered prefetcher, machine forks, byte round trips and
+ * hostile prefetcher sections.
  * The full golden-grid restore→advance gate lives in
  * test_snapshot_golden.cpp (label: golden).
  */
@@ -24,7 +24,9 @@
 #include "common/stats.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
+#include "prefetchers/streamer.hpp"
 #include "sim/prefetcher_registry.hpp"
+#include "snapshot/archive.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace pythia {
@@ -262,19 +264,28 @@ TEST(SnapStats, StatGroupRoundTripPreservesSlotPointers)
     std::uint64_t* slot = g.counterSlot("hits");
 
     snap::Writer w;
-    g.saveState(w);
+    snap::save(g, w);
 
     g.inc("hits", 100); // diverge after the snapshot
     g.set("ipc", 9.0);
 
     snap::Reader r(w.buffer().data(), w.buffer().size());
-    g.loadState(r);
+    snap::load(g, r);
     EXPECT_EQ(g.counter("hits"), 7u);
     EXPECT_EQ(g.counter("misses"), 3u);
     EXPECT_EQ(g.value("ipc"), 1.25);
     // The hot-path contract: the pre-load slot pointer still reads the
     // restored value.
     EXPECT_EQ(*slot, 7u);
+
+    // A copy keeps the same contract, and a counter the source lacks
+    // reads zero.
+    StatGroup other("other");
+    other.inc("hits", 42);
+    snap::copy(g, other);
+    EXPECT_EQ(*slot, 42u);
+    EXPECT_EQ(g.counter("misses"), 0u);
+    EXPECT_EQ(g.value("ipc"), 0.0);
 }
 
 // ----------------------------------------------------------- file container
@@ -452,9 +463,9 @@ TEST(SnapFingerprint, CanonicalizesWorkloadSpellings)
     // same stream and must share one fingerprint (and so restore each
     // other's snapshots).
     harness::ExperimentSpec a = smallPythiaSpec();
-    a.workload = "stream:footprint=4M,mem_ratio=0.4";
+    a.workload = "stream:streams=2,mem_ratio=0.4";
     harness::ExperimentSpec b = a;
-    b.workload = "stream:mem_ratio=0.4,footprint=4M";
+    b.workload = "stream:mem_ratio=0.4,streams=2";
     EXPECT_EQ(harness::fingerprintFor(a), harness::fingerprintFor(b));
 }
 
@@ -532,82 +543,149 @@ TEST(SnapSession, ResumeUnderDifferentSpecIsFingerprintError)
                  snap::FingerprintError);
 }
 
-TEST(SnapSession, PrefetcherWithoutSerializationIsUnsupportedError)
-{
-    // dspatch deliberately has no saveState override: snapshotTo must
-    // refuse loudly instead of writing a partial machine.
-    harness::ExperimentSpec spec = smallPythiaSpec();
-    spec.prefetcher = "dspatch";
-    harness::SimSession session(spec);
-    session.runWarmup();
-    try {
-        session.snapshotTo(tmpPath("unsupported.snap"));
-        FAIL() << "expected UnsupportedError";
-    } catch (const snap::UnsupportedError& e) {
-        EXPECT_NE(std::string(e.what()).find("dspatch"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
 // ------------------------------------------------------------------ fork
 
-/** Runs @p a and @p b window by window to the end of their budget and
- *  expects every window sample to match bit for bit. */
+/** Runs @p a and every session of @p others window by window to the
+ *  end of their budget and expects every window sample to match bit
+ *  for bit. */
 void
-expectSameWindows(harness::SimSession& a, harness::SimSession& b,
+expectSameWindows(harness::SimSession& a,
+                  const std::vector<harness::SimSession*>& others,
                   std::uint64_t window, const std::string& what)
 {
+    const auto bits = [](const harness::SimSession& s) {
+        snap::Writer w;
+        harness::writeWindowSample(w, s.lastWindow());
+        return w.buffer();
+    };
     while (!a.done()) {
-        ASSERT_FALSE(b.done()) << what;
         a.advance(window);
-        b.advance(window);
-        snap::Writer wa, wb;
-        harness::writeWindowSample(wa, a.lastWindow());
-        harness::writeWindowSample(wb, b.lastWindow());
-        ASSERT_EQ(wa.buffer(), wb.buffer())
-            << what << ": window " << a.windowsCompleted() - 1;
+        for (harness::SimSession* b : others) {
+            ASSERT_FALSE(b->done()) << what;
+            b->advance(window);
+            ASSERT_EQ(bits(a), bits(*b))
+                << what << ": window " << a.windowsCompleted() - 1;
+        }
     }
-    EXPECT_TRUE(b.done()) << what;
+    for (harness::SimSession* b : others)
+        EXPECT_TRUE(b->done()) << what;
+}
+
+harness::ExperimentSpec
+smallSpecFor(const std::string& pf, std::uint32_t cores)
+{
+    return {.workload = "462.libquantum-1343B",
+            .prefetcher = pf,
+            .num_cores = cores,
+            .warmup_instrs = 4'000,
+            .sim_instrs = 6'000};
 }
 
 TEST(SnapFork, CopyCoversAllStateForEveryPrefetcher)
 {
-    // For every registered prefetcher that can serialize, at 1 and 4
-    // cores: a fork taken mid-run serializes to the same bytes as its
-    // source (session body and whole machine), and both then run
-    // bit-identical windows. A prefetcher without serialization makes
-    // the fork throw UnsupportedError, like snapshotBytes().
-    std::size_t forked = 0;
+    // For every registered prefetcher, at 1 and 4 cores: a fork taken
+    // mid-run and a session resumed from the mid-run image serialize
+    // to the same bytes as their source (session body and whole
+    // machine), and all three then run bit-identical windows.
     for (const std::string& pf : sim::PrefetcherRegistry::instance().names()) {
         for (const std::uint32_t cores : {1u, 4u}) {
             const std::string what =
                 pf + " @ " + std::to_string(cores) + " cores";
-            const harness::ExperimentSpec spec{
-                .workload = "462.libquantum-1343B",
-                .prefetcher = pf,
-                .num_cores = cores,
-                .warmup_instrs = 4'000,
-                .sim_instrs = 6'000};
+            const harness::ExperimentSpec spec = smallSpecFor(pf, cores);
             harness::SimSession source(spec);
             source.advance(2'000);
-            std::vector<std::uint8_t> image;
-            try {
-                image = source.snapshotBytes();
-            } catch (const snap::UnsupportedError&) {
-                EXPECT_THROW((void)source.fork(harness::workloadsFor(spec)),
-                             snap::UnsupportedError)
-                    << what;
-                continue;
-            }
+            const std::vector<std::uint8_t> image = source.snapshotBytes();
             harness::SimSession copy =
                 source.fork(harness::workloadsFor(spec));
             EXPECT_EQ(copy.snapshotBytes(), image) << what;
-            expectSameWindows(source, copy, 2'000, what);
-            ++forked;
+            harness::SimSession resumed =
+                harness::SimSession::resumeFromBytes(
+                    spec, image, harness::workloadsFor(spec));
+            EXPECT_EQ(resumed.snapshotBytes(), image) << what;
+            expectSameWindows(source, {&copy, &resumed}, 2'000, what);
         }
     }
-    EXPECT_GE(forked, 2u * 6u) << "most prefetchers serialize";
+}
+
+/** [offset of the length field, payload size] of section @p name in a
+ *  System image. */
+std::pair<std::size_t, std::size_t>
+findSection(const std::vector<std::uint8_t>& image, const std::string& name)
+{
+    snap::Reader r(image.data(), image.size());
+    while (!r.atEnd()) {
+        const std::string found = r.str();
+        const std::size_t len_at = r.position();
+        const std::uint64_t len = r.u64();
+        if (found == name)
+            return {len_at, static_cast<std::size_t>(len)};
+        r.skip(len);
+    }
+    return {0, 0};
+}
+
+/** @p image with the u64 length at @p at set to @p len. */
+void
+patchLength(std::vector<std::uint8_t>& image, std::size_t at,
+            std::uint64_t len)
+{
+    for (int i = 0; i < 8; ++i)
+        image[at + static_cast<std::size_t>(i)] =
+            static_cast<std::uint8_t>(len >> (8 * i));
+}
+
+TEST(SnapRestore, HostilePrefetcherSectionIsCorruptErrorForEveryPrefetcher)
+{
+    // A machine image whose "pf.0" section is one byte short (the last
+    // byte cut) or one byte long (a byte appended) must be refused
+    // with CorruptError by System::loadState — never a crash, never a
+    // silently shifted restore.
+    for (const std::string& pf : sim::PrefetcherRegistry::instance().names()) {
+        const harness::ExperimentSpec spec = smallSpecFor(pf, 1);
+        harness::SimSession source(spec);
+        source.advance(2'000);
+        snap::Writer w;
+        source.system().saveState(w);
+        const std::vector<std::uint8_t>& image = w.buffer();
+        const auto [len_at, len] = findSection(image, "pf.0");
+        if (len_at == 0)
+            continue; // "none": no prefetcher section
+        const std::size_t end = len_at + 8 + len;
+
+        std::vector<std::vector<std::uint8_t>> hostile;
+        if (len > 0) {
+            std::vector<std::uint8_t> cut = image;
+            cut.erase(cut.begin() + static_cast<std::ptrdiff_t>(end - 1));
+            patchLength(cut, len_at, len - 1);
+            hostile.push_back(std::move(cut));
+        }
+        std::vector<std::uint8_t> longer = image;
+        longer.insert(longer.begin() + static_cast<std::ptrdiff_t>(end), 0);
+        patchLength(longer, len_at, len + 1);
+        hostile.push_back(std::move(longer));
+
+        for (const auto& bytes : hostile) {
+            harness::SimSession target(spec);
+            snap::Reader r(bytes.data(), bytes.size());
+            EXPECT_THROW(target.system().loadState(r), snap::CorruptError)
+                << pf << ", pf.0 of " << len << " bytes resized to "
+                << bytes.size() - image.size() + len;
+        }
+    }
+}
+
+TEST(SnapRestore, StreamerDegreeAboveItsBoundIsCorruptError)
+{
+    // The restored degree bounds train()'s loop: an image claiming
+    // 2^32 - 1 must be refused, not spun on.
+    pf::StreamerPrefetcher streamer;
+    snap::Writer w;
+    streamer.saveState(w);
+    std::vector<std::uint8_t> image = w.buffer();
+    for (std::size_t i = 8; i < 12; ++i) // u64 tick, then u32 degree
+        image[i] = 0xFF;
+    snap::Reader r(image.data(), image.size());
+    EXPECT_THROW(streamer.loadState(r), snap::CorruptError);
 }
 
 TEST(SnapFork, ForkRejectsAMismatchedMachine)

@@ -245,6 +245,26 @@ TEST(WorkloadRegistry, IllTypedAndOutOfRangeParametersAreRejected)
                  std::invalid_argument);
 }
 
+TEST(WorkloadRegistry, FootprintBelongsToTheFamiliesThatReadIt)
+{
+    // Only irregular and graph read the working-set size; every other
+    // family refuses it instead of silently ignoring it.
+    EXPECT_NO_THROW(makeWorkload("irregular:footprint=8M"));
+    EXPECT_NO_THROW(makeWorkload("graph:footprint=8M"));
+    for (const std::string family :
+         {"stream", "stride", "spatial", "delta", "casestudy"}) {
+        try {
+            (void)makeWorkload(family + ":footprint=8M");
+            ADD_FAILURE() << family << " accepted footprint";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "unknown parameter 'footprint'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(WorkloadRegistry, IntegerParametersAreDecimal)
 {
     // A leading zero is not an octal prefix: streams=08 is 8 and
@@ -289,8 +309,8 @@ TEST(WorkloadRegistry, MalformedSpecsAreRejected)
 
 TEST(WorkloadRegistry, CanonicalSortsKeysAndKeepsCatalogNames)
 {
-    EXPECT_EQ(canonicalWorkloadSpec("stream:mem_ratio=0.4,footprint=256M"),
-              canonicalWorkloadSpec("stream:footprint=256M,mem_ratio=0.4"));
+    EXPECT_EQ(canonicalWorkloadSpec("stream:mem_ratio=0.4,streams=2"),
+              canonicalWorkloadSpec("stream:streams=2,mem_ratio=0.4"));
     EXPECT_EQ(canonicalWorkloadSpec("482.sphinx3-417B"),
               "482.sphinx3-417B");
     // Not a valid spec: passes through unchanged (total function).
@@ -303,15 +323,15 @@ TEST(WorkloadRegistry, CanonicalSortsKeysAndKeepsCatalogNames)
 TEST(WorkloadRegistry, BaselineKeyIgnoresSpecSpelling)
 {
     harness::ExperimentSpec a;
-    a.workload = "stream:mem_ratio=0.4,footprint=256M";
+    a.workload = "stream:mem_ratio=0.4,streams=2";
     harness::ExperimentSpec b;
-    b.workload = "stream:footprint=256M, mem_ratio=0.4";
+    b.workload = "stream:streams=2, mem_ratio=0.4";
     EXPECT_EQ(harness::Runner::baselineKey(a),
               harness::Runner::baselineKey(b));
 
     // Different parameters stay different keys.
     harness::ExperimentSpec c;
-    c.workload = "stream:footprint=128M,mem_ratio=0.4";
+    c.workload = "stream:streams=3,mem_ratio=0.4";
     EXPECT_NE(harness::Runner::baselineKey(a),
               harness::Runner::baselineKey(c));
 

@@ -19,7 +19,7 @@
  *                [reference_dir=] [stats=0] [quiet=0]
  *
  * workloads= is a ';'-separated list of catalog names or registry specs
- * (',' belongs to spec parameters: "stream:footprint=256M,mem_ratio=0.4").
+ * (',' belongs to spec parameters: "stream:streams=2,mem_ratio=0.4").
  * Arguments are strict key=value (common/params.hpp): an unknown key, a
  * malformed token, an ill-typed or out-of-range value, or an unknown
  * workload or prefetcher name prints one line to stderr and exits 2

@@ -10,7 +10,7 @@
  *                 [records=200000] [seed=0] [verify=1]
  *
  * workload= accepts catalog names and registry specs alike
- * ("482.sphinx3-417B", "stream:footprint=256M,mem_ratio=0.4",
+ * ("482.sphinx3-417B", "stream:streams=2,mem_ratio=0.4",
  * "phase:stream@40+graph@60"); seed=0 keeps the workload's
  * deterministic default seed. verify=1 (the default) replays the
  * written file against a fresh instance of the generator and fails
@@ -50,7 +50,7 @@ main(int argc, char** argv)
             throw std::invalid_argument(
                 "trace_capture: workload=<spec-or-name> is required "
                 "(e.g. workload=470.lbm-164B or "
-                "workload=stream:footprint=256M)");
+                "workload=stream:streams=2)");
         if (records == 0)
             throw std::invalid_argument(
                 "trace_capture: records must be > 0");
