@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/hashing.hpp"
-#include "snapshot/codec.hpp"
+#include "snapshot/archive.hpp"
 
 namespace pythia::rl {
 
@@ -224,7 +224,7 @@ EvaluationQueue::saveQueue(snap::Writer& w) const
     w.u64(count_);
     for (std::size_t i = 0; i < count_; ++i) {
         const EqEntry& e = ring_[(head_ + i) & mask_];
-        // Same bytes as Writer::vecU64 of the old heap state vector.
+        // The bytes of a listed std::vector<std::uint64_t>: count, values.
         w.u64(e.state.size());
         for (const std::uint64_t fv : e.state)
             w.u64(fv);
@@ -266,7 +266,8 @@ EvaluationQueue::loadQueue(snap::Reader& r)
     count_ = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         EqEntry e;
-        const std::vector<std::uint64_t> state = r.vecU64();
+        std::vector<std::uint64_t> state;
+        snap::load(state, r);
         if (state.size() > kEqStateSlots)
             throw snap::CorruptError(
                 "snapshot corrupt: eq entry state has " +

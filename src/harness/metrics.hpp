@@ -34,6 +34,12 @@ struct Metrics
     double coverage = 0.0;       ///< fraction of baseline misses removed
     double overprediction = 0.0; ///< extra memory reads vs baseline
     double accuracy = 1.0;       ///< useful / issued prefetches
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.speedup, self.coverage, self.overprediction, self.accuracy);
+    }
 };
 
 /** Compute the paper's metrics from a prefetched and a baseline run. */

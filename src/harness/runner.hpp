@@ -75,6 +75,12 @@ class Runner
         sim::RunResult run;
         sim::RunResult baseline;
         Metrics metrics;
+
+        template <class Self, class Ar>
+        static void fields(Self& self, Ar& ar)
+        {
+            ar(self.run, self.baseline, self.metrics);
+        }
     };
 
     /**

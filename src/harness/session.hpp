@@ -52,10 +52,6 @@
 #include "sim/system.hpp"
 #include "snapshot/codec.hpp"
 
-namespace pythia::snap {
-struct SnapshotFile;
-}
-
 namespace pythia::harness {
 
 class SimSession;
@@ -79,22 +75,23 @@ struct WindowSample
     std::uint64_t instrs_end = 0;    ///< cumulative measured instrs after
     sim::RunResult delta;            ///< this window only
     sim::RunResult cumulative;       ///< since measurement start
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.index, self.instrs_begin, self.instrs_end, self.delta,
+           self.cumulative);
+    }
 };
 
 /**
- * Spec and result codec shared by every wire/journal/snapshot consumer
- * (snapshot files, the pythia-shard-v1 frames, the pythia-serve-v1
- * service protocol): fixed-width little-endian via the snap codec,
- * floats as IEEE-754 bit patterns — a round trip is bit-exact. The
- * readers throw snap::CorruptError on truncated or hostile bytes,
- * including element counts larger than the bytes left.
+ * snap::save of a RunResult or a WindowSample: the bytes snapshot
+ * files, the pythia-shard-v1 frames and the pythia-serve-v1 protocol
+ * carry (fixed-width little-endian, floats as IEEE-754 bit patterns).
+ * Read them back with snap::load.
  */
-void writeSpec(snap::Writer& w, const ExperimentSpec& spec);
-ExperimentSpec readSpec(snap::Reader& r);
 void writeRunResult(snap::Writer& w, const sim::RunResult& r);
-sim::RunResult readRunResult(snap::Reader& r);
 void writeWindowSample(snap::Writer& w, const WindowSample& s);
-WindowSample readWindowSample(snap::Reader& r);
 
 /**
  * Observer hooks for a streamed session, registered through
@@ -221,10 +218,10 @@ class SimSession
 
     /**
      * A new session in the same state as this one, built over
-     * @p workloads (see the two-arg ctor): the lifecycle flags and
-     * window results, and the machine through
-     * sim::System::copyStateFrom. Cheaper than a snapshotBytes() /
-     * resumeFromBytes() round trip — no encode, checksum or decode —
+     * @p workloads (see the two-arg ctor): snap::copy of the listed
+     * state (lifecycle flags, window results, the machine). Cheaper
+     * than a snapshotBytes() / resumeFromBytes() round trip — no
+     * encode, checksum or decode —
      * and bit-identical to it: the fork and this session run the same
      * windows from here on. The injected streams must replay the
      * records this session consumed. Reads this session only, so
@@ -282,10 +279,21 @@ class SimSession
 
     const ExperimentSpec& spec() const { return spec_; }
 
+    /** The snapshot body: the lifecycle flags and window results in a
+     *  `session` section, then the machine. Observers are not state. */
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar.section("session", [&] {
+            ar(self.warmup_done_, self.run_ended_, self.advanced_,
+               self.windows_completed_, self.has_window_, self.cumulative_,
+               self.last_);
+        });
+        ar(*self.system_);
+    }
+
   private:
     void notifyRunEndOnce();
-    void writeSessionBody(snap::Writer& w) const;
-    void restoreSessionBody(const snap::SnapshotFile& file);
 
     ExperimentSpec spec_;
     std::unique_ptr<sim::System> system_;

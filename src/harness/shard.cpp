@@ -25,6 +25,7 @@
 
 #include "common/transport.hpp"
 #include "harness/session.hpp"
+#include "snapshot/archive.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace pythia::harness {
@@ -72,16 +73,13 @@ encodeJournalHeader(const std::string& fingerprint)
 }
 
 /** One journal record: frame header + payload + u64 FNV-1a of the
- *  payload. Payload = kind(u8=1) + job id + outcome + seconds. */
+ *  payload. Payload = kind(u8=1) + the entry's fields. */
 std::vector<std::uint8_t>
-encodeJournalRecord(std::size_t job, const Runner::Outcome& o,
-                    double seconds)
+encodeJournalRecord(const JournalEntry& e)
 {
     snap::Writer p;
     p.u8(1);
-    p.u64(job);
-    writeOutcome(p, o);
-    p.f64(seconds);
+    snap::save(e, p);
 
     snap::Writer rec;
     const transport::FrameHeader h = transport::encodeFrameHeader(p.size());
@@ -142,31 +140,7 @@ class ScopedSigpipeIgnore
 
 } // namespace
 
-// --------------------------------------------------- public payloads
-
-void
-writeOutcome(snap::Writer& w, const Runner::Outcome& o)
-{
-    writeRunResult(w, o.run);
-    writeRunResult(w, o.baseline);
-    w.f64(o.metrics.speedup);
-    w.f64(o.metrics.coverage);
-    w.f64(o.metrics.overprediction);
-    w.f64(o.metrics.accuracy);
-}
-
-Runner::Outcome
-readOutcome(snap::Reader& r)
-{
-    Runner::Outcome o;
-    o.run = readRunResult(r);
-    o.baseline = readRunResult(r);
-    o.metrics.speedup = r.f64();
-    o.metrics.coverage = r.f64();
-    o.metrics.overprediction = r.f64();
-    o.metrics.accuracy = r.f64();
-    return o;
-}
+// -------------------------------------------------------- fingerprint
 
 std::string
 sweepFingerprint(const Sweep& sweep)
@@ -301,15 +275,13 @@ scanJournal(const std::string& path,
                     "journal corrupt: record " + std::to_string(index) +
                     ": unknown kind " + std::to_string(kind));
             JournalEntry e;
-            e.job = static_cast<std::size_t>(r.u64());
+            snap::load(e, r);
             if (e.job >= n_jobs)
                 throw JournalCorruptError(
                     "journal corrupt: record " + std::to_string(index) +
                     ": job id " + std::to_string(e.job) +
                     " out of range (sweep has " + std::to_string(n_jobs) +
                     " jobs)");
-            e.outcome = readOutcome(r);
-            e.seconds = r.f64();
             if (!r.atEnd())
                 throw JournalCorruptError(
                     "journal corrupt: record " + std::to_string(index) +
@@ -402,7 +374,8 @@ shardWorkerMain(int argc, char** argv)
             if (rd.u8() != kFrameJob)
                 throw WireError("worker: expected a Job frame");
             const std::uint64_t job = rd.u64();
-            const ExperimentSpec spec = readSpec(rd);
+            ExperimentSpec spec;
+            snap::load(spec, rd);
 
             if (kill_me && kill_point == "recv")
                 ::raise(SIGKILL);
@@ -421,7 +394,7 @@ shardWorkerMain(int argc, char** argv)
                         std::chrono::steady_clock::now() - t0)
                         .count();
                 w.u8(1);
-                writeOutcome(w, outcome);
+                snap::save(outcome, w);
                 w.f64(seconds);
             } catch (const std::invalid_argument& e) {
                 w.u8(0);
@@ -656,7 +629,7 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         snap::Writer w;
         w.u8(kFrameJob);
         w.u64(job);
-        writeSpec(w, sweep.specs_[job]);
+        snap::save(sweep.specs_[job], w);
         if (!sendFrame(wk, w.buffer()))
             return; // died between loop rounds; its EOF respawns it
         st.pending.pop_front();
@@ -752,11 +725,53 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             st.arrivals == crash.at_result)
             ::_exit(137); // simulated SIGKILL before the flush
         if (journal_fd >= 0)
-            journalWrite(encodeJournalRecord(job, st.results[job],
-                                             st.job_seconds[job]));
+            journalWrite(encodeJournalRecord(
+                {job, st.results[job], st.job_seconds[job]}));
         if (crash.at_result && crash.post_flush &&
             st.arrivals == crash.at_result)
             ::_exit(137); // simulated SIGKILL after the flush
+    };
+
+    // One frame from a worker: a HelloAck or the Result for its job.
+    const auto handleFrame = [&](WorkerSlot& wk, const Payload& frame) {
+        snap::Reader r(frame.data(), frame.size(), "shard worker frame");
+        const std::uint8_t type = r.u8();
+        if (type == kFrameHelloAck) {
+            const std::string schema = r.str();
+            const std::uint32_t version = r.u32();
+            if (schema != kWireSchemaName || version != kWireVersion)
+                throw WireError(
+                    "shard: wire schema mismatch from worker (got " +
+                    schema + " v" + std::to_string(version) + ")");
+            wk.acked = true;
+        } else if (type == kFrameResult) {
+            const auto job = static_cast<std::size_t>(r.u64());
+            if (!wk.job || *wk.job != job)
+                throw WireError("shard: worker " +
+                                std::to_string(wk.index) +
+                                " sent a result for job " +
+                                std::to_string(job) +
+                                ", which it does not hold");
+            wk.job.reset();
+            if (r.u8() != 0) {
+                snap::load(st.results[job], r);
+                st.job_seconds[job] = r.f64();
+                st.have[job] = 1;
+                appendJournal(job);
+            } else {
+                const std::uint8_t kind = r.u8();
+                // Errors are deliberately not journaled: a resumed
+                // sweep re-runs the job and reproduces the same
+                // (deterministic) failure.
+                st.errors[job] = {kind, r.str(), nullptr};
+            }
+            ++st.spec_done;
+            dispatch(wk);
+        } else {
+            throw WireError("shard: unexpected frame type " +
+                            std::to_string(type) + " from worker " +
+                            std::to_string(wk.index));
+        }
     };
 
     // Handle every complete frame in a worker's reader.
@@ -772,44 +787,13 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             }
             if (!frame)
                 return;
-            snap::Reader r(frame->data(), frame->size(),
-                           "shard worker frame");
-            const std::uint8_t type = r.u8();
-            if (type == kFrameHelloAck) {
-                const std::string schema = r.str();
-                const std::uint32_t version = r.u32();
-                if (schema != kWireSchemaName || version != kWireVersion)
-                    throw WireError(
-                        "shard: wire schema mismatch from worker (got " +
-                        schema + " v" + std::to_string(version) + ")");
-                wk.acked = true;
-            } else if (type == kFrameResult) {
-                const auto job = static_cast<std::size_t>(r.u64());
-                if (!wk.job || *wk.job != job)
-                    throw WireError("shard: worker " +
-                                    std::to_string(wk.index) +
-                                    " sent a result for job " +
-                                    std::to_string(job) +
-                                    ", which it does not hold");
-                wk.job.reset();
-                if (r.u8() != 0) {
-                    st.results[job] = readOutcome(r);
-                    st.job_seconds[job] = r.f64();
-                    st.have[job] = 1;
-                    appendJournal(job);
-                } else {
-                    const std::uint8_t kind = r.u8();
-                    // Errors are deliberately not journaled: a resumed
-                    // sweep re-runs the job and reproduces the same
-                    // (deterministic) failure.
-                    st.errors[job] = {kind, r.str(), nullptr};
-                }
-                ++st.spec_done;
-                dispatch(wk);
-            } else {
-                throw WireError("shard: unexpected frame type " +
-                                std::to_string(type) + " from worker " +
-                                std::to_string(wk.index));
+            // A frame that ends mid-field is a protocol violation too.
+            try {
+                handleFrame(wk, *frame);
+            } catch (const snap::CorruptError& e) {
+                throw WireError("shard: worker " +
+                                std::to_string(wk.index) + ": " +
+                                e.what());
             }
         }
     };

@@ -16,10 +16,10 @@
  *     Job frames (job id + full ExperimentSpec); the worker answers
  *     each with a Result frame (job id + Runner::Outcome + wall
  *     seconds, or a typed error).
- *     All payloads ride the snap::Writer/Reader codec (specs via
- *     harness::writeSpec/readSpec in session.hpp), so every value is
- *     fixed-width little-endian and floats travel as IEEE-754 bit
- *     patterns — a Result deserializes bit-identically on the
+ *     All payloads ride the snap::Writer/Reader codec (specs and
+ *     outcomes through their field lists, snap::save/load), so every
+ *     value is fixed-width little-endian and floats travel as IEEE-754
+ *     bit patterns — a Result deserializes bit-identically on the
  *     coordinator.
  *
  *  2. **Durable journal** (`pythia-journal-v1`): an append-only file of
@@ -62,12 +62,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
-#include "snapshot/codec.hpp"
 
 namespace pythia::harness {
 
@@ -131,14 +131,6 @@ inline constexpr std::uint32_t kJournalVersion = 1;
 /** Human-readable journal schema name (docs, error messages). */
 inline constexpr const char* kJournalSchemaName = "pythia-journal-v1";
 
-// ----------------------------------------------------- wire payloads
-
-/** Serialize a full Outcome (run + baseline + metrics), bit-exactly. */
-void writeOutcome(snap::Writer& w, const Runner::Outcome& o);
-
-/** Inverse of writeOutcome(). */
-Runner::Outcome readOutcome(snap::Reader& r);
-
 /**
  * Fingerprint of a sweep's job grid, embedded in the journal header:
  * "format=pythia-journal-v1;jobs=<n>;job<i>=<fnv64 of the spec's
@@ -157,6 +149,13 @@ struct JournalEntry
     std::size_t job = 0;      ///< Sweep::JobId
     Runner::Outcome outcome;  ///< bit-exact as journaled
     double seconds = 0.0;     ///< worker-measured evaluate() wall time
+
+    /** The record payload after its kind byte. */
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.job, self.outcome, self.seconds);
+    }
 };
 
 /** Everything scanJournal() recovered from a journal file. */

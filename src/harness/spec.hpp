@@ -49,6 +49,15 @@ struct ExperimentSpec
     std::uint64_t warmup_instrs = 100'000;
     std::uint64_t sim_instrs = 300'000;
     std::uint64_t workload_seed = 0; ///< 0 = catalog default
+
+    /** The spec as shard Job and serve Hello frames carry it. */
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.workload, self.mix, self.prefetcher, self.l1_prefetcher,
+           self.num_cores, self.mtps, self.llc_bytes_per_core,
+           self.warmup_instrs, self.sim_instrs, self.workload_seed);
+    }
 };
 
 /** Multiply both simulation windows of @p spec by @p factor, truncating

@@ -166,15 +166,44 @@ enum ErrorKind : std::uint32_t {
 
 // ----------------------------------------------------------- messages
 
+// Each message lists its payload fields once; the frame type byte
+// precedes them, and a decode must consume the payload exactly.
+
+/** The schema and version that open a Hello and a HelloAck. A decode
+ *  checks them before it reads on, so a peer of another protocol or
+ *  version gets that error whatever layout follows. */
+struct Preamble
+{
+    std::string schema = kServeSchemaName;
+    std::uint32_t version = kServeVersion;
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.schema, self.version);
+    }
+
+    /** @throws ServeWireError on another schema or version. */
+    void afterRestore() const;
+};
+
 struct HelloMsg
 {
+    Preamble preamble;
     std::string tenant;
     harness::ExperimentSpec spec;
     std::uint64_t window_instrs = 0;
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.preamble, self.tenant, self.spec, self.window_instrs);
+    }
 };
 
 struct HelloAckMsg
 {
+    Preamble preamble;
     bool resumed = false; ///< session restored from evicted state
     /** Session forked from a machine in the daemon's shared warm pool:
      *  warmup was skipped bit-exactly, and records_received already
@@ -189,6 +218,14 @@ struct HelloAckMsg
      *  client's flow-control window so a resume never stalls waiting
      *  for a first kWindow ack. */
     std::uint64_t records_consumed = 0;
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.preamble, self.resumed, self.warm, self.instrs_advanced,
+           self.windows_completed, self.records_received,
+           self.records_consumed);
+    }
 };
 
 struct WindowMsg
@@ -196,6 +233,12 @@ struct WindowMsg
     harness::WindowSample window;
     /** Stream position the session has consumed (flow control). */
     std::uint64_t records_consumed = 0;
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.window, self.records_consumed);
+    }
 };
 
 struct RunEndMsg
@@ -203,6 +246,13 @@ struct RunEndMsg
     sim::RunResult final_result;
     std::uint64_t windows_completed = 0;
     std::uint64_t records_consumed = 0;
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.final_result, self.windows_completed,
+           self.records_consumed);
+    }
 };
 
 struct DetachAckMsg
@@ -210,12 +260,25 @@ struct DetachAckMsg
     std::uint64_t records_received = 0;
     std::uint64_t instrs_advanced = 0;
     std::uint64_t windows_completed = 0;
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.records_received, self.instrs_advanced,
+           self.windows_completed);
+    }
 };
 
 struct ErrorMsg
 {
     std::uint32_t kind = kErrInternal;
     std::string message;
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.kind, self.message);
+    }
 };
 
 // ------------------------------------------------- payload encode/decode

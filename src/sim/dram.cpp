@@ -136,20 +136,6 @@ Dram::access(Addr block, Cycle at, bool is_write)
     return done;
 }
 
-std::vector<double>
-Dram::utilizationBuckets() const
-{
-    std::uint64_t total = 0;
-    for (auto b : bucket_epochs_)
-        total += b;
-    std::vector<double> out(4, 0.0);
-    if (total == 0)
-        return out;
-    for (int i = 0; i < 4; ++i)
-        out[i] = static_cast<double>(bucket_epochs_[i]) / total;
-    return out;
-}
-
 void
 Dram::resetStats()
 {

@@ -80,14 +80,11 @@ class Dram : public BandwidthInfo
     StatGroup& stats() { return stats_; }
 
     /**
-     * Fraction of elapsed epochs spent in each utilization bucket
-     * [<25%, 25-50%, 50-75%, >=75%] — the Fig. 14 runtime breakdown.
+     * Elapsed epochs spent in each utilization bucket [<25%, 25-50%,
+     * 50-75%, >=75%] — the Fig. 14 runtime breakdown, normalized by
+     * RunResult::derive(). Raw counts subtract and add cleanly, which is
+     * what makes per-window RunResult deltas composable.
      */
-    std::vector<double> utilizationBuckets() const;
-
-    /** Raw epoch counts behind utilizationBuckets(). Unlike the
-     *  normalized fractions these subtract and add cleanly, which is
-     *  what makes per-window RunResult deltas composable. */
     std::vector<std::uint64_t> bucketEpochCounts() const
     {
         return {bucket_epochs_[0], bucket_epochs_[1], bucket_epochs_[2],

@@ -51,6 +51,30 @@ RunResult::accuracy() const
         1.0, static_cast<double>(prefetch_useful) / prefetch_issued);
 }
 
+void
+RunResult::derive()
+{
+    ipc.assign(core_cycles.size(), 0.0);
+    std::vector<double> ipcs;
+    ipcs.reserve(core_cycles.size());
+    for (std::size_t c = 0; c < core_cycles.size(); ++c) {
+        const double cycles = static_cast<double>(core_cycles[c]);
+        ipc[c] = cycles > 0 ? static_cast<double>(instructions) / cycles
+                            : 0.0;
+        ipcs.push_back(std::max(ipc[c], 1e-9));
+    }
+    ipc_geomean = geomean(ipcs);
+
+    std::uint64_t total_epochs = 0;
+    for (const std::uint64_t e : dram_bucket_epochs)
+        total_epochs += e;
+    dram_buckets.assign(dram_bucket_epochs.size(), 0.0);
+    if (total_epochs > 0)
+        for (std::size_t b = 0; b < dram_bucket_epochs.size(); ++b)
+            dram_buckets[b] = static_cast<double>(dram_bucket_epochs[b]) /
+                              static_cast<double>(total_epochs);
+}
+
 System::System(const SystemConfig& cfg,
                std::vector<std::unique_ptr<wl::Workload>> workloads)
     : cfg_(cfg), workloads_(std::move(workloads))
@@ -219,17 +243,6 @@ System::collectResult() const
     RunResult res;
     res.instructions = measured_instrs_;
     res.core_cycles = measured_cycles_;
-    std::vector<double> ipcs;
-    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c) {
-        const double cycles = static_cast<double>(measured_cycles_[c]);
-        const double ipc =
-            cycles > 0 ? static_cast<double>(measured_instrs_) / cycles
-                       : 0.0;
-        res.ipc.push_back(ipc);
-        ipcs.push_back(std::max(ipc, 1e-9));
-    }
-    res.ipc_geomean = geomean(ipcs);
-
     res.llc_demand_load_misses = llc_->stats().counter("demand_load_miss");
     res.llc_read_misses = llc_->stats().counter("read_miss_total");
     for (auto& c : l2_) {
@@ -252,9 +265,9 @@ System::collectResult() const
         res.prefetch_late += c->stats().counter("prefetch_useful_late");
         res.prefetch_useless += c->stats().counter("prefetch_useless");
     }
-    res.dram_buckets = dram_->utilizationBuckets();
     res.dram_utilization = dram_->utilization();
     res.dram_bucket_epochs = dram_->bucketEpochCounts();
+    res.derive();
     return res;
 }
 
@@ -265,24 +278,6 @@ System::run(std::uint64_t instrs_per_core)
     beginMeasurement();
     stepMeasuredTo(instrs_per_core);
     return collectResult();
-}
-
-void
-System::saveState(snap::Writer& w) const
-{
-    snap::save(*this, w);
-}
-
-void
-System::loadState(snap::Reader& r)
-{
-    snap::load(*this, r);
-}
-
-void
-System::copyStateFrom(const System& other)
-{
-    snap::copy(*this, other);
 }
 
 std::size_t

@@ -80,6 +80,22 @@ struct RunResult
      * so useful may exceed issued in a windowed reading.
      */
     double accuracy() const;
+
+    /** Recompute the derived fields (per-core ipc, ipc_geomean and
+     *  dram_buckets) from instructions, core_cycles and
+     *  dram_bucket_epochs. */
+    void derive();
+
+    template <class Self, class Ar>
+    static void fields(Self& self, Ar& ar)
+    {
+        ar(self.ipc, self.ipc_geomean, self.instructions,
+           self.llc_demand_load_misses, self.llc_read_misses,
+           self.prefetch_issued, self.prefetch_useful,
+           self.prefetch_useless, self.prefetch_late, self.dram_buckets,
+           self.dram_utilization, self.core_cycles,
+           self.dram_bucket_epochs);
+    }
 };
 
 /**
@@ -151,7 +167,11 @@ class System
      * "l2.<c>"/"l1.<c>"/"core.<c>" per core and "pf.<i>" per attached
      * prefetcher in attach order. Prefetchers are opaque codecs: a copy
      * goes through their saveState()/loadState() in memory, and their
-     * footprint is their encoded size.
+     * footprint is their encoded size. A load or a copy re-derives
+     * workload positions by replay (Core::afterRestore), so a copy's
+     * workloads must yield the records its source consumed; a copy
+     * between differently configured machines throws
+     * std::invalid_argument and leaves this machine partially copied.
      */
     template <class Self, class Ar>
     static void fields(Self& s, Ar& ar)
@@ -176,29 +196,6 @@ class System
         for (std::size_t i = 0; i < s.prefetchers_.size(); ++i)
             ar.section("pf." + std::to_string(i), *s.prefetchers_[i]);
     }
-
-    /** Serialize the complete machine state (see fields()). */
-    void saveState(snap::Writer& w) const;
-
-    /**
-     * Restore a saveState() image into an identically-configured
-     * machine. Workload positions are re-derived by deterministic
-     * replay (see Core::afterRestore). @throws snap::CorruptError on
-     * any structural mismatch.
-     */
-    void loadState(snap::Reader& r);
-
-    /**
-     * Make this machine a fork of @p other, an identically-configured
-     * machine with the same prefetchers attached, by member assignment
-     * of every listed field. Workload positions are re-derived by
-     * replay (see Core::afterRestore), so this machine's workloads must
-     * yield the records @p other's consumed. @throws
-     * std::invalid_argument on a configuration mismatch,
-     * snap::CorruptError when a prefetcher's state does not fit its
-     * counterpart. A throw leaves this machine partially copied.
-     */
-    void copyStateFrom(const System& other);
 
     /** Host bytes of the listed state (snap::footprint). Workload
      *  records are not included — their owner counts them. */

@@ -1,8 +1,9 @@
 /**
  * @file
- * One state declaration per component (DESIGN.md §9.1).
+ * One field list per stateful component and per value that crosses a
+ * process or disk boundary (DESIGN.md §9.1).
  *
- * A stateful component lists its state once, in a public static member
+ * A type lists its fields once, in a public static member
  *
  *     template <class Self, class Ar>
  *     static void fields(Self& self, Ar& ar);
@@ -10,12 +11,20 @@
  * instantiated with Self = const T to save or size and Self = T to load
  * or copy, so the const and mutable sides share one list (the archive
  * idiom of cereal and Boost.Serialization). save(), load(), copy() and
- * footprint() run that list through an Archive. The verbs a list uses:
+ * footprint() run that list through an Archive. Machine components
+ * (caches, cores, prefetchers, the System) and the values that travel
+ * between processes or to disk (ExperimentSpec, RunResult,
+ * WindowSample, Runner::Outcome, the session state, every
+ * pythia-serve-v1 message, the journal entry) use the same verbs:
  *
  *     ar(x, ...)               values: bools, integers, enums, floats,
- *                              fixed arrays of values, nested types with
- *                              their own fields(), and opaque codecs (any
- *                              type with saveState/loadState, i.e. a
+ *                              fixed arrays of values, std::string (u64
+ *                              length + bytes), std::vector of scalars
+ *                              or strings (u64 count + elements; a load
+ *                              bounds the count by the bytes left before
+ *                              it allocates), nested types with their
+ *                              own fields(), and opaque codecs (any type
+ *                              with saveState/loadState, i.e. a
  *                              prefetcher behind a PrefetcherApi)
  *     ar.table(what, v)        vector whose size the configuration fixes:
  *                              a u64 count, then the elements
@@ -69,6 +78,23 @@ template <class T>
 inline constexpr bool kFixedArray = std::is_array_v<T>;
 template <class T, std::size_t N>
 inline constexpr bool kFixedArray<std::array<T, N>> = true;
+
+template <class T>
+inline constexpr bool kVector = false;
+template <class T, class A>
+inline constexpr bool kVector<std::vector<T, A>> = true;
+
+/** Fewest bytes one encoded element takes, which bounds a stored count
+ *  by the bytes left: a string is at least its u64 length. */
+template <class T>
+constexpr std::size_t
+minBytes()
+{
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T> ||
+                      std::is_same_v<T, std::string>,
+                  "a variable-length vector holds scalars or strings");
+    return std::is_same_v<T, std::string> ? 8 : sizeof(T);
+}
 
 template <class T>
 void
@@ -286,6 +312,21 @@ class Archive
                 x.loadState(*r_);
             else
                 bytes_ += encoded(x, &U::saveState).size();
+        } else if constexpr (detail::kVector<U>) {
+            if constexpr (kOp == Op::kSave)
+                w_->u64(x.size());
+            if constexpr (kOp == Op::kLoad)
+                x.resize(r_->count(
+                    detail::minBytes<typename U::value_type>()));
+            for (auto& e : x)
+                value(e);
+        } else if constexpr (std::is_same_v<U, std::string>) {
+            if constexpr (kOp == Op::kSave)
+                w_->str(x);
+            else if constexpr (kOp == Op::kLoad)
+                x = r_->str();
+            else
+                bytes_ += x.size();
         } else if constexpr (kOp == Op::kSize) {
             bytes_ += sizeof(U);
         } else if constexpr (detail::kFixedArray<U>) {

@@ -94,7 +94,7 @@ fnv1a(const std::string& s, std::uint64_t seed = kFnvOffset)
 
 /**
  * Append-only byte-buffer writer. Integers are emitted little-endian
- * at fixed width; strings and vectors carry a u64 length prefix.
+ * at fixed width; strings carry a u64 length prefix.
  * Sections nest: beginSection(name) writes the name and reserves a
  * u64 length slot that endSection() patches.
  */
@@ -106,9 +106,6 @@ class Writer
     void u16(std::uint16_t v) { putLe(v, 2); }
     void u32(std::uint32_t v) { putLe(v, 4); }
     void u64(std::uint64_t v) { putLe(v, 8); }
-
-    void i32(std::int32_t v) { putLe(static_cast<std::uint32_t>(v), 4); }
-    void i64(std::int64_t v) { putLe(static_cast<std::uint64_t>(v), 8); }
 
     void boolean(bool v) { u8(v ? 1 : 0); }
 
@@ -129,47 +126,14 @@ class Writer
     void bytes(const void* data, std::size_t n)
     {
         const auto* p = static_cast<const std::uint8_t*>(data);
-        buf_.insert(buf_.end(), p, p + n);
+        for (std::size_t i = 0; i < n; ++i)
+            buf_.push_back(p[i]);
     }
 
     void str(const std::string& s)
     {
         u64(s.size());
         bytes(s.data(), s.size());
-    }
-
-    void vecU8(const std::vector<std::uint8_t>& v)
-    {
-        u64(v.size());
-        bytes(v.data(), v.size());
-    }
-
-    void vecU32(const std::vector<std::uint32_t>& v)
-    {
-        u64(v.size());
-        for (std::uint32_t x : v)
-            u32(x);
-    }
-
-    void vecU64(const std::vector<std::uint64_t>& v)
-    {
-        u64(v.size());
-        for (std::uint64_t x : v)
-            u64(x);
-    }
-
-    void vecF32(const std::vector<float>& v)
-    {
-        u64(v.size());
-        for (float x : v)
-            f32(x);
-    }
-
-    void vecF64(const std::vector<double>& v)
-    {
-        u64(v.size());
-        for (double x : v)
-            f64(x);
     }
 
     /** Open a named section; must be balanced by endSection(). */
@@ -245,9 +209,6 @@ class Reader
     std::uint32_t u32() { return static_cast<std::uint32_t>(getLe(4)); }
     std::uint64_t u64() { return getLe(8); }
 
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
     bool boolean()
     {
         const std::uint8_t v = u8();
@@ -280,51 +241,6 @@ class Reader
                       static_cast<std::size_t>(n));
         pos_ += static_cast<std::size_t>(n);
         return s;
-    }
-
-    std::vector<std::uint8_t> vecU8()
-    {
-        const std::uint64_t n = u64();
-        need(n);
-        std::vector<std::uint8_t> v(data_ + pos_, data_ + pos_ + n);
-        pos_ += static_cast<std::size_t>(n);
-        return v;
-    }
-
-    std::vector<std::uint32_t> vecU32()
-    {
-        const std::size_t n = count(4);
-        std::vector<std::uint32_t> v(n);
-        for (auto& x : v)
-            x = u32();
-        return v;
-    }
-
-    std::vector<std::uint64_t> vecU64()
-    {
-        const std::size_t n = count(8);
-        std::vector<std::uint64_t> v(n);
-        for (auto& x : v)
-            x = u64();
-        return v;
-    }
-
-    std::vector<float> vecF32()
-    {
-        const std::size_t n = count(4);
-        std::vector<float> v(n);
-        for (auto& x : v)
-            x = f32();
-        return v;
-    }
-
-    std::vector<double> vecF64()
-    {
-        const std::size_t n = count(8);
-        std::vector<double> v(n);
-        for (auto& x : v)
-            x = f64();
-        return v;
     }
 
     /**

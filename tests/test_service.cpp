@@ -45,7 +45,7 @@
 #include "service/stream_workload.hpp"
 #include "service/warm_pool.hpp"
 #include "service/wire.hpp"
-#include "snapshot/codec.hpp"
+#include "snapshot/archive.hpp"
 #include "workloads/suites.hpp"
 #include "workloads/trace.hpp"
 
@@ -127,7 +127,7 @@ std::vector<std::uint8_t>
 specBits(const harness::ExperimentSpec& s)
 {
     snap::Writer w;
-    harness::writeSpec(w, s);
+    snap::save(s, w);
     return w.buffer();
 }
 
@@ -368,6 +368,56 @@ TEST_F(ServiceTest, WireWindowAndRunEndRoundTripBitExact)
     EXPECT_EQ(ge.message, "busy");
 }
 
+TEST_F(ServiceTest, WireEveryStrictPrefixIsATypedError)
+{
+    // Every strict prefix of a valid payload ends mid-field: each must
+    // be a ServeWireError, never a crash, a hang or an allocation sized
+    // by the bytes that happen to follow.
+    HelloMsg hello;
+    hello.tenant = "tenant-a";
+    hello.spec = makeSpec("470.lbm-164B", "pythia");
+    hello.spec.mix = {"429.mcf-184B", "Ligra-CC"};
+    hello.window_instrs = 1000;
+    HelloAckMsg ack;
+    ack.records_received = 5;
+    const OfflineRun off =
+        runOffline(makeSpec("470.lbm-164B", "stride", 500, 1500), 500);
+    WindowMsg window;
+    window.window = off.series[1];
+    RunEndMsg end;
+    end.final_result = off.final_result;
+    const std::vector<wl::TraceRecord> records(3);
+
+    using Payload = std::vector<std::uint8_t>;
+    const std::vector<std::pair<Payload, std::function<void(const Payload&)>>>
+        frames = {
+            {encodeHello(hello), [](const Payload& p) { decodeHello(p); }},
+            {encodeHelloAck(ack),
+             [](const Payload& p) { decodeHelloAck(p); }},
+            {encodeAccess(records.data(), records.size()),
+             [](const Payload& p) { decodeAccess(p); }},
+            {encodeWindow(window),
+             [](const Payload& p) { decodeWindow(p); }},
+            {encodeRunEnd(end), [](const Payload& p) { decodeRunEnd(p); }},
+            {encodeDetach(), [](const Payload& p) { frameType(p); }},
+            {encodeDetachAck(DetachAckMsg{}),
+             [](const Payload& p) { decodeDetachAck(p); }},
+            {encodeStats(), [](const Payload& p) { frameType(p); }},
+            {encodeStatsAck("{}"),
+             [](const Payload& p) { decodeStatsAck(p); }},
+            {encodeError(kErrBusy, "busy"),
+             [](const Payload& p) { decodeError(p); }},
+        };
+    for (const auto& [payload, decode] : frames) {
+        EXPECT_NO_THROW(decode(payload));
+        for (std::size_t n = 0; n < payload.size(); ++n)
+            EXPECT_THROW(decode(Payload(payload.begin(),
+                                        payload.begin() + n)),
+                         ServeWireError)
+                << "frame type " << int(payload[0]) << " cut at " << n;
+    }
+}
+
 TEST_F(ServiceTest, WireAccessRoundTripPreservesFlags)
 {
     const auto spec = makeSpec("429.mcf-184B", "none", 1000, 4000);
@@ -422,6 +472,27 @@ TEST_F(ServiceTest, WireRejectsMalformedFrames)
     auto trailing = hello;
     trailing.push_back(0);
     EXPECT_THROW(decodeHello(trailing), ServeWireError);
+    // A peer of another version or protocol gets that error, whatever
+    // layout follows the preamble.
+    const auto preambleError = [](const std::string& schema,
+                                  std::uint32_t version) {
+        snap::Writer w;
+        w.u8(static_cast<std::uint8_t>(FrameType::kHello));
+        w.str(schema);
+        w.u32(version);
+        w.u8(0xFF); // a body this build does not know
+        try {
+            (void)decodeHello(w.buffer());
+        } catch (const ServeWireError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(preambleError(kServeSchemaName, 9),
+              "serve wire: unsupported version 9");
+    EXPECT_EQ(preambleError("other-v1", kServeVersion),
+              "serve wire: schema mismatch: got 'other-v1', want '" +
+                  std::string(kServeSchemaName) + "'");
     // window_instrs=0 is meaningless.
     HelloMsg zero = m;
     zero.window_instrs = 0;
@@ -1063,7 +1134,8 @@ TEST_F(ServiceTest, BadServeAddressesFailBeforeAnyConnect)
              "tcp:127.0.0.1:" + wrapped, "tcp:127.0.0.1:" + p + "abc",
              "tcp:" + wrapped, "tcp:127.0.0.1:", "tcp:127.0.0.1:-1",
              "tcp:10.0.0.1:" + p, "tcp:example.com:" + p, "tcp:",
-             "udp:" + p, p}) {
+             "udp:" + p, p, "tcp:+0", "tcp: 0", "tcp:-0", "tcp:+" + p,
+             "tcp: " + p}) {
         SCOPED_TRACE(bad);
         EXPECT_THROW(parseServeAddress(bad), ServeError);
         EXPECT_THROW(connectToServe(bad), ServeError);

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -36,6 +37,7 @@
 #include "harness/session.hpp"
 #include "harness/shard.hpp"
 #include "sim/prefetcher_registry.hpp"
+#include "snapshot/archive.hpp"
 
 namespace pythia::harness {
 namespace {
@@ -198,9 +200,10 @@ TEST_F(ShardService, WireSpecRoundTripsEveryField)
     spec.workload_seed = 0xABCDEF;
 
     snap::Writer w;
-    writeSpec(w, spec);
+    snap::save(spec, w);
     snap::Reader r(w.buffer().data(), w.size());
-    const ExperimentSpec back = readSpec(r);
+    ExperimentSpec back;
+    snap::load(back, r);
     EXPECT_TRUE(r.atEnd());
 
     EXPECT_EQ(back.workload, spec.workload);
@@ -225,25 +228,39 @@ TEST_F(ShardService, WireOutcomeRoundTripsBitExactly)
     const auto& ref = reference();
     for (const auto& outcome : ref) {
         snap::Writer w;
-        writeOutcome(w, outcome);
+        snap::save(outcome, w);
         snap::Reader r(w.buffer().data(), w.size());
-        const Runner::Outcome back = readOutcome(r);
+        Runner::Outcome back;
+        snap::load(back, r);
         EXPECT_TRUE(r.atEnd());
         expectBitIdentical(back, outcome);
     }
 }
 
-/** Feed @p hello to an in-process shardWorkerMain over two pipes and
- *  close its input. Returns the exit code and whether the worker wrote
- *  a frame (its HelloAck) back. */
-std::pair<int, bool>
-runWorkerOnHello(const snap::Writer& hello)
+/** @p payload behind a raw u32 length, which may be zero. */
+transport::Payload
+rawFrame(const transport::Payload& payload)
+{
+    snap::Writer w;
+    w.u32(static_cast<std::uint32_t>(payload.size()));
+    w.bytes(payload.data(), payload.size());
+    return w.buffer();
+}
+
+/** Feed @p frames to an in-process shardWorkerMain over two pipes and
+ *  close its input. Returns the exit code and the number of frames the
+ *  worker wrote back. */
+std::pair<int, std::size_t>
+runWorkerOn(const std::vector<transport::Payload>& frames)
 {
     int to_worker[2];
     int from_worker[2];
     if (::pipe(to_worker) != 0 || ::pipe(from_worker) != 0)
         throw std::system_error(errno, std::generic_category(), "pipe");
-    transport::writeFrame(to_worker[1], hello.buffer());
+    for (const transport::Payload& f : frames) {
+        const transport::Payload raw = rawFrame(f);
+        transport::writeAll(to_worker[1], raw.data(), raw.size());
+    }
     ::close(to_worker[1]);
     std::vector<std::string> args = {"sweep_worker",
                                      std::to_string(to_worker[0]),
@@ -256,24 +273,29 @@ runWorkerOnHello(const snap::Writer& hello)
                                    argv.data());
     ::close(to_worker[0]);
     ::close(from_worker[1]);
-    const bool replied = transport::readFrame(from_worker[0]).has_value();
+    std::size_t replies = 0;
+    while (transport::readFrame(from_worker[0]))
+        ++replies;
     ::close(from_worker[0]);
-    return {rc, replied};
+    return {rc, replies};
+}
+
+transport::Payload
+helloFrame()
+{
+    snap::Writer w;
+    w.u8(1); // Hello
+    w.str(kWireSchemaName);
+    w.u32(kWireVersion);
+    w.u32(0); // worker index
+    return w.buffer();
 }
 
 TEST_F(ShardService, WireHelloRejectsV1LayoutAndTrailingBytes)
 {
-    const auto helloCurrent = [] {
-        snap::Writer w;
-        w.u8(1); // Hello
-        w.str(kWireSchemaName);
-        w.u32(kWireVersion);
-        w.u32(0); // worker index
-        return w;
-    };
     // Control: a well-formed Hello is acked, and EOF ends the worker.
-    EXPECT_EQ(runWorkerOnHello(helloCurrent()),
-              std::make_pair(0, true));
+    EXPECT_EQ(runWorkerOn({helloFrame()}),
+              std::make_pair(0, std::size_t{1}));
 
     // The v1 layout: version 1 plus its trailing cache-directory string.
     snap::Writer v1;
@@ -282,12 +304,132 @@ TEST_F(ShardService, WireHelloRejectsV1LayoutAndTrailingBytes)
     v1.u32(1);
     v1.u32(0);
     v1.str("warm_cache");
-    EXPECT_EQ(runWorkerOnHello(v1), std::make_pair(1, false));
+    EXPECT_EQ(runWorkerOn({v1.buffer()}),
+              std::make_pair(1, std::size_t{0}));
 
     // A current Hello with one byte past its last field.
-    snap::Writer extra = helloCurrent();
-    extra.u8(0);
-    EXPECT_EQ(runWorkerOnHello(extra), std::make_pair(1, false));
+    transport::Payload extra = helloFrame();
+    extra.push_back(0);
+    EXPECT_EQ(runWorkerOn({extra}), std::make_pair(1, std::size_t{0}));
+}
+
+/** Run a one-job sweep against a stand-in worker that writes @p frames
+ *  (raw, so a zero length is possible) and exits. */
+void
+runAgainstRogue(const std::string& dir, const transport::Payload& frames)
+{
+    const fs::path bin = fs::absolute(fs::path(dir) / "frames.bin");
+    {
+        std::ofstream f(bin, std::ios::binary);
+        f.write(reinterpret_cast<const char*>(frames.data()),
+                static_cast<std::streamsize>(frames.size()));
+    }
+    // argv = {in_fd, out_fd, index, generation}. The coordinator reads
+    // buffered frames before it handles the worker's exit.
+    const std::string worker = (fs::path(dir) / "rogue_worker.sh").string();
+    {
+        std::ofstream sh(worker);
+        sh << "#!/bin/sh\ncat '" << bin.string() << "' >&\"$2\"\n";
+    }
+    fs::permissions(worker, fs::perms::owner_all);
+    ShardOptions opt;
+    opt.workers = 1;
+    opt.worker_path = worker;
+    Sweep one;
+    one.add(smallSpec("470.lbm-164B", "none"));
+    runSharded(opt, std::move(one));
+}
+
+TEST_F(ShardService, WireEveryStrictPrefixIsATypedError)
+{
+    // Every strict prefix of a valid payload ends mid-field. The worker
+    // refuses a cut Hello or Job (exit 1, no Result); the coordinator
+    // turns a cut HelloAck or Result into a WireError.
+    snap::Writer job;
+    job.u8(3); // Job
+    job.u64(0);
+    snap::save(smallSpec("470.lbm-164B", "none"), job);
+    const transport::Payload hello = helloFrame();
+    for (std::size_t n = 0; n < hello.size(); ++n)
+        EXPECT_EQ(runWorkerOn({{hello.begin(), hello.begin() + n}}),
+                  std::make_pair(1, std::size_t{0}))
+            << "hello cut at " << n;
+    for (std::size_t n = 0; n < job.size(); ++n)
+        EXPECT_EQ(runWorkerOn({hello, {job.buffer().begin(),
+                                        job.buffer().begin() + n}}),
+                  std::make_pair(1, std::size_t{1}))
+            << "job cut at " << n;
+
+    snap::Writer ack;
+    ack.u8(2); // HelloAck
+    ack.str(kWireSchemaName);
+    ack.u32(kWireVersion);
+    snap::Writer ok;
+    ok.u8(4); // Result
+    ok.u64(0);
+    ok.u8(1);
+    snap::save(reference()[0], ok);
+    ok.f64(0.5);
+    snap::Writer failed;
+    failed.u8(4);
+    failed.u64(0);
+    failed.u8(0);
+    failed.u8(2); // std::runtime_error
+    failed.str("failed");
+    for (const snap::Writer* w : {&ack, &ok, &failed}) {
+        const transport::Payload& p = w->buffer();
+        for (std::size_t n = 0; n < p.size(); ++n) {
+            transport::Payload frames;
+            if (w != &ack)
+                frames = rawFrame(ack.buffer());
+            const transport::Payload cut =
+                rawFrame({p.begin(), p.begin() + n});
+            frames.insert(frames.end(), cut.begin(), cut.end());
+            EXPECT_THROW(runAgainstRogue(dir_.string(), frames), WireError)
+                << "frame type " << int(p[0]) << " cut at " << n;
+        }
+    }
+}
+
+TEST_F(ShardService, JournalRecordEveryStrictPrefixIsCorrupt)
+{
+    // A record whose length and checksum agree with a cut payload must
+    // still fail to decode, as a JournalCorruptError naming it.
+    ShardOptions opt;
+    opt.workers = 1;
+    opt.journal_path = path("ok.journal");
+    Sweep one;
+    one.add(smallSpec("470.lbm-164B", "none"));
+    runSharded(opt, std::move(one));
+    const JournalScan scan = scanJournal(opt.journal_path, "");
+    ASSERT_EQ(scan.entries.size(), 1u);
+    std::ifstream f(opt.journal_path, std::ios::binary);
+    const transport::Payload bytes((std::istreambuf_iterator<char>(f)),
+                                   std::istreambuf_iterator<char>());
+    const std::size_t header = 8 + 4 + 8 + scan.fingerprint.size() + 8;
+    ASSERT_GT(bytes.size(), header + 4 + 8);
+    const transport::Payload record(bytes.begin() + header + 4,
+                                    bytes.end() - 8);
+    ASSERT_EQ(transport::decodeFrameHeader(bytes.data() + header),
+              record.size());
+
+    for (std::size_t n = 0; n < record.size(); ++n) {
+        const transport::Payload cut(record.begin(), record.begin() + n);
+        transport::Payload file(bytes.begin(), bytes.begin() + header);
+        const transport::Payload framed = rawFrame(cut);
+        file.insert(file.end(), framed.begin(), framed.end());
+        snap::Writer sum;
+        sum.u64(snap::fnv1a(cut.data(), cut.size()));
+        file.insert(file.end(), sum.buffer().begin(), sum.buffer().end());
+        {
+            std::ofstream out(path("cut.journal"), std::ios::binary);
+            out.write(reinterpret_cast<const char*>(file.data()),
+                      static_cast<std::streamsize>(file.size()));
+        }
+        EXPECT_THROW(scanJournal(path("cut.journal"), ""),
+                     JournalCorruptError)
+            << "record cut at " << n;
+    }
 }
 
 TEST_F(ShardService, SweepFingerprintBindsTheGrid)

@@ -169,10 +169,12 @@ TEST(Dram, BucketsSumToOne)
     for (int i = 0; i < 500; ++i)
         t = d.access(static_cast<Addr>(i) * 64, t + 100, false);
     d.access(1ull << 33, t + 100000, false);
-    const auto buckets = d.utilizationBuckets();
-    ASSERT_EQ(buckets.size(), 4u);
+    RunResult r;
+    r.dram_bucket_epochs = d.bucketEpochCounts();
+    r.derive();
+    ASSERT_EQ(r.dram_buckets.size(), 4u);
     double sum = 0;
-    for (double b : buckets)
+    for (double b : r.dram_buckets)
         sum += b;
     EXPECT_NEAR(sum, 1.0, 1e-9);
 }
