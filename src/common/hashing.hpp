@@ -33,19 +33,25 @@ mix64(std::uint64_t x)
     return x;
 }
 
-/** Fold a 64-bit value down to @p bits by repeated XOR of bit groups. */
+/**
+ * Fold a 64-bit value down to @p bits (1 to 64) by XOR of its @p bits-wide
+ * groups: the low @p bits of value ^ value >> bits ^ value >> 2*bits ^ ...
+ *
+ * The groups are summed by doubling — after the step at span s the low
+ * bits hold the XOR of the first 2s/bits groups — so ceil(64/bits)
+ * groups take ceil(log2(64/bits)) shift-XOR steps (4 at 7 bits, not
+ * 10), and the mask is applied once at the end, since masking commutes
+ * with XOR. Groups that start at or past bit 64 are zero, so covering
+ * more of them than exist changes nothing; each shift stays below 64.
+ */
 constexpr std::uint32_t
 foldedXor(std::uint64_t value, unsigned bits)
 {
     const std::uint64_t mask = (bits >= 64) ? ~0ull : ((1ull << bits) - 1);
-    // Fixed trip count (ceil(64/bits) chunks) instead of shifting until
-    // the value drains: same chunks, same result, but the loop bound no
-    // longer depends on the (well-mixed, hence unpredictable) value
-    // being folded, so the branch predictor sees a constant pattern.
-    std::uint64_t folded = 0;
-    for (unsigned shift = 0; shift < 64; shift += bits)
-        folded ^= (value >> shift) & mask;
-    return static_cast<std::uint32_t>(folded);
+    std::uint64_t folded = value;
+    for (unsigned span = bits; span < 64; span *= 2)
+        folded ^= folded >> span;
+    return static_cast<std::uint32_t>(folded & mask);
 }
 
 /** Combine two hashes (boost::hash_combine recipe, 64-bit). */

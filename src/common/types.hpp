@@ -72,7 +72,7 @@ pageOffset(Addr byte_addr)
  * reward in Pythia (paper §3.1).
  */
 constexpr bool
-sameePageAfterOffset(Addr block_addr, std::int32_t line_offset)
+samePageAfterOffset(Addr block_addr, std::int32_t line_offset)
 {
     const std::int64_t target =
         static_cast<std::int64_t>(block_addr) + line_offset;

@@ -73,7 +73,7 @@ PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig& cfg)
     c_action_out_of_page_ = stats_.counterSlot("action_out_of_page");
     c_action_prefetch_ = stats_.counterSlot("action_prefetch");
 
-    state_scratch_.reserve(cfg_.features.size());
+    np_action_ = actionIndexOf(0);
     actions_scratch_.reserve(
         std::min<std::size_t>(cfg_.degree, cfg_.actions.size()));
 }
@@ -100,7 +100,7 @@ PythiaPrefetcher::noPrefetchReward() const
 }
 
 void
-PythiaPrefetcher::retireEntry(EqEntry&& entry)
+PythiaPrefetcher::retireEntry(EqEntry& entry, const EqEntry& next)
 {
     if (!entry.has_reward) {
         // Never demanded during EQ residency: inaccurate (Alg. 1 line 25).
@@ -109,9 +109,6 @@ PythiaPrefetcher::retireEntry(EqEntry&& entry)
         ++*c_reward_inaccurate_;
         ++*action_slots_[entry.action].inaccurate;
     }
-    if (eq_.empty())
-        return;
-    const EqEntry& next = eq_.head();
     // Both entries cached their plane rows at insertion; a snapshot
     // restore clears the cache (qrows_n = 0) and re-hashes here.
     qv_.updateCached(entry.state.data(), entry.state.size(),
@@ -142,34 +139,36 @@ PythiaPrefetcher::train(const sim::PrefetchAccess& access,
 
     // (2) Extract the state vector (Alg. 1 line 12).
     extractor_.observe(access.pc, access.block);
-    extractor_.extractAllInto(cfg_.features, state_scratch_);
-    std::vector<std::uint64_t>& state = state_scratch_;
+    const std::size_t n = cfg_.features.size();
+    std::uint64_t state[kEqStateSlots];
+    for (std::size_t i = 0; i < n; ++i)
+        state[i] = extractor_.extract(cfg_.features[i]);
 
     // (3) Epsilon-greedy action selection (Alg. 1 lines 13-16). With the
     // multi-action degree extension, the top-k actions are taken; an
     // exploration draw replaces the primary action with a random one.
-    qv_.topActionsInto(state, cfg_.degree, actions_scratch_);
+    qv_.topActionsInto(state, n, cfg_.degree, actions_scratch_);
     std::vector<std::uint32_t>& actions = actions_scratch_;
-    // topActionsInto just hashed this state's plane rows; export them
-    // once so every EQ entry of this demand carries its rows to the
-    // retirement-time SARSA update (no re-hash there).
-    std::uint32_t qrows[kEqRowSlots];
-    const std::uint32_t qrows_n = qv_.lastRowsInto(qrows, kEqRowSlots);
+    // Every EQ entry of this demand is a copy of entry_: the state, and
+    // the plane rows topActionsInto just hashed for it, so the
+    // retirement-time SARSA update never re-hashes.
+    entry_.state.assign(state, n);
+    entry_.qrows_n = qv_.lastRowsInto(entry_.qrows, kEqRowSlots);
     // Secondary actions only issue while their Q-value beats the
     // no-prefetch action's Q: the agent's own estimate says they are
     // net-beneficial. This keeps the extension conservative on patterns
     // where the agent has learned to stay quiet.
     if (actions.size() > 1) {
-        const std::size_t np = actionIndexOf(0);
         // Secondary actions must also clear the accurate-but-late return
         // floor: a learned-useful action sits near R_AL/(1-gamma), while
         // aliased or decayed rows drift below it.
-        // topActionsInto just hashed this state's rows; probe the extra
-        // actions without re-hashing (identical to qv_.q(state, a)).
+        // topActionsInto just scored every action of this state; probe
+        // them without re-hashing (identical to qv_.q(state, a)).
         double floor = cfg_.rewards.r_al;
-        if (np != static_cast<std::size_t>(-1))
-            floor = std::max(
-                floor, qv_.qAtLastState(static_cast<std::uint32_t>(np)));
+        if (np_action_ != static_cast<std::size_t>(-1))
+            floor = std::max(floor, qv_.qAtLastState(
+                                        static_cast<std::uint32_t>(
+                                            np_action_)));
         std::size_t keep = 1;
         while (keep < actions.size() &&
                qv_.qAtLastState(actions[keep]) > floor)
@@ -183,42 +182,41 @@ PythiaPrefetcher::train(const sim::PrefetchAccess& access,
     }
 
     // (4) Generate the prefetches and EQ entries (Alg. 1 lines 17-22).
-    for (std::size_t ai = 0; ai < actions.size(); ++ai) {
-        const std::uint32_t action = actions[ai];
+    for (const std::uint32_t action : actions) {
         ++*c_actions_taken_;
         ++*action_slots_[action].selected;
         const std::int32_t offset = cfg_.actions[action];
-        EqEntry entry;
-        // Inline StateVec: every entry takes a flat copy of the state
-        // buffer — no heap traffic either way (DESIGN.md §10).
-        entry.state = state;
-        entry.action = action;
-        entry.qrows_n = qrows_n;
-        for (std::uint32_t ri = 0; ri < qrows_n; ++ri)
-            entry.qrows[ri] = qrows[ri];
-
+        entry_.action = action;
+        entry_.prefetch_block = 0;
+        entry_.has_prefetch = false;
+        entry_.has_reward = true;
         if (offset == 0) {
-            entry.reward = noPrefetchReward();
-            entry.has_reward = true;
+            entry_.reward = noPrefetchReward();
             ++*c_action_no_prefetch_;
-        } else if (!sameePageAfterOffset(access.block, offset)) {
-            entry.reward = cfg_.rewards.r_cl;
-            entry.has_reward = true;
+        } else if (!samePageAfterOffset(access.block, offset)) {
+            entry_.reward = cfg_.rewards.r_cl;
             ++*c_action_out_of_page_;
         } else {
-            entry.prefetch_block = static_cast<Addr>(
+            entry_.prefetch_block = static_cast<Addr>(
                 static_cast<std::int64_t>(access.block) + offset);
-            entry.has_prefetch = true;
+            entry_.has_prefetch = true;
+            entry_.has_reward = false;
+            entry_.reward = 0.0;
             sim::PrefetchRequest pr;
-            pr.block = entry.prefetch_block;
+            pr.block = entry_.prefetch_block;
             pr.fill_level = 2;
             out.push_back(pr);
             ++*c_action_prefetch_;
         }
 
-        // (5) Insert; retire the evicted entry via SARSA (lines 23-29).
-        if (auto evicted = eq_.insert(std::move(entry)))
-            retireEntry(std::move(*evicted));
+        // (5) Retire the evicted entry via SARSA, in place in its ring
+        // slot, then push (lines 23-29). The successor is the new head;
+        // in a one-entry EQ it is the entry about to be pushed.
+        if (eq_.full()) {
+            EqEntry& evicted = eq_.popFront();
+            retireEntry(evicted, eq_.empty() ? entry_ : eq_.head());
+        }
+        eq_.push(entry_);
     }
 }
 

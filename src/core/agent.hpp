@@ -116,8 +116,9 @@ class PythiaPrefetcher : public pf::StatefulPrefetcher<PythiaPrefetcher>
     double inaccurateReward() const;
     double noPrefetchReward() const;
 
-    /** Assign the eviction-time reward if missing, then SARSA-update. */
-    void retireEntry(EqEntry&& entry);
+    /** Assign the eviction-time reward to @p entry if missing, then
+     *  SARSA-update it against its successor @p next. */
+    void retireEntry(EqEntry& entry, const EqEntry& next);
 
     PythiaConfig cfg_;
     QVStore qv_;
@@ -146,9 +147,14 @@ class PythiaPrefetcher : public pf::StatefulPrefetcher<PythiaPrefetcher>
     std::uint64_t* c_action_out_of_page_;
     std::uint64_t* c_action_prefetch_;
 
+    /** actionIndexOf(0): the no-prefetch action (SIZE_MAX when absent). */
+    std::size_t np_action_;
+
     // Per-demand scratch (train() is single-threaded per agent).
-    std::vector<std::uint64_t> state_scratch_;
     std::vector<std::uint32_t> actions_scratch_;
+    /** The EQ entry of the current demand's actions; fill_time and
+     *  fill_known keep their defaults (only queued entries fill). */
+    EqEntry entry_;
 };
 
 } // namespace pythia::rl

@@ -26,9 +26,9 @@ EvaluationQueue::EvaluationQueue(std::size_t capacity) : capacity_(capacity)
     const std::size_t backing = nextPow2(capacity_);
     mask_ = backing - 1;
     ring_.resize(backing);
-    // Distinct pending blocks never exceed the live entry count, but
-    // immortal keys (see PendingCounts) can push past it; start at 2x
-    // capacity rounded up and grow on demand.
+    keys_.assign(backing, kNoKey);
+    // Distinct pending blocks never exceed the live entry count; start
+    // at 2x capacity rounded up (under 1/2 load) and grow on demand.
     const std::size_t pcap = nextPow2(std::max<std::size_t>(16, 2 * backing));
     pending_.assign(pcap, PendingSlot{});
     pending_mask_ = pcap - 1;
@@ -113,67 +113,46 @@ EvaluationQueue::pendingErase(std::size_t i)
     }
 }
 
-std::optional<EqEntry>
-EvaluationQueue::insert(EqEntry entry)
+void
+EvaluationQueue::pendingAcquire(const EqEntry& e)
 {
-    std::optional<EqEntry> evicted;
-    if (count_ >= capacity_) {
-        evicted = std::move(ring_[head_]);
-        head_ = (head_ + 1) & mask_;
-        --count_;
-        if (evicted->has_prefetch) {
-            const std::size_t pi = pendingFind(evicted->prefetch_block);
-            if (pi != kNpos) {
-                // Decrement only for transitions this entry still
-                // carries; an externally rewarded entry was never
-                // decremented, and stays accounted (see PendingCounts).
-                PendingCounts& pc = pending_[pi].pc;
-                if (!evicted->has_reward && pc.unrewarded > 0)
-                    --pc.unrewarded;
-                if (!evicted->fill_known && pc.fill_unknown > 0)
-                    --pc.fill_unknown;
-                if (pc.unrewarded == 0 && pc.fill_unknown == 0)
-                    pendingErase(pi);
-            }
-        }
-    }
-    if (entry.has_prefetch) {
-        PendingCounts& pc = pendingRef(entry.prefetch_block);
-        if (!entry.has_reward)
-            ++pc.unrewarded;
-        if (!entry.fill_known)
-            ++pc.fill_unknown;
-    }
-    ring_[(head_ + count_) & mask_] = std::move(entry);
-    ++count_;
-    return evicted;
+    PendingCounts& pc = pendingRef(e.prefetch_block);
+    if (!e.has_reward)
+        ++pc.unrewarded;
+    if (!e.fill_known)
+        ++pc.fill_unknown;
 }
 
-EqEntry*
-EvaluationQueue::search(Addr block)
+void
+EvaluationQueue::pendingRelease(const EqEntry& e)
 {
-    const std::size_t pi = pendingFind(block);
-    if (pi == kNpos || pending_[pi].pc.unrewarded == 0)
-        return nullptr;
-    // Most recent first: a fresh prefetch should absorb the demand match.
-    for (std::size_t i = count_; i-- > 0;) {
-        EqEntry& e = ring_[(head_ + i) & mask_];
-        if (e.has_prefetch && e.prefetch_block == block && !e.has_reward)
-            return &e;
+    const std::size_t pi = pendingFind(e.prefetch_block);
+    if (pi == kNpos)
+        return; // nothing open for this block
+    PendingCounts& pc = pending_[pi].pc;
+    if (!e.has_reward) {
+        assert(pc.unrewarded > 0);
+        --pc.unrewarded;
     }
-    return nullptr;
+    if (!e.fill_known) {
+        assert(pc.fill_unknown > 0);
+        --pc.fill_unknown;
+    }
+    if (pc.unrewarded == 0 && pc.fill_unknown == 0)
+        pendingErase(pi);
 }
 
-std::vector<EqEntry*>
-EvaluationQueue::searchAll(Addr block)
+std::vector<const EqEntry*>
+EvaluationQueue::searchAll(Addr block) const
 {
-    std::vector<EqEntry*> matches;
+    std::vector<const EqEntry*> matches;
     const std::size_t pi = pendingFind(block);
     if (pi == kNpos || pending_[pi].pc.unrewarded == 0)
         return matches;
     for (std::size_t i = 0; i < count_; ++i) {
-        EqEntry& e = ring_[(head_ + i) & mask_];
-        if (e.has_prefetch && e.prefetch_block == block && !e.has_reward)
+        const std::size_t slot = (head_ + i) & mask_;
+        const EqEntry& e = ring_[slot];
+        if (keys_[slot] == block && e.has_prefetch && !e.has_reward)
             matches.push_back(&e);
     }
     return matches;
@@ -185,15 +164,17 @@ EvaluationQueue::markFill(Addr block, Cycle at)
     const std::size_t pi = pendingFind(block);
     if (pi == kNpos || pending_[pi].pc.fill_unknown == 0)
         return false;
+    // Most recent first: the fill belongs to the latest prefetch.
     for (std::size_t i = count_; i-- > 0;) {
-        EqEntry& e = ring_[(head_ + i) & mask_];
-        if (e.has_prefetch && e.prefetch_block == block &&
-            !e.fill_known) {
+        const std::size_t slot = (head_ + i) & mask_;
+        if (keys_[slot] != block)
+            continue;
+        EqEntry& e = ring_[slot];
+        if (e.has_prefetch && !e.fill_known) {
             e.fill_time = at;
             e.fill_known = true;
             PendingCounts& pc = pending_[pi].pc;
-            if (pc.fill_unknown > 0)
-                --pc.fill_unknown;
+            --pc.fill_unknown;
             if (pc.unrewarded == 0 && pc.fill_unknown == 0)
                 pendingErase(pi);
             return true;
@@ -282,6 +263,7 @@ EvaluationQueue::loadQueue(snap::Reader& r)
         e.fill_known = r.boolean();
         e.has_reward = r.boolean();
         e.reward = r.f64();
+        keys_[count_] = e.has_prefetch ? e.prefetch_block : kNoKey;
         ring_[count_++] = std::move(e);
     }
     std::fill(pending_.begin(), pending_.end(), PendingSlot{});
@@ -293,6 +275,30 @@ EvaluationQueue::loadQueue(snap::Reader& r)
         pc.unrewarded = r.u32();
         pc.fill_unknown = r.u32();
         pendingRef(addr) = pc;
+    }
+    // The scans stop once a block's count is used up, so the counts
+    // must be exactly the entries' open transitions: tally the entries
+    // per index slot and compare.
+    std::vector<PendingCounts> tally(pending_.size());
+    for (std::size_t i = 0; i < count_; ++i) {
+        const EqEntry& e = ring_[i];
+        if (!e.has_prefetch || (e.has_reward && e.fill_known))
+            continue;
+        const std::size_t pi = pendingFind(e.prefetch_block);
+        if (pi == kNpos)
+            throw snap::CorruptError(
+                "snapshot corrupt: eq pending index misses block " +
+                std::to_string(e.prefetch_block));
+        tally[pi].unrewarded += e.has_reward ? 0 : 1;
+        tally[pi].fill_unknown += e.fill_known ? 0 : 1;
+    }
+    for (std::size_t pi = 0; pi < pending_.size(); ++pi) {
+        const PendingSlot& s = pending_[pi];
+        if (s.used && (s.pc.unrewarded != tally[pi].unrewarded ||
+                       s.pc.fill_unknown != tally[pi].fill_unknown))
+            throw snap::CorruptError(
+                "snapshot corrupt: eq pending counts of block " +
+                std::to_string(s.key) + " disagree with its entries");
     }
 }
 

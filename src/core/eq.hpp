@@ -8,11 +8,14 @@
  * update together with the entry at the head of the queue.
  *
  * Data layout (DESIGN.md §10): the queue is a fixed-capacity flat ring
- * (power-of-two backing store, head index + count) of EqEntry values
- * whose state vectors live inline in the entry (StateVec) — inserting,
- * evicting and scanning the EQ performs zero heap allocations. The
- * pending-block index in front of the scans is an open-addressed linear
- * probe table over flat slots, replacing the node-based unordered_map.
+ * (any capacity from 1 to 65536 over a power-of-two backing store, head
+ * index + count) of EqEntry values whose state vectors live inline in
+ * the entry (StateVec) — inserting, evicting and scanning the EQ
+ * performs zero heap allocations. A flat array of the entries'
+ * prefetch blocks runs parallel to the ring, so a scan for a block
+ * reads 8 bytes per entry and touches an entry only on a key match.
+ * The pending-block index in front of the scans is an open-addressed
+ * linear probe table over flat slots.
  */
 #pragma once
 
@@ -125,37 +128,66 @@ class EvaluationQueue
     explicit EvaluationQueue(std::size_t capacity = 256);
 
     /**
-     * Insert @p entry; when the queue is full the oldest entry is evicted
-     * and returned (Algorithm 1 line 23).
+     * Remove the oldest entry (Algorithm 1 line 23) and return it for
+     * retirement. The pending index forgets it first, by the reward and
+     * fill status it leaves with, so the caller may then reward it in
+     * place. The reference stays valid until the next push().
+     * @pre !empty()
      */
-    std::optional<EqEntry> insert(EqEntry entry);
+    EqEntry& popFront()
+    {
+        assert(count_ > 0);
+        EqEntry& e = ring_[head_];
+        head_ = (head_ + 1) & mask_;
+        --count_;
+        if (e.has_prefetch)
+            pendingRelease(e);
+        return e;
+    }
+
+    /** Append a copy of @p entry at the tail. @pre !full() */
+    void push(const EqEntry& entry)
+    {
+        assert(count_ < capacity_);
+        const std::size_t slot = (head_ + count_) & mask_;
+        ring_[slot] = entry;
+        keys_[slot] = entry.has_prefetch ? entry.prefetch_block : kNoKey;
+        ++count_;
+        if (entry.has_prefetch)
+            pendingAcquire(entry);
+    }
+
+    /** popFront() when full, then push(@p entry); @return a copy of the
+     *  evicted entry, if any. For tests and microbenches; the agent
+     *  retires in place through popFront(). */
+    std::optional<EqEntry> insert(const EqEntry& entry)
+    {
+        std::optional<EqEntry> evicted;
+        if (full())
+            evicted = popFront();
+        push(entry);
+        return evicted;
+    }
 
     /**
-     * Find the most recent un-rewarded entry whose prefetch address
-     * matches @p block (Algorithm 1 line 6). Returns nullptr on miss.
+     * Every un-rewarded entry whose prefetch address matches @p block,
+     * in queue order (a read-only query: rewarding goes through
+     * rewardAll()). A demand can match several queued actions:
+     * different offsets from different trigger addresses can target the
+     * same line.
      */
-    EqEntry* search(Addr block);
+    std::vector<const EqEntry*> searchAll(Addr block) const;
 
     /**
-     * Collect every un-rewarded entry whose prefetch address matches
-     * @p block. A demand can match several queued actions (different
-     * offsets from different trigger addresses can target the same line);
-     * each of them generated a useful prefetch and earns a reward.
-     *
-     * Mutating has_reward through the returned pointers bypasses the
-     * pending-block index, losing that block's O(1) early exit (never
-     * correctness); reward through rewardAll() on hot paths.
-     */
-    std::vector<EqEntry*> searchAll(Addr block);
-
-    /**
-     * The index-maintaining form of searchAll: invoke @p assign on
-     * every un-rewarded entry matching @p block (queue order), then
-     * mark it rewarded. @p assign sets the entry's reward value; the
-     * queue sets has_reward and keeps the pending-block index exact.
-     * A template (not std::function) so the per-demand call — which
-     * almost always exits after one index probe — pays no type-erasure
-     * setup. @return number of entries rewarded.
+     * Reward every un-rewarded entry matching @p block (Algorithm 1
+     * line 6): invoke @p assign on each, in queue order, then mark it
+     * rewarded. @p assign sets the entry's reward value; the queue sets
+     * has_reward and keeps the pending-block index exact. A template
+     * (not std::function) so the per-demand call — which almost always
+     * exits after one index probe — pays no type-erasure setup. The
+     * scan compares the key array and stops once the index's count of
+     * un-rewarded matches is used up. @return number of entries
+     * rewarded.
      */
     template <typename AssignFn>
     std::size_t rewardAll(Addr block, AssignFn&& assign)
@@ -163,20 +195,21 @@ class EvaluationQueue
         const std::size_t pi = pendingFind(block);
         if (pi == kNpos || pending_[pi].pc.unrewarded == 0)
             return 0;
+        PendingCounts& pc = pending_[pi].pc;
         std::size_t rewarded = 0;
-        for (std::size_t i = 0; i < count_; ++i) {
-            EqEntry& e = ring_[(head_ + i) & mask_];
-            if (e.has_prefetch && e.prefetch_block == block &&
-                !e.has_reward) {
+        for (std::size_t i = 0; i < count_ && pc.unrewarded > 0; ++i) {
+            const std::size_t slot = (head_ + i) & mask_;
+            if (keys_[slot] != block)
+                continue;
+            EqEntry& e = ring_[slot];
+            if (e.has_prefetch && !e.has_reward) {
                 assign(e);
                 e.has_reward = true;
                 ++rewarded;
-                if (pending_[pi].pc.unrewarded > 0)
-                    --pending_[pi].pc.unrewarded;
+                --pc.unrewarded;
             }
         }
-        if (pending_[pi].pc.unrewarded == 0 &&
-            pending_[pi].pc.fill_unknown == 0)
+        if (pc.unrewarded == 0 && pc.fill_unknown == 0)
             pendingErase(pi);
         return rewarded;
     }
@@ -190,6 +223,7 @@ class EvaluationQueue
     const EqEntry& head() const;
 
     bool empty() const { return count_ == 0; }
+    bool full() const { return count_ >= capacity_; }
     std::size_t size() const { return count_; }
     std::size_t capacity() const { return capacity_; }
 
@@ -212,8 +246,9 @@ class EvaluationQueue
     /** The custom form: states write as length-prefixed u64 runs. */
     void saveQueue(snap::Writer& w) const;
 
-    /** @throws snap::CorruptError on occupancy above capacity or a
-     *  state wider than the inline slots. */
+    /** @throws snap::CorruptError on occupancy above capacity, a state
+     *  wider than the inline slots, or pending counts that disagree with
+     *  the entries (the counts stay exact across a load). */
     void loadQueue(snap::Reader& r);
 
     /**
@@ -222,12 +257,10 @@ class EvaluationQueue
      * access, and almost every scan matches nothing; one hash probe
      * answers "nothing here" without walking the ring.
      *
-     * Counts are conservative: they decrement only when the queue
-     * itself observes the transition (rewardAll / markFill / eviction),
-     * so external mutation through search()/searchAll() pointers can
-     * leave them too high — which only costs the shortcut, never
-     * correctness. A key whose counts never both reach zero stays in
-     * the table until clear(); the table grows to accommodate them.
+     * Counts are exact: only the queue changes an entry's reward or
+     * fill status while it is queued (rewardAll, markFill), and it
+     * updates the counts at every such transition, at push() and at
+     * popFront(). A key leaves the table when both counts reach zero.
      */
     struct PendingCounts
     {
@@ -246,6 +279,16 @@ class EvaluationQueue
     };
 
     static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+    /** keys_ value of an entry without a prefetch. A block address is a
+     *  byte address shifted right, so it never equals this; entries are
+     *  still checked after a key match, so correctness never rests on
+     *  it. */
+    static constexpr Addr kNoKey = ~Addr{0};
+
+    /** Count a pushed entry's open transitions in the index. */
+    void pendingAcquire(const EqEntry& e);
+    /** Uncount a popped entry's open transitions. */
+    void pendingRelease(const EqEntry& e);
 
     std::size_t pendingHome(Addr key) const;
     /** Linear-probe lookup; kNpos when absent. */
@@ -261,6 +304,8 @@ class EvaluationQueue
     std::size_t head_ = 0;  ///< ring index of the oldest entry
     std::size_t count_ = 0; ///< live entries
     std::vector<EqEntry> ring_;
+    /** Per ring slot: the entry's prefetch block, kNoKey without one. */
+    std::vector<Addr> keys_;
     std::vector<PendingSlot> pending_;
     std::size_t pending_mask_;
     std::size_t pending_size_ = 0;

@@ -222,18 +222,10 @@ std::vector<std::uint64_t>
 FeatureExtractor::extractAll(const std::vector<FeatureSpec>& specs) const
 {
     std::vector<std::uint64_t> out;
-    extractAllInto(specs, out);
-    return out;
-}
-
-void
-FeatureExtractor::extractAllInto(const std::vector<FeatureSpec>& specs,
-                                 std::vector<std::uint64_t>& out) const
-{
-    out.clear();
     out.reserve(specs.size());
     for (const auto& s : specs)
         out.push_back(extract(s));
+    return out;
 }
 
 } // namespace pythia::rl

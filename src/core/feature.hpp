@@ -87,11 +87,6 @@ class FeatureExtractor
     std::vector<std::uint64_t>
     extractAll(const std::vector<FeatureSpec>& specs) const;
 
-    /** Evaluate a whole state vector into @p out (cleared first), so a
-     *  per-demand caller can reuse one buffer instead of allocating. */
-    void extractAllInto(const std::vector<FeatureSpec>& specs,
-                        std::vector<std::uint64_t>& out) const;
-
     /** Delta (in cachelines) of the most recent access within its page;
      *  0 for page-first accesses. */
     std::int32_t lastDelta() const { return deltas_[0]; }

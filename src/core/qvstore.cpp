@@ -25,8 +25,7 @@ QVStore::QVStore(const QVStoreConfig& cfg) : cfg_(cfg)
                           cfg_.num_planes,
                       0);
     qa_.assign(cfg_.num_actions, 0.0);
-    vault_acc_.assign(cfg_.num_actions, 0.0);
-    taken_.assign(cfg_.num_actions, 0);
+    top_q_.assign(cfg_.num_actions, 0.0);
     resetToOptimistic();
 }
 
@@ -99,53 +98,78 @@ QVStore::computeRows(const std::uint64_t* state, std::size_t n) const
     scan_valid_ = false;
 }
 
+namespace {
+
+/** Q(S, A) from @p rows, the flat row offsets of S: the plane partials
+ *  of each vault summed into a double in plane order, then the max over
+ *  vaults — the evaluation order of summing vaultQ per vault. @p Row is
+ *  the offset type (the store's own size_t rows, or the u32 rows an EQ
+ *  entry caches). */
+template <class Row>
 double
-QVStore::qFromRows(std::uint32_t action) const
+qOfRows(const float* table, const Row* rows, std::uint32_t vaults,
+        std::uint32_t planes, std::uint32_t action)
 {
-    // Same evaluation order as summing vaultQ per vault: plane partials
-    // accumulate into a double per vault, max over vaults.
-    const std::size_t* b = row_bases_.data();
-    const float* table = table_.data();
     double best = -1e300;
-    for (std::uint32_t v = 0; v < cfg_.num_features; ++v) {
+    for (std::uint32_t v = 0; v < vaults; ++v) {
         double sum = 0.0;
-        for (std::uint32_t p = 0; p < cfg_.num_planes; ++p)
-            sum += table[b[p] + action];
-        b += cfg_.num_planes;
+        for (std::uint32_t p = 0; p < planes; ++p)
+            sum += table[static_cast<std::size_t>(rows[p]) + action];
+        rows += planes;
         if (sum > best)
             best = sum;
     }
     return best;
 }
 
+} // namespace
+
+double
+QVStore::qFromRows(std::uint32_t action) const
+{
+    return qOfRows(table_.data(), row_bases_.data(), cfg_.num_features,
+                   cfg_.num_planes, action);
+}
+
 void
 QVStore::scanActions() const
 {
     const std::uint32_t A = cfg_.num_actions;
+    const std::uint32_t P = cfg_.num_planes;
+    const std::size_t n_rows = row_bases_.size();
     const float* table = table_.data();
-    const std::size_t* b = row_bases_.data();
-    double* acc = vault_acc_.data();
+    const std::size_t* rows = row_bases_.data();
     double* qa = qa_.data();
-    for (std::uint32_t a = 0; a < A; ++a)
-        qa[a] = -1e300;
-    for (std::uint32_t v = 0; v < cfg_.num_features; ++v) {
-        for (std::uint32_t a = 0; a < A; ++a)
-            acc[a] = 0.0;
-        // Each plane row is one contiguous A-float run; accumulating it
-        // element-wise keeps one independent addition chain per action
-        // (the same order qFromRows uses), so this loop vectorizes
-        // across actions without any floating-point reassociation.
-        for (std::uint32_t p = 0; p < cfg_.num_planes; ++p) {
-            const float* row = table + b[p];
-            for (std::uint32_t a = 0; a < A; ++a)
-                acc[a] += static_cast<double>(row[a]);
+    // Blocks of four actions, their sums and maxima in registers: each
+    // action still adds its plane partials into a double in plane order
+    // and keeps a vault's sum only when it compares greater, exactly as
+    // qFromRows does, so every score is bit-identical to it. The select
+    // is the strict > update written as one expression (a maxsd); a NaN
+    // sum never compares greater, so no score is ever NaN.
+    std::uint32_t a = 0;
+    for (; a + 4 <= A; a += 4) {
+        double m0 = -1e300, m1 = -1e300, m2 = -1e300, m3 = -1e300;
+        for (std::size_t v = 0; v < n_rows; v += P) {
+            double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+            for (std::size_t p = v; p < v + P; ++p) {
+                const float* row = table + rows[p] + a;
+                s0 += static_cast<double>(row[0]);
+                s1 += static_cast<double>(row[1]);
+                s2 += static_cast<double>(row[2]);
+                s3 += static_cast<double>(row[3]);
+            }
+            m0 = s0 > m0 ? s0 : m0;
+            m1 = s1 > m1 ? s1 : m1;
+            m2 = s2 > m2 ? s2 : m2;
+            m3 = s3 > m3 ? s3 : m3;
         }
-        b += cfg_.num_planes;
-        for (std::uint32_t a = 0; a < A; ++a) {
-            if (acc[a] > qa[a])
-                qa[a] = acc[a];
-        }
+        qa[a] = m0;
+        qa[a + 1] = m1;
+        qa[a + 2] = m2;
+        qa[a + 3] = m3;
     }
+    for (; a < A; ++a)
+        qa[a] = qFromRows(a);
     scan_valid_ = true;
 }
 
@@ -190,29 +214,34 @@ QVStore::topActionsInto(const std::uint64_t* state, std::size_t n,
 {
     computeRows(state, n);
     scanActions();
-    // Repeated strict-> argmax over the scanned scores with a taken mask:
-    // identical selection (and order) to sorting all (q, action) pairs by
-    // (q desc, action asc) and keeping the first k — lower index wins
-    // every tie — without the sort or the pair buffer.
+    // One pass keeping the best `take` actions sorted by (Q desc, index
+    // asc): the order a full sort of every (Q, action) pair gives. An
+    // action enters only when its Q is strictly greater than the current
+    // last place and moves up only past strictly smaller Qs, so among
+    // equal Qs the lower index (seen first) stays ahead. Scores are never
+    // NaN (scanActions), so the comparisons form a total preorder.
     const std::uint32_t A = cfg_.num_actions;
     const double* qa = qa_.data();
-    std::uint8_t* taken = taken_.data();
-    std::fill_n(taken, A, std::uint8_t{0});
-    out.clear();
     const std::uint32_t take = k < A ? k : A;
-    for (std::uint32_t i = 0; i < take; ++i) {
-        std::uint32_t best = A;
-        double best_q = 0.0;
-        for (std::uint32_t a = 0; a < A; ++a) {
-            if (taken[a])
-                continue;
-            if (best == A || qa[a] > best_q) {
-                best_q = qa[a];
-                best = a;
-            }
+    out.resize(take);
+    std::uint32_t* top = out.data();
+    double* top_q = top_q_.data();
+    std::uint32_t filled = 0;
+    for (std::uint32_t a = 0; a < A; ++a) {
+        const double q = qa[a];
+        std::uint32_t pos;
+        if (filled < take)
+            pos = filled++;
+        else if (q > top_q[take - 1])
+            pos = take - 1;
+        else
+            continue;
+        for (; pos > 0 && q > top_q[pos - 1]; --pos) {
+            top_q[pos] = top_q[pos - 1];
+            top[pos] = top[pos - 1];
         }
-        taken[best] = 1;
-        out.push_back(best);
+        top_q[pos] = q;
+        top[pos] = a;
     }
 }
 
@@ -233,29 +262,6 @@ QVStore::maxQ(const std::uint64_t* state, std::size_t n) const
 }
 
 void
-QVStore::update(const std::uint64_t* s1, std::size_t n1, std::uint32_t a1,
-                double reward, const std::uint64_t* s2, std::size_t n2,
-                std::uint32_t a2)
-{
-    assert(a1 < cfg_.num_actions && a2 < cfg_.num_actions);
-    // q(s2, a2) first so row_bases_ holds s1's rows for the write loop.
-    const double q_s2a2 = q(s2, n2, a2);
-    const double q_sa = q(s1, n1, a1);
-    const double target = reward + cfg_.gamma * q_s2a2;
-    const double err = target - q_sa;
-    const float step = static_cast<float>(
-        cfg_.alpha * err / cfg_.num_planes);
-    float* table = table_.data();
-    const std::size_t* b = row_bases_.data();
-    const std::size_t n_rows =
-        static_cast<std::size_t>(cfg_.num_features) * cfg_.num_planes;
-    for (std::size_t i = 0; i < n_rows; ++i)
-        table[b[i] + a1] += step;
-    scan_valid_ = false;
-    ++updates_;
-}
-
-void
 QVStore::updateCached(const std::uint64_t* s1, std::size_t n1,
                       const std::uint32_t* rows1, std::uint32_t a1,
                       double reward, const std::uint64_t* s2,
@@ -263,32 +269,38 @@ QVStore::updateCached(const std::uint64_t* s1, std::size_t n1,
                       std::uint32_t a2)
 {
     assert(a1 < cfg_.num_actions && a2 < cfg_.num_actions);
-    const std::size_t n_rows = row_bases_.size();
-    // s2 first, s1 second, exactly like update(): row_bases_ must hold
-    // s1's rows when the write loop runs.
+    const std::uint32_t V = cfg_.num_features;
+    const std::uint32_t P = cfg_.num_planes;
+    float* table = table_.data();
+    // Q(s2, a2) before Q(s1, a1), hashing a state only when its rows are
+    // not given, so a hashed s1 is what row_bases_ holds for the writes.
+    double q_s2a2;
     if (rows2) {
-        for (std::size_t i = 0; i < n_rows; ++i)
-            row_bases_[i] = rows2[i];
-        scan_valid_ = false;
+        q_s2a2 = qOfRows(table, rows2, V, P, a2);
     } else {
         computeRows(s2, n2);
+        q_s2a2 = qFromRows(a2);
     }
-    const double q_s2a2 = qFromRows(a2);
+    double q_sa;
     if (rows1) {
-        for (std::size_t i = 0; i < n_rows; ++i)
-            row_bases_[i] = rows1[i];
+        q_sa = qOfRows(table, rows1, V, P, a1);
     } else {
         computeRows(s1, n1);
+        q_sa = qFromRows(a1);
     }
-    const double q_sa = qFromRows(a1);
     const double target = reward + cfg_.gamma * q_s2a2;
     const double err = target - q_sa;
     const float step = static_cast<float>(
         cfg_.alpha * err / cfg_.num_planes);
-    float* table = table_.data();
-    const std::size_t* b = row_bases_.data();
-    for (std::size_t i = 0; i < n_rows; ++i)
-        table[b[i] + a1] += step;
+    const std::size_t n_rows = static_cast<std::size_t>(V) * P;
+    if (rows1) {
+        for (std::size_t i = 0; i < n_rows; ++i)
+            table[static_cast<std::size_t>(rows1[i]) + a1] += step;
+    } else {
+        const std::size_t* b = row_bases_.data();
+        for (std::size_t i = 0; i < n_rows; ++i)
+            table[b[i] + a1] += step;
+    }
     scan_valid_ = false;
     ++updates_;
 }

@@ -11,11 +11,12 @@
  * in [vault][plane][row][action] order — a structure-of-arrays whose
  * innermost dimension is the action, so every hashed plane row is one
  * contiguous `num_actions`-float run (exactly one 64-byte cache line at
- * the paper's 16 actions). Action scoring is a single linear pass over
- * those rows with one independent accumulator per action (scanActions),
- * which auto-vectorizes without reassociating any floating-point sum:
- * each action's partial-value chain keeps its scalar evaluation order,
- * so vectorized and scalar builds produce bit-identical Q-values.
+ * the paper's 16 actions). Action scoring is one pass over those rows
+ * in blocks of four actions (scanActions) whose sums and vault maxima
+ * stay in registers. No floating-point sum is reassociated: each
+ * action's partial-value chain keeps its scalar evaluation order, so
+ * the blocked kernel, a scalar build and a wider-ISA build produce
+ * bit-identical Q-values.
  */
 #pragma once
 
@@ -125,7 +126,10 @@ class QVStore
      */
     void update(const std::uint64_t* s1, std::size_t n1, std::uint32_t a1,
                 double reward, const std::uint64_t* s2, std::size_t n2,
-                std::uint32_t a2);
+                std::uint32_t a2)
+    {
+        updateCached(s1, n1, nullptr, a1, reward, s2, n2, nullptr, a2);
+    }
     void update(const std::vector<std::uint64_t>& s1, std::uint32_t a1,
                 double reward, const std::vector<std::uint64_t>& s2,
                 std::uint32_t a2)
@@ -213,11 +217,9 @@ class QVStore
 
     /**
      * The data-oriented kernel: score ALL actions of the last
-     * computeRows() state in one linear pass. Per vault, each plane row
-     * (contiguous floats) is accumulated element-wise into one double
-     * accumulator per action — independent chains, so the compiler may
-     * vectorize across actions without changing any addition order —
-     * then folded into @p qa_ with an element-wise max over vaults.
+     * computeRows() state into @p qa_ in one pass over its plane rows,
+     * four actions at a time (one double sum per action, added in plane
+     * order, then a max over vaults), the remainder action by action.
      * Bit-identical to calling qFromRows() per action.
      */
     void scanActions() const;
@@ -235,10 +237,8 @@ class QVStore
     mutable std::vector<std::size_t> row_bases_;
     /** scanActions() output: Q of the last state per action. */
     mutable std::vector<double> qa_;
-    /** scanActions() per-vault accumulators (one per action). */
-    mutable std::vector<double> vault_acc_;
-    /** topActionsInto() selection scratch (taken-action marks). */
-    mutable std::vector<std::uint8_t> taken_;
+    /** topActionsInto() selection scratch: the kept actions' Qs. */
+    mutable std::vector<double> top_q_;
     /** Whether qa_ reflects the state of the last computeRows(). */
     mutable bool scan_valid_ = false;
 };

@@ -132,6 +132,8 @@ class ScalarQVStore
     std::uint64_t updates() const { return updates_; }
     const QVStoreConfig& config() const { return cfg_; }
     const std::vector<float>& table() const { return table_; }
+    /** Writable cells, so tests can seed adversarial tables. */
+    std::vector<float>& table() { return table_; }
 
   private:
     // Same constants as qvstore.cpp — the reference must hash

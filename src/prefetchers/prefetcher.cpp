@@ -29,7 +29,7 @@ PrefetcherBase::emitWithinPage(Addr block, std::int32_t line_offset,
 {
     if (line_offset == 0)
         return false;
-    if (!sameePageAfterOffset(block, line_offset))
+    if (!samePageAfterOffset(block, line_offset))
         return false;
     PrefetchRequest pr;
     pr.block = static_cast<Addr>(

@@ -63,24 +63,24 @@ TEST(Types, SamePageAfterOffsetWithinPage)
 {
     // Block 0 of a page: offsets up to +63 stay inside.
     const Addr block = blockAddr(1ull << 20);
-    EXPECT_TRUE(sameePageAfterOffset(block, 63));
-    EXPECT_FALSE(sameePageAfterOffset(block, 64));
-    EXPECT_FALSE(sameePageAfterOffset(block, -1));
+    EXPECT_TRUE(samePageAfterOffset(block, 63));
+    EXPECT_FALSE(samePageAfterOffset(block, 64));
+    EXPECT_FALSE(samePageAfterOffset(block, -1));
 }
 
 TEST(Types, SamePageAfterOffsetMidPage)
 {
     const Addr block = blockAddr(1ull << 20) + 32;
-    EXPECT_TRUE(sameePageAfterOffset(block, 31));
-    EXPECT_FALSE(sameePageAfterOffset(block, 32));
-    EXPECT_TRUE(sameePageAfterOffset(block, -32));
-    EXPECT_FALSE(sameePageAfterOffset(block, -33));
+    EXPECT_TRUE(samePageAfterOffset(block, 31));
+    EXPECT_FALSE(samePageAfterOffset(block, 32));
+    EXPECT_TRUE(samePageAfterOffset(block, -32));
+    EXPECT_FALSE(samePageAfterOffset(block, -33));
 }
 
 TEST(Types, SamePageAfterOffsetNearZero)
 {
-    EXPECT_FALSE(sameePageAfterOffset(0, -1));
-    EXPECT_TRUE(sameePageAfterOffset(1, -1));
+    EXPECT_FALSE(samePageAfterOffset(0, -1));
+    EXPECT_TRUE(samePageAfterOffset(1, -1));
 }
 
 // ----------------------------------------------------------------------- rng
@@ -211,6 +211,31 @@ TEST(Hashing, FoldedXorWidth)
     for (unsigned bits : {4u, 7u, 12u, 16u}) {
         const std::uint32_t v = foldedXor(0xDEADBEEFCAFEF00Dull, bits);
         EXPECT_LT(v, 1u << bits);
+    }
+}
+
+TEST(Hashing, FoldedXorMatchesGroupwiseFold)
+{
+    // The definition: XOR of every bits-wide group, each masked.
+    auto groupwise = [](std::uint64_t value, unsigned bits) {
+        const std::uint64_t mask =
+            (bits >= 64) ? ~0ull : ((1ull << bits) - 1);
+        std::uint64_t folded = 0;
+        for (unsigned shift = 0; shift < 64; shift += bits)
+            folded ^= (value >> shift) & mask;
+        return static_cast<std::uint32_t>(folded);
+    };
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (unsigned bits = 1; bits <= 64; ++bits) {
+        for (const std::uint64_t v : {0ull, ~0ull, 1ull << 63, 1ull}) {
+            ASSERT_EQ(groupwise(v, bits), foldedXor(v, bits))
+                << "bits=" << bits << " value=" << v;
+        }
+        for (int i = 0; i < 200; ++i) {
+            x = mix64(x + 1);
+            ASSERT_EQ(groupwise(x, bits), foldedXor(x, bits))
+                << "bits=" << bits << " value=" << x;
+        }
     }
 }
 

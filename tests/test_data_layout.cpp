@@ -2,8 +2,8 @@
  * @file
  * Property tests for the data-oriented hot-path layouts (DESIGN.md
  * §10): the structure-of-arrays QVStore must be bit-exact against the
- * retained scalar reference across randomized configurations and
- * traffic, and the flat-ring EvaluationQueue must preserve the
+ * retained scalar reference across randomized configurations, adversarial
+ * tables and traffic, and the flat-ring EvaluationQueue must preserve the
  * deque-era FIFO semantics (insert/evict/match/reward order) under
  * randomized traffic, including its serialized byte stream.
  */
@@ -11,7 +11,11 @@
 
 #include <cstring>
 #include <deque>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -49,75 +53,152 @@ randomState(Rng& rng, std::uint32_t features)
     return s;
 }
 
+/** Bytes snap::save() writes for a QVStore holding @p ref's table. */
+std::vector<std::uint8_t>
+qvBytesOf(const rl::ScalarQVStore& ref)
+{
+    snap::Writer w;
+    w.u64(ref.table().size());
+    for (const float q : ref.table())
+        w.f32(q);
+    w.u64(ref.updates());
+    return w.buffer();
+}
+
+/**
+ * Drive the SoA store and the scalar reference with identical random
+ * traffic — q, maxAction, topActions at @p ks (plus random k), maxQ and
+ * updates — and require bit-identical answers and, at the end, a
+ * byte-identical table. Both start from @p ref's table.
+ */
+void
+runQvTrial(rl::ScalarQVStore& ref, Rng& rng, int ops,
+           const std::vector<std::uint32_t>& ks)
+{
+    const rl::QVStoreConfig& cfg = ref.config();
+    rl::QVStore soa(cfg);
+    {
+        const auto bytes = qvBytesOf(ref);
+        snap::Reader r(bytes.data(), bytes.size());
+        snap::load(soa, r);
+    }
+    std::vector<std::uint32_t> soa_top;
+    for (int op = 0; op < ops; ++op) {
+        const auto s1 = randomState(rng, cfg.num_features);
+        const auto s2 = randomState(rng, cfg.num_features);
+        switch (rng.nextBounded(5)) {
+        case 0: {
+            const auto a = static_cast<std::uint32_t>(
+                rng.nextBounded(cfg.num_actions));
+            const double qs = soa.q(s1, a);
+            const double qr = ref.q(s1, a);
+            ASSERT_EQ(0, std::memcmp(&qs, &qr, sizeof qs))
+                << "q() diverged, op " << op;
+            break;
+        }
+        case 1:
+            ASSERT_EQ(ref.maxAction(s1), soa.maxAction(s1))
+                << "maxAction diverged, op " << op;
+            break;
+        case 2: {
+            const std::uint32_t k =
+                rng.nextBool(0.5)
+                    ? ks[rng.nextBounded(ks.size())]
+                    : static_cast<std::uint32_t>(
+                          rng.nextRange(1, cfg.num_actions));
+            soa.topActionsInto(s1, k, soa_top);
+            ASSERT_EQ(ref.topActions(s1, k), soa_top)
+                << "topActions(k=" << k << ") diverged, op " << op;
+            // The secondary-action probe reads the scan's scores.
+            for (std::uint32_t a = 0; a < cfg.num_actions; ++a) {
+                const double qs = soa.qAtLastState(a);
+                const double qr = ref.q(s1, a);
+                ASSERT_EQ(0, std::memcmp(&qs, &qr, sizeof qs))
+                    << "qAtLastState diverged, op " << op;
+            }
+            break;
+        }
+        case 3: {
+            const double ms = soa.maxQ(s1);
+            const double mr = ref.maxQ(s1);
+            ASSERT_EQ(0, std::memcmp(&ms, &mr, sizeof ms))
+                << "maxQ diverged, op " << op;
+            break;
+        }
+        default: {
+            const auto a1 = static_cast<std::uint32_t>(
+                rng.nextBounded(cfg.num_actions));
+            const auto a2 = static_cast<std::uint32_t>(
+                rng.nextBounded(cfg.num_actions));
+            const double r = rng.nextDouble() * 28.0 - 14.0;
+            soa.update(s1, a1, r, s2, a2);
+            ref.update(s1, a1, r, s2, a2);
+            break;
+        }
+        }
+    }
+
+    // The two tables share one flat layout; after identical traffic
+    // the SoA serialization must be byte-identical to a manual write
+    // of the reference table.
+    snap::Writer got;
+    snap::save(soa, got);
+    ASSERT_EQ(qvBytesOf(ref), got.buffer()) << "table bytes diverged";
+}
+
 TEST(DataLayoutQVStore, MatchesScalarReferenceAcrossRandomConfigs)
 {
     Rng rng(0xD417A1A707ull);
     for (int trial = 0; trial < 12; ++trial) {
-        const rl::QVStoreConfig cfg = randomConfig(rng);
-        rl::QVStore soa(cfg);
-        rl::ScalarQVStore ref(cfg);
-        std::vector<std::uint32_t> soa_top;
+        SCOPED_TRACE("random trial " + std::to_string(trial));
+        rl::ScalarQVStore ref(randomConfig(rng));
+        runQvTrial(ref, rng, 1500, {1});
+    }
 
-        for (int op = 0; op < 1500; ++op) {
-            const auto s1 = randomState(rng, cfg.num_features);
-            const auto s2 = randomState(rng, cfg.num_features);
-            switch (rng.nextBounded(5)) {
-            case 0: {
-                const auto a = static_cast<std::uint32_t>(
-                    rng.nextBounded(cfg.num_actions));
-                const double qs = soa.q(s1, a);
-                const double qr = ref.q(s1, a);
-                ASSERT_EQ(0, std::memcmp(&qs, &qr, sizeof qs))
-                    << "q() diverged, trial " << trial << " op " << op;
-                break;
+    // Adversarial tables: ties everywhere, signed zeros, infinities and
+    // NaN cells (a NaN vault sum never wins the max over vaults), at
+    // action counts around the scan's four-action blocks, with k at 1,
+    // A-1, A and past A.
+    const std::uint32_t action_counts[] = {1, 3, 5, 16, 17, 64};
+    const float specials[] = {
+        0.0f, -0.0f, 1.0f, -1.0f, 2.5f,
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::quiet_NaN()};
+    enum Fill { kAllEqual, kSignedZeros, kInfinities, kNaNs, kMixed };
+    for (const std::uint32_t A : action_counts) {
+        for (const Fill fill :
+             {kAllEqual, kSignedZeros, kInfinities, kNaNs, kMixed}) {
+            SCOPED_TRACE("actions=" + std::to_string(A) +
+                         " fill=" + std::to_string(fill));
+            rl::QVStoreConfig cfg;
+            cfg.num_features = static_cast<std::uint32_t>(
+                rng.nextRange(1, 3));
+            cfg.num_planes = static_cast<std::uint32_t>(
+                rng.nextRange(1, 3));
+            cfg.plane_index_bits = 2; // 4 rows: states collide often
+            cfg.num_actions = A;
+            rl::ScalarQVStore ref(cfg);
+            for (float& cell : ref.table()) {
+                switch (fill) {
+                case kAllEqual: cell = 1.0f; break;
+                case kSignedZeros:
+                    cell = rng.nextBool(0.5) ? 0.0f : -0.0f;
+                    break;
+                case kInfinities:
+                    cell = specials[rng.nextRange(4, 6)];
+                    break;
+                case kNaNs:
+                    cell = rng.nextBool(0.3) ? specials[7]
+                                             : specials[2];
+                    break;
+                case kMixed:
+                    cell = specials[rng.nextBounded(std::size(specials))];
+                    break;
+                }
             }
-            case 1:
-                ASSERT_EQ(ref.maxAction(s1), soa.maxAction(s1))
-                    << "maxAction diverged, trial " << trial << " op "
-                    << op;
-                break;
-            case 2: {
-                const auto k = static_cast<std::uint32_t>(
-                    rng.nextRange(1, cfg.num_actions));
-                soa.topActionsInto(s1, k, soa_top);
-                const auto ref_top = ref.topActions(s1, k);
-                ASSERT_EQ(ref_top, soa_top)
-                    << "topActions diverged, trial " << trial << " op "
-                    << op;
-                break;
-            }
-            case 3: {
-                const double ms = soa.maxQ(s1);
-                const double mr = ref.maxQ(s1);
-                ASSERT_EQ(0, std::memcmp(&ms, &mr, sizeof ms))
-                    << "maxQ diverged, trial " << trial << " op " << op;
-                break;
-            }
-            default: {
-                const auto a1 = static_cast<std::uint32_t>(
-                    rng.nextBounded(cfg.num_actions));
-                const auto a2 = static_cast<std::uint32_t>(
-                    rng.nextBounded(cfg.num_actions));
-                const double r = rng.nextDouble() * 28.0 - 14.0;
-                soa.update(s1, a1, r, s2, a2);
-                ref.update(s1, a1, r, s2, a2);
-                break;
-            }
-            }
+            runQvTrial(ref, rng, 400, {1, A > 1 ? A - 1 : 1, A, A + 1});
         }
-
-        // The two tables share one flat layout; after identical traffic
-        // the SoA serialization must be byte-identical to a manual
-        // write of the reference table.
-        snap::Writer got;
-        snap::save(soa, got);
-        snap::Writer want;
-        want.u64(ref.table().size());
-        for (const float q : ref.table())
-            want.f32(q);
-        want.u64(ref.updates());
-        ASSERT_EQ(want.buffer(), got.buffer())
-            << "table bytes diverged, trial " << trial;
     }
 }
 
@@ -217,19 +298,10 @@ struct RefEq
         return evicted;
     }
 
-    rl::EqEntry* search(Addr block)
+    std::vector<const rl::EqEntry*> searchAll(Addr block) const
     {
-        for (auto it = q.rbegin(); it != q.rend(); ++it)
-            if (it->has_prefetch && it->prefetch_block == block &&
-                !it->has_reward)
-                return &*it;
-        return nullptr;
-    }
-
-    std::vector<rl::EqEntry*> searchAll(Addr block)
-    {
-        std::vector<rl::EqEntry*> out;
-        for (auto& e : q)
+        std::vector<const rl::EqEntry*> out;
+        for (const auto& e : q)
             if (e.has_prefetch && e.prefetch_block == block &&
                 !e.has_reward)
                 out.push_back(&e);
@@ -344,11 +416,26 @@ runEqTrafficTrial(std::size_t capacity, std::uint64_t seed)
                 e.has_reward = true; // rewarded at insertion (R_NP/R_CL)
                 e.reward = rng.nextDouble() * 10.0 - 5.0;
             }
-            auto got = eq.insert(e);
             auto want = ref.insert(e);
-            ASSERT_EQ(want.has_value(), got.has_value());
-            if (want)
-                expectEntryEq(*want, *got, "evicted entry");
+            ASSERT_EQ(want.has_value(), eq.full());
+            if (rng.nextBool(0.5)) {
+                // The agent's path: retire the oldest entry in place —
+                // reward it after it left the index — then push.
+                if (eq.full()) {
+                    rl::EqEntry& evicted = eq.popFront();
+                    expectEntryEq(*want, evicted, "evicted entry");
+                    if (!evicted.has_reward) {
+                        evicted.reward = -8.0;
+                        evicted.has_reward = true;
+                    }
+                }
+                eq.push(e);
+            } else {
+                auto got = eq.insert(e);
+                ASSERT_EQ(want.has_value(), got.has_value());
+                if (want)
+                    expectEntryEq(*want, *got, "evicted entry");
+            }
         } else if (kind < 65) {
             const Addr b = randomBlock();
             const double r = rng.nextDouble() * 24.0 - 12.0;
@@ -359,13 +446,6 @@ runEqTrafficTrial(std::size_t capacity, std::uint64_t seed)
             const Addr b = randomBlock();
             const Cycle at = rng.nextBounded(1 << 20);
             ASSERT_EQ(ref.markFill(b, at), eq.markFill(b, at));
-        } else if (kind < 90) {
-            const Addr b = randomBlock();
-            rl::EqEntry* got = eq.search(b);
-            rl::EqEntry* want = ref.search(b);
-            ASSERT_EQ(want == nullptr, got == nullptr);
-            if (want)
-                expectEntryEq(*want, *got, "search result");
         } else {
             const Addr b = randomBlock();
             auto got = eq.searchAll(b);
@@ -427,6 +507,34 @@ TEST(DataLayoutEq, SaveStateRoundTripsThroughLoad)
     snap::Writer w2;
     snap::save(restored, w2);
     EXPECT_EQ(w.buffer(), w2.buffer());
+}
+
+TEST(DataLayoutEq, LoadRejectsPendingCountsThatDisagreeWithEntries)
+{
+    RefEq ref(8);
+    rl::EqEntry e;
+    e.state = {1, 2};
+    e.action = 3;
+    e.prefetch_block = 40;
+    e.has_prefetch = true;
+    ref.insert(e);
+    ref.insert(e);
+    auto loads = [](const std::vector<std::uint8_t>& bytes) {
+        snap::Reader r(bytes.data(), bytes.size());
+        rl::EvaluationQueue eq(8);
+        snap::load(eq, r);
+    };
+    EXPECT_NO_THROW(loads(expectedEqBytes(ref)));
+
+    // rewardAll stops once a block's count is used up, so a count
+    // below (or above) the entries' open transitions is corrupt...
+    ref.pending[40].unrewarded = 1;
+    EXPECT_THROW(loads(expectedEqBytes(ref)), snap::CorruptError);
+    ref.pending[40].unrewarded = 3;
+    EXPECT_THROW(loads(expectedEqBytes(ref)), snap::CorruptError);
+    // ...and so is an open entry the index does not list.
+    ref.pending.erase(40);
+    EXPECT_THROW(loads(expectedEqBytes(ref)), snap::CorruptError);
 }
 
 } // namespace

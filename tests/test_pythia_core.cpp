@@ -220,26 +220,53 @@ TEST(Eq, InsertEvictsFifoWhenFull)
     EXPECT_EQ(eq.head().prefetch_block, 11u);
 }
 
-TEST(Eq, SearchFindsUnrewardedMatch)
+TEST(Eq, PopFrontThenPushRetiresInPlace)
+{
+    EvaluationQueue eq(2);
+    eq.insert(entry(10));
+    eq.insert(entry(11));
+    ASSERT_TRUE(eq.full());
+    EqEntry& oldest = eq.popFront();
+    EXPECT_EQ(oldest.prefetch_block, 10u);
+    // The index forgot the entry when it left: rewarding it in place
+    // (the agent's eviction-time reward) touches no queued state.
+    oldest.reward = -8.0;
+    oldest.has_reward = true;
+    EXPECT_EQ(eq.size(), 1u);
+    EXPECT_TRUE(eq.searchAll(10).empty());
+    eq.push(entry(10));
+    EXPECT_EQ(eq.searchAll(10).size(), 1u);
+    EXPECT_EQ(eq.head().prefetch_block, 11u);
+}
+
+TEST(Eq, RewardAllRewardsEachUnrewardedMatchOnce)
 {
     EvaluationQueue eq(8);
     eq.insert(entry(10));
     eq.insert(entry(20));
-    EqEntry* hit = eq.search(20);
-    ASSERT_NE(hit, nullptr);
-    hit->has_reward = true;
-    EXPECT_EQ(eq.search(20), nullptr); // rewarded entries excluded
-    EXPECT_NE(eq.search(10), nullptr);
+    EXPECT_EQ(eq.rewardAll(20, [](EqEntry& e) { e.reward = 5.0; }), 1u);
+    // Rewarded entries are excluded from later matches.
+    EXPECT_EQ(eq.rewardAll(20, [](EqEntry& e) { e.reward = 5.0; }), 0u);
+    EXPECT_TRUE(eq.searchAll(20).empty());
+    EXPECT_EQ(eq.searchAll(10).size(), 1u);
 }
 
-TEST(Eq, SearchAllReturnsEveryMatch)
+TEST(Eq, RewardAllRewardsEveryMatch)
 {
     EvaluationQueue eq(8);
     eq.insert(entry(30, 1));
     eq.insert(entry(30, 2));
     eq.insert(entry(31, 3));
-    const auto all = eq.searchAll(30);
-    EXPECT_EQ(all.size(), 2u);
+    EXPECT_EQ(eq.searchAll(30).size(), 2u);
+    std::vector<std::uint32_t> actions;
+    EXPECT_EQ(eq.rewardAll(30,
+                           [&](EqEntry& e) {
+                               e.reward = 1.0;
+                               actions.push_back(e.action);
+                           }),
+              2u);
+    EXPECT_EQ(actions, (std::vector<std::uint32_t>{1, 2})); // queue order
+    EXPECT_EQ(eq.searchAll(31).size(), 1u);
 }
 
 TEST(Eq, MarkFillSetsFillTime)
@@ -247,10 +274,11 @@ TEST(Eq, MarkFillSetsFillTime)
     EvaluationQueue eq(8);
     eq.insert(entry(40));
     EXPECT_TRUE(eq.markFill(40, 1234));
-    EqEntry* e = eq.search(40);
-    ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->fill_known);
-    EXPECT_EQ(e->fill_time, 1234u);
+    const auto hits = eq.searchAll(40);
+    ASSERT_EQ(hits.size(), 1u);
+    EXPECT_TRUE(hits[0]->fill_known);
+    EXPECT_EQ(hits[0]->fill_time, 1234u);
+    EXPECT_FALSE(eq.markFill(40, 99)); // already filled
     EXPECT_FALSE(eq.markFill(99, 1)); // no such prefetch
 }
 
@@ -258,7 +286,8 @@ TEST(Eq, NoPrefetchEntriesNotSearchable)
 {
     EvaluationQueue eq(8);
     eq.insert(entry(0)); // no-prefetch action
-    EXPECT_EQ(eq.search(0), nullptr);
+    EXPECT_TRUE(eq.searchAll(0).empty());
+    EXPECT_EQ(eq.rewardAll(0, [](EqEntry& e) { e.reward = 1.0; }), 0u);
 }
 
 // --------------------------------------------------------------------- agent
