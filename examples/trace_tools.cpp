@@ -7,16 +7,19 @@
  *
  * Usage:
  *   trace_tools mode=generate workload=<spec> out=<path> [records=N]
+ *               [seed=0] [verify=1]
  *   trace_tools mode=inspect  in=<path>
  *   trace_tools mode=replay   in=<path> [prefetcher=<name>]
  *
  * workload= accepts catalog names and registry workload specs alike
- * ("stream:streams=2", "phase:stream@40+graph@60"); see
- * tools/trace_capture for the strict-CLI capture tool with built-in
- * replay verification. A missing or unknown workload, an unknown
- * prefetcher or mode, or a prefetcher parameter that cannot run is a
- * usage error (exit 2) found before any file is read or written; an
- * unreadable trace file exits 1.
+ * ("stream:streams=2", "phase:stream@40+graph@60"); seed=0 keeps the
+ * workload's deterministic default seed. verify=1 (the default) reads
+ * the written file back against a fresh instance of the generator and
+ * exits 1 unless every record matches — the capture/replay equivalence
+ * rule (DESIGN.md §4.2). A missing or unknown workload, records=0, an
+ * unknown prefetcher or mode, or a prefetcher parameter that cannot
+ * run is a usage error (exit 2) found before any file is read or
+ * written; an unreadable trace file exits 1.
  */
 #include <iostream>
 #include <map>
@@ -33,7 +36,8 @@ namespace {
 using namespace pythia;
 
 int
-generate(const SpecParams& cli, wl::Workload& w, std::uint64_t records)
+generate(const SpecParams& cli, wl::Workload& w, std::uint64_t records,
+         std::uint64_t seed, bool verify)
 {
     const std::string workload = cli.getString("workload");
     const std::string out = cli.getString("out", "trace.bin");
@@ -43,6 +47,24 @@ generate(const SpecParams& cli, wl::Workload& w, std::uint64_t records)
     }
     std::cout << "wrote " << records << " records of " << workload
               << " to " << out << "\n";
+    if (!verify)
+        return 0;
+    const auto live = wl::makeWorkload(workload, seed);
+    wl::FileWorkload replay(out);
+    for (std::uint64_t i = 0; i < records; ++i) {
+        const wl::TraceRecord a = live->next();
+        const wl::TraceRecord b = replay.next();
+        if (a.pc != b.pc || a.addr != b.addr || a.gap != b.gap ||
+            a.is_write != b.is_write ||
+            a.depends_on_prev != b.depends_on_prev) {
+            std::cerr << "error: replay of " << out
+                      << " diverges from the live generator at record "
+                      << i << "\n";
+            return 1;
+        }
+    }
+    std::cout << "verified: trace:file=" << out
+              << " replays bit-identically\n";
     return 0;
 }
 
@@ -112,20 +134,27 @@ main(int argc, char** argv)
 {
     SpecParams cli;
     std::uint64_t records = 0;
+    std::uint64_t seed = 0;
+    bool verify = true;
     std::string mode;
     std::unique_ptr<wl::Workload> workload;    // mode=generate
     std::unique_ptr<sim::PrefetcherApi> built; // mode=replay
     try {
         cli = SpecParams::fromArgs(argc, argv,
                                    {"mode", "workload", "out", "records",
-                                    "in", "prefetcher"});
+                                    "seed", "verify", "in", "prefetcher"});
         records = cli.getU64("records", 200000);
+        seed = cli.getU64("seed", 0);
+        verify = cli.getBool("verify", true);
         mode = cli.getString("mode", "generate");
         if (mode == "generate") {
             if (!cli.has("workload"))
                 throw std::invalid_argument(
                     "trace_tools: mode=generate needs workload=<spec>");
-            workload = wl::makeWorkload(cli.getString("workload"));
+            if (records == 0)
+                throw std::invalid_argument(
+                    "trace_tools: mode=generate needs records > 0");
+            workload = wl::makeWorkload(cli.getString("workload"), seed);
         } else if (mode == "replay") {
             built = sim::makePrefetcher(
                 cli.getString("prefetcher", "pythia"));
@@ -143,7 +172,7 @@ main(int argc, char** argv)
     }
     try {
         if (mode == "generate")
-            return generate(cli, *workload, records);
+            return generate(cli, *workload, records, seed, verify);
         if (mode == "inspect")
             return inspect(cli);
         return replay(cli, std::move(built));

@@ -20,11 +20,11 @@ at(const std::vector<std::uint64_t>& v, std::size_t i)
     return i < v.size() ? v[i] : 0;
 }
 
-/** Restore a session's listed state from a validated snapshot image. */
+/** Load a session's listed state from a validated snapshot image's
+ *  body, which must end there. */
 void
-restoreBody(SimSession& session, const snap::SnapshotFile& file)
+restoreBody(SimSession& session, snap::Reader& r)
 {
-    snap::Reader r = file.body();
     snap::load(session, r);
     if (!r.atEnd())
         throw snap::CorruptError(
@@ -182,18 +182,20 @@ SimSession::snapshotBytes() const
 SimSession
 SimSession::resumeFrom(ExperimentSpec spec, const std::string& path)
 {
-    return resumeFrom(std::move(spec), path,
-                      std::vector<std::unique_ptr<wl::Workload>>{});
+    SimSession session(std::move(spec));
+    const snap::SnapshotFile file =
+        snap::readSnapshotFile(path, fingerprintFor(session.spec_));
+    snap::Reader body = file.body();
+    restoreBody(session, body);
+    return session;
 }
 
 SimSession
-SimSession::resumeFrom(ExperimentSpec spec, const std::string& path,
-                       std::vector<std::unique_ptr<wl::Workload>> workloads)
+SimSession::restore(ExperimentSpec spec, snap::Reader& body,
+                    std::vector<std::unique_ptr<wl::Workload>> workloads)
 {
     SimSession session(std::move(spec), std::move(workloads));
-    const snap::SnapshotFile file =
-        snap::readSnapshotFile(path, fingerprintFor(session.spec_));
-    restoreBody(session, file);
+    restoreBody(session, body);
     return session;
 }
 
@@ -207,7 +209,8 @@ SimSession::resumeFromBytes(ExperimentSpec spec,
     SimSession session(std::move(spec), std::move(workloads));
     const snap::SnapshotFile file = snap::readSnapshotBytes(
         std::move(bytes), fingerprintFor(session.spec_), label);
-    restoreBody(session, file);
+    snap::Reader body = file.body();
+    restoreBody(session, body);
     return session;
 }
 

@@ -199,13 +199,19 @@ class SimSession
     static SimSession resumeFrom(ExperimentSpec spec,
                                  const std::string& path);
 
-    /** resumeFrom with injected workloads (see the two-arg ctor). The
-     *  injected streams must replay the same records the snapshotted
-     *  session consumed — restore re-derives workload position by
-     *  replaying them from the start. */
+    /**
+     * Open a session for @p spec over @p workloads (see the two-arg
+     * ctor) and load the state saved in a snapshot body, reading
+     * @p body to its end. The caller validated the image first
+     * (snap::readSnapshotFile checks its checksum and fingerprint) and
+     * may have read sections of its own ahead of the session's. The
+     * injected streams must replay the same records the snapshotted
+     * session consumed — restore re-derives workload position by
+     * replaying them from the start.
+     */
     static SimSession
-    resumeFrom(ExperimentSpec spec, const std::string& path,
-               std::vector<std::unique_ptr<wl::Workload>> workloads);
+    restore(ExperimentSpec spec, snap::Reader& body,
+            std::vector<std::unique_ptr<wl::Workload>> workloads);
 
     /** resumeFrom over an in-memory snapshot image (snapshotBytes()).
      *  Same validation and bit-exactness guarantees as the file path;

@@ -7,12 +7,10 @@
 #include <cstring>
 #include <thread>
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 namespace pythia::service {
@@ -31,19 +29,6 @@ maxRecordInstrs(const std::vector<wl::TraceRecord>& records)
     return max_record;
 }
 
-/** Connect @p fd to @p addr, closing it on failure. */
-int
-connectOrClose(int fd, const sockaddr* addr, socklen_t len,
-               const std::string& address)
-{
-    if (::connect(fd, addr, len) < 0) {
-        const int err = errno;
-        ::close(fd);
-        throw ServeError("connect " + address + ": " + std::strerror(err));
-    }
-    return fd;
-}
-
 } // namespace
 
 std::uint64_t
@@ -57,33 +42,23 @@ connectToServe(const std::string& address)
 {
     const ServeAddress a = parseServeAddress(address);
     std::signal(SIGPIPE, SIG_IGN);
-    if (a.is_unix) {
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (a.unix_path.size() >= sizeof(addr.sun_path))
-            throw ServeError("unix socket path too long: " + a.unix_path);
-        std::strncpy(addr.sun_path, a.unix_path.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            throw ServeError(std::string("socket: ") +
-                             std::strerror(errno));
-        return connectOrClose(fd, reinterpret_cast<sockaddr*>(&addr),
-                              sizeof(addr), address);
-    }
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(a.tcp_port);
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_storage addr;
+    const socklen_t len = toSockaddr(a, addr);
+    const int fd = ::socket(addr.ss_family, SOCK_STREAM, 0);
     if (fd < 0)
         throw ServeError(std::string("socket: ") + std::strerror(errno));
-    // Small frames fly in both directions; Nagle would hold them back
-    // against the daemon's window stream.
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    return connectOrClose(fd, reinterpret_cast<sockaddr*>(&addr),
-                          sizeof(addr), address);
+    if (!a.is_unix) {
+        // Small frames fly in both directions; Nagle would hold them
+        // back against the daemon's window stream.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    }
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), len) < 0) {
+        const int err = errno;
+        ::close(fd);
+        throw ServeError("connect " + address + ": " + std::strerror(err));
+    }
+    return fd;
 }
 
 ServeClient::ServeClient(std::string address, int frame_timeout_ms)

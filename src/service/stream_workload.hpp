@@ -96,7 +96,7 @@ class StreamWorkload : public wl::Workload
         return streamed_instrs_ - consumed_instrs_;
     }
 
-    /** Full history, for eviction persistence (writeTraceFile). */
+    /** Full history, for the evicted image's stream section. */
     const std::vector<wl::TraceRecord>& records() const { return records_; }
 
   private:

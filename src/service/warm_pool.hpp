@@ -14,7 +14,7 @@
  * Role::kWaiter and register a callback that fires once the leader
  * publishes (→ re-acquire hits) or abandons (→ one waiter becomes the
  * new leader). Callbacks run outside the pool lock and must not
- * block — the server's waiters just re-schedule their openTask. A
+ * block — the daemon's waiters just re-queue their Tenant open. A
  * published machine is const and never advanced: any number of hits
  * may fork from it at once.
  *

@@ -2,6 +2,10 @@
 
 #include <charconv>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/un.h>
+
 #include "snapshot/archive.hpp"
 
 namespace pythia::service {
@@ -34,6 +38,25 @@ parseServeAddress(const std::string& address)
     if (port.empty() || ec != std::errc() || end != last)
         throw ServeError("bad tcp port '" + port + "' in " + address);
     return a;
+}
+
+socklen_t
+toSockaddr(const ServeAddress& a, sockaddr_storage& out)
+{
+    out = {};
+    if (a.is_unix) {
+        auto& un = reinterpret_cast<sockaddr_un&>(out);
+        un.sun_family = AF_UNIX;
+        if (a.unix_path.size() >= sizeof(un.sun_path))
+            throw ServeError("unix socket path too long: " + a.unix_path);
+        a.unix_path.copy(un.sun_path, a.unix_path.size());
+        return sizeof(sockaddr_un);
+    }
+    auto& in = reinterpret_cast<sockaddr_in&>(out);
+    in.sin_family = AF_INET;
+    in.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    in.sin_port = htons(a.tcp_port);
+    return sizeof(sockaddr_in);
 }
 
 namespace {

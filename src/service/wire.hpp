@@ -31,9 +31,9 @@
  * The serving determinism rule (DESIGN.md §12): the kWindow stream a
  * tenant receives is bit-identical to running the same spec offline
  * through SimSession with the same window_instrs — including across an
- * evict/restore cycle, because eviction persists the full streamed
- * history (StreamWorkload) plus a pythia-snap-v1 snapshot, and restore
- * replays both.
+ * evict/restore cycle, because eviction persists one pythia-snap-v1
+ * image holding the full streamed history (StreamWorkload) and the
+ * session, and restore replays both.
  */
 #pragma once
 
@@ -41,6 +41,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/socket.h>
 
 #include "harness/session.hpp"
 #include "harness/spec.hpp"
@@ -100,6 +102,11 @@ struct ServeAddress
  * @throws ServeError naming the bad part.
  */
 ServeAddress parseServeAddress(const std::string& address);
+
+/** Fill @p out with @p a's socket address: the unix path, or
+ *  127.0.0.1:<port>. @return the address length.
+ *  @throws ServeError when the unix path does not fit. */
+socklen_t toSockaddr(const ServeAddress& a, sockaddr_storage& out);
 
 // ---------------------------------------------------------- constants
 

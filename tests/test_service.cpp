@@ -46,6 +46,7 @@
 #include "service/warm_pool.hpp"
 #include "service/wire.hpp"
 #include "snapshot/archive.hpp"
+#include "snapshot/snapshot.hpp"
 #include "workloads/suites.hpp"
 #include "workloads/trace.hpp"
 
@@ -280,7 +281,7 @@ class ServiceTest : public ::testing::Test
     ServeOptions baseOptions() const
     {
         ServeOptions opt;
-        opt.tcp_port = 0; // ephemeral
+        opt.listen.tcp_port = 0; // ephemeral
         opt.workers = 4;
         opt.state_dir = (dir_ / "state").string();
         return opt;
@@ -295,6 +296,14 @@ class ServiceTest : public ::testing::Test
                           snap::fnv1a(tenant)));
         return (dir_ / "state" / ("tenant-" + std::string(hex) + ".snap"))
             .string();
+    }
+
+    /** Files in state_dir: one per evicted tenant. */
+    std::size_t stateFiles() const
+    {
+        const fs::directory_iterator files(dir_ / "state");
+        return static_cast<std::size_t>(
+            std::distance(fs::begin(files), fs::end(files)));
     }
 
     fs::path dir_;
@@ -818,6 +827,7 @@ TEST_F(ServiceTest, DetachEvictRestoreMidStreamMatchesOffline)
               progress1.series.size() + strays.size());
     client1.close();
     EXPECT_TRUE(fs::exists(snapPath("evictee")));
+    EXPECT_EQ(stateFiles(), 1u);
 
     // Phase 2: reconnect — transparent restore — and finish the run.
     ServeClient client2(addr);
@@ -871,6 +881,7 @@ TEST_F(ServiceTest, AbruptDisconnectEvictsAndResumeMatchesOffline)
     ASSERT_TRUE(waitFor([&] { return fs::exists(snapPath("dropper")); },
                         5s))
         << "daemon did not evict the dropped tenant";
+    EXPECT_EQ(stateFiles(), 1u);
 
     ServeClient client2(addr);
     const HelloAckMsg hello = client2.open("dropper", spec, kWindow);
@@ -923,6 +934,7 @@ TEST_F(ServiceTest, DaemonRestartResumesFromStateDir)
         EXPECT_EQ(server.stop(), 0); // whole process goes away
     }
     ASSERT_TRUE(fs::exists(snapPath("survivor")));
+    EXPECT_EQ(stateFiles(), 1u);
 
     // A brand-new daemon over the same state_dir picks the tenant up.
     ServeServer server2(baseOptions());
@@ -968,6 +980,7 @@ TEST_F(ServiceTest, IdleSessionEvictedAndRestoredOnReconnect)
     ASSERT_TRUE(waitFor([&] { return fs::exists(snapPath("sleeper")); },
                         5s))
         << "idle tenant was never evicted";
+    EXPECT_EQ(stateFiles(), 1u);
 
     ServeClient client2(addr);
     const HelloAckMsg hello = client2.open("sleeper", spec, kWindow);
@@ -1005,6 +1018,7 @@ TEST_F(ServiceTest, DrainEvictsLiveSessionsAndExitsZero)
     server.requestDrain();
     EXPECT_EQ(server.join(), 0);
     EXPECT_TRUE(fs::exists(snapPath("drained")));
+    EXPECT_EQ(stateFiles(), 1u);
 
     ServeServer server2(baseOptions());
     server2.start();
@@ -1027,6 +1041,57 @@ TEST_F(ServiceTest, DrainEvictsLiveSessionsAndExitsZero)
     EXPECT_EQ(resultBits(*progress2.final_result),
               resultBits(off.final_result));
     EXPECT_EQ(server2.stop(), 0);
+}
+
+TEST_F(ServiceTest, EvictionKilledMidWriteLeavesTenantResumable)
+{
+    ServeServer server(baseOptions());
+    server.start();
+    const std::string addr = server.boundAddress();
+    constexpr std::uint64_t kWindow = 2000;
+    const auto spec = makeSpec("470.lbm-164B", "pythia", 2000, 60000);
+    const auto records = captureRecords(spec);
+    const OfflineRun off = runOffline(spec, kWindow);
+    const std::uint64_t prefix = midRunPrefix(spec, records, kWindow);
+    ASSERT_LT(instrsCovered(records, prefix),
+              spec.warmup_instrs + spec.sim_instrs - 2 * kWindow);
+
+    ServeClient client1(addr);
+    client1.open("torn", spec, kWindow);
+    const auto progress1 = client1.streamRun(
+        {records.begin(), records.begin() + prefix}, 0, 1);
+    ASSERT_GE(progress1.series.size(), 1u);
+    harness::TimeSeries strays;
+    client1.detach(&strays);
+    client1.close();
+    const std::string image = snapPath("torn");
+    ASSERT_TRUE(fs::exists(image));
+
+    // The debris of a second eviction killed mid-write: the history
+    // rewritten in place as a .trace and cut short, and a snapshot
+    // temp file cut short before its rename. The complete image from
+    // the first eviction must still resume.
+    std::string trace = image;
+    trace.replace(trace.size() - 5, 5, ".trace");
+    ASSERT_TRUE(wl::writeTraceFile(trace, records));
+    fs::resize_file(trace, fs::file_size(trace) / 2);
+    const std::string tmp = image + ".tmp";
+    fs::copy_file(image, tmp, fs::copy_options::overwrite_existing);
+    fs::resize_file(tmp, fs::file_size(tmp) / 2);
+
+    ServeClient client2(addr);
+    const HelloAckMsg hello = client2.open("torn", spec, kWindow);
+    EXPECT_TRUE(hello.resumed);
+    const auto progress2 =
+        client2.streamRun(records, hello.records_received);
+    ASSERT_TRUE(progress2.final_result.has_value());
+    expectWindowsMatchOffline({progress1.series.samples(),
+                               strays.samples(),
+                               progress2.series.samples()},
+                              off, true, "resume beside torn debris");
+    EXPECT_EQ(resultBits(*progress2.final_result),
+              resultBits(off.final_result));
+    EXPECT_EQ(server.stop(), 0);
 }
 
 TEST_F(ServiceTest, ReopenAfterCompletionStartsFresh)
@@ -1309,17 +1374,20 @@ TEST_F(ServiceTest, CorruptEvictedTraceFailsTypedResume)
     client1.open("bitrot", spec, kWindow);
     client1.streamRun({records.begin(), records.begin() + prefix}, 0, 1);
     client1.detach();
-    std::string trace = snapPath("bitrot");
-    trace.replace(trace.size() - 5, 5, ".trace");
-    ASSERT_TRUE(fs::exists(trace));
+    const std::string image = snapPath("bitrot");
+    ASSERT_TRUE(fs::exists(image));
 
-    // Flip a pc byte of the last record, which the session has not
-    // consumed: read back unchecked, the resumed session would simulate
-    // a silently different access. The checksum must refuse the resume
-    // with a typed kErrResume instead.
-    const auto at = static_cast<std::streamoff>(fs::file_size(trace)) -
-                    8 - 21 + 3;
-    std::fstream io(trace, std::ios::binary | std::ios::in |
+    // Flip a pc byte of the last record in the image's stream section,
+    // which the session has not consumed: read back unchecked, the
+    // resumed session would simulate a silently different access. The
+    // checksum must refuse the resume with a typed kErrResume instead.
+    const snap::SnapshotInfo info = snap::inspectSnapshotFile(image);
+    ASSERT_FALSE(info.sections.empty());
+    ASSERT_EQ(info.sections[0].name, "stream");
+    const auto at = static_cast<std::streamoff>(info.sections[0].offset +
+                                                info.sections[0].length) -
+                    21 + 3;
+    std::fstream io(image, std::ios::binary | std::ios::in |
                                std::ios::out);
     io.seekg(at);
     const char byte = static_cast<char>(io.get());
@@ -1330,10 +1398,10 @@ TEST_F(ServiceTest, CorruptEvictedTraceFailsTypedResume)
     ServeClient client2(addr);
     try {
         client2.open("bitrot", spec, kWindow);
-        FAIL() << "resume from a corrupt trace was accepted";
+        FAIL() << "resume from a corrupt image was accepted";
     } catch (const ServeRemoteError& e) {
         EXPECT_EQ(e.kind(), kErrResume);
-        EXPECT_NE(std::string(e.what()).find(trace), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find(image), std::string::npos)
             << e.what();
     }
     EXPECT_EQ(server.stop(), 0);

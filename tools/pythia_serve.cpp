@@ -62,10 +62,8 @@ main(int argc, char** argv)
             {"listen", "workers", "state_dir", "inflight_records",
              "outbox_bytes", "idle_evict_ms", "warm_pool_bytes",
              "quiet"});
-        const service::ServeAddress listen =
+        opt.listen =
             service::parseServeAddress(cli.getString("listen", "tcp:0"));
-        opt.unix_path = listen.unix_path;
-        opt.tcp_port = listen.tcp_port;
         opt.workers = cli.getU32("workers", 2, kMaxParallelism);
         opt.state_dir = cli.getString("state_dir", "serve_state");
         opt.max_inflight_records = cli.getU64("inflight_records", 1 << 20);
