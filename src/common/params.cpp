@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -133,7 +134,10 @@ SpecParams::getDouble(const std::string& key, double dflt) const
     errno = 0;
     char* end = nullptr;
     const double v = std::strtod(it->second.c_str(), &end);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0')
+    // NaN fails every range comparison, so a non-finite value is not a
+    // number here.
+    if (errno != 0 || end == it->second.c_str() || *end != '\0' ||
+        !std::isfinite(v))
         badValue(key, it->second, "a number");
     return v;
 }

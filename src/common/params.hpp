@@ -68,6 +68,7 @@ class SpecParams
                          std::uint32_t max = UINT32_MAX) const;
     std::uint64_t getU64(const std::string& key, std::uint64_t dflt) const;
     std::int32_t getI32(const std::string& key, std::int32_t dflt) const;
+    /** A finite number: "nan" and "inf" are refused. */
     double getDouble(const std::string& key, double dflt) const;
     /** 1/0/true/false/yes/no. */
     bool getBool(const std::string& key, bool dflt) const;

@@ -8,7 +8,9 @@
  * workload "phase:" form, seeding and canonical spelling).
  *
  * Every entry declares its name, the parameter keys its factory
- * accepts and the factory. resolve() turns one parsed spec part into
+ * accepts and the factory; a Registrar derives the keys from the
+ * component config's knobs list (common/knobs.hpp). resolve() turns
+ * one parsed spec part into
  * the entry plus its validated SpecParams, so an unknown name or key
  * is rejected with a "did you mean" hint before any factory runs. How
  * a registry names its components in those messages is constructor
@@ -33,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "common/params.hpp"
 #include "common/spec.hpp"
 
@@ -52,6 +55,8 @@ class Registry
          *  rejected with a did-you-mean hint before the factory runs. */
         std::vector<std::string> param_keys;
         Factory factory;
+        /** The numeric range rules of those keys, as spec values. */
+        std::vector<KnobBound> bounds = {};
     };
 
     /** One resolved spec part: its entry and its validated params
@@ -145,19 +150,32 @@ class Registry
 
 /**
  * Static registrar: a file-scope instance adds one entry to
- * R::instance() at load time.
+ * R::instance() at load time. The entry's keys, parse and bounds derive
+ * from Config::knobs; its factory parses a spec's parameters over a
+ * copy of @p base and hands the config (plus any further factory
+ * arguments) to @p make.
  *
  *     [[maybe_unused]] const sim::PrefetcherRegistrar registrar{
- *         "stride", {"entries", "degree"}, [](const SpecParams& p) {...}};
+ *         "stride", StrideConfig{}, [](const StrideConfig& c) {
+ *             return std::make_unique<StridePrefetcher>(c);
+ *         }};
  */
 template <typename R>
 struct Registrar
 {
-    Registrar(std::string name, std::vector<std::string> param_keys,
-              typename R::Factory factory)
+    template <class Config, class Make>
+    Registrar(std::string name, Config base, Make make)
     {
-        R::instance().add({std::move(name), std::move(param_keys),
-                           std::move(factory)});
+        KnobDecl decl = declareKnobs<Config>();
+        R::instance().add(
+            {std::move(name), std::move(decl.keys),
+             [base = std::move(base), make = std::move(make)](
+                 const SpecParams& p, const auto&... rest) {
+                 Config cfg = base;
+                 parseKnobs(cfg, p);
+                 return make(cfg, rest...);
+             },
+             std::move(decl.bounds)});
     }
 };
 

@@ -11,8 +11,8 @@
  *     "stride:degree=2+spp"       (per-part parameters compose too)
  *
  * The grammar is shared by every registry that constructs components
- * from strings (prefetchers today; replacement policies and workload
- * generators are natural future users). It plays the role ChampSim's
+ * from strings: prefetchers (sim/prefetcher_registry.hpp) and workload
+ * generator families (workloads/registry.hpp). It plays the role ChampSim's
  * ini-file knobs play in the paper's artifact: reconfiguration without
  * recompilation (paper §6.6).
  */

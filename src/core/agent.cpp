@@ -21,36 +21,11 @@ qvConfigOf(const PythiaConfig& cfg)
     return qc;
 }
 
-/** Reject a configuration the agent cannot run, before the QVStore and
- *  the EQ allocate anything. Keys are the spec-string names; the EQ and
- *  plane caps (the paper's are 256 entries and 7 bits) bound memory. */
-const PythiaConfig&
-checked(const PythiaConfig& cfg)
-{
-    static_assert(kEqStateSlots == 8 && kMaxPlanes == 8 &&
-                      pf::kMaxDegree == 64,
-                  "rule texts");
-    pf::requireConfig(
-        cfg.name,
-        {{!cfg.features.empty() && cfg.features.size() <= kEqStateSlots,
-          "features", "1 to 8 feature names"},
-         {!cfg.actions.empty(), "actions", "a non-empty offset list"},
-         {cfg.degree >= 1 && cfg.degree <= pf::kMaxDegree, "degree",
-          "in [1, 64]"},
-         {cfg.eq_size >= 1 && cfg.eq_size <= 65536, "eq_size",
-          "in [1, 65536]"},
-         {cfg.planes >= 1 && cfg.planes <= kMaxPlanes, "planes",
-          "in [1, 8]"},
-         {cfg.plane_index_bits >= 1 && cfg.plane_index_bits <= 16,
-          "plane_index_bits", "in [1, 16]"}});
-    return cfg;
-}
-
 } // namespace
 
 PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig& cfg)
     : StatefulPrefetcher(cfg.name, 26112 /* 25.5KB, Table 4 */),
-      cfg_(checked(cfg)), qv_(qvConfigOf(cfg)), eq_(cfg.eq_size),
+      cfg_(checkKnobs(name(), cfg)), qv_(qvConfigOf(cfg)), eq_(cfg.eq_size),
       rng_(cfg.seed), stats_("pythia")
 {
     action_slots_.reserve(cfg_.actions.size());

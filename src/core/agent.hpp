@@ -57,7 +57,48 @@ struct PythiaConfig
     std::uint32_t planes = 3;
     std::uint32_t plane_index_bits = 7; ///< 128 rows per plane
     std::uint64_t seed = 0xDE1F1ull;    ///< exploration RNG seed
+
+    /** The spec keys of every Pythia variant: the state vector, the
+     *  action list, the Table 2 hyperparameters and the seven reward
+     *  levels of §3.1 — the paper's "configuration registers", settable
+     *  per run without recompiling (common/knobs.hpp). The EQ and plane
+     *  caps (the paper's are 256 entries and 7 bits) bound memory. */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        static_assert(kEqStateSlots == 8, "features rule text");
+        ar("features", c.features,
+           Pred<std::vector<FeatureSpec>>{
+               "1 to 8 feature names", [](const std::vector<FeatureSpec>& f) {
+                   return !f.empty() && f.size() <= kEqStateSlots;
+               }});
+        ar("actions", c.actions,
+           Pred<std::vector<std::int32_t>>{
+               "a non-empty offset list",
+               [](const std::vector<std::int32_t>& a) { return !a.empty(); }});
+        ar("alpha", c.alpha);
+        ar("gamma", c.gamma);
+        ar("epsilon", c.epsilon);
+        ar("degree", c.degree, Bound<std::uint32_t>{1, pf::kMaxDegree});
+        ar("eq_size", c.eq_size, Bound<std::size_t>{1, 65536});
+        ar("planes", c.planes, Bound<std::uint32_t>{1, kMaxPlanes});
+        ar("plane_index_bits", c.plane_index_bits,
+           Bound<std::uint32_t>{1, 16});
+        ar("seed", c.seed);
+        ar("r_at", c.rewards.r_at);
+        ar("r_al", c.rewards.r_al);
+        ar("r_cl", c.rewards.r_cl);
+        ar("r_in_high", c.rewards.r_in_high);
+        ar("r_in_low", c.rewards.r_in_low);
+        ar("r_np_high", c.rewards.r_np_high);
+        ar("r_np_low", c.rewards.r_np_low);
+    }
 };
+
+/** The "features" key: a '/'-list of featureName(f, '.') spellings
+ *  ("PC.Delta/Last4Deltas"); found by parseKnobs through ADL. */
+void parseKnob(const SpecParams& p, const std::string& key,
+               std::vector<FeatureSpec>& features);
 
 /**
  * Pythia agent (paper §4, Algorithm 1).

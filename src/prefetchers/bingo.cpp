@@ -10,17 +10,8 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "bingo",
-    {"region_bytes", "at_entries", "pht_sets", "pht_ways"},
-    [](const sim::PrefetcherParams& p) {
-        BingoConfig cfg;
-        cfg.region_bytes = p.getU32("region_bytes", cfg.region_bytes);
-        cfg.at_entries = p.getU32("at_entries", cfg.at_entries);
-        cfg.pht_sets = p.getU32("pht_sets", cfg.pht_sets);
-        cfg.pht_ways = p.getU32("pht_ways", cfg.pht_ways);
-        return std::make_unique<BingoPrefetcher>(cfg);
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<BingoPrefetcher>("bingo", BingoConfig{});
 
 } // namespace
 
@@ -29,16 +20,7 @@ BingoPrefetcher::BingoPrefetcher(const BingoConfig& cfg)
 {
     // The footprint bitvector is 64 bits wide; smaller regions round up
     // to one block.
-    requireConfig("bingo", {
-        {std::has_single_bit(cfg.region_bytes) &&
-             cfg.region_bytes <= 64 * kBlockSize,
-         "region_bytes", "a power of two <= 4096"},
-        {cfg.at_entries >= 1 && cfg.at_entries <= kMaxTableEntries,
-         "at_entries", kTableRule},
-        {cfg.pht_sets >= 1 && cfg.pht_sets <= kMaxTableEntries, "pht_sets",
-         kTableRule},
-        {cfg.pht_ways >= 1 && cfg.pht_ways <= kMaxWays, "pht_ways",
-         kWaysRule}});
+    checkKnobs(name(), cfg);
     blocks_per_region_ = std::max<std::uint32_t>(
         1, cfg_.region_bytes / static_cast<std::uint32_t>(kBlockSize));
     region_shift_ = std::countr_zero(blocks_per_region_);

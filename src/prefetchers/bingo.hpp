@@ -23,6 +23,16 @@ struct BingoConfig
     std::uint32_t at_entries = 128;
     std::uint32_t pht_sets = 1024;
     std::uint32_t pht_ways = 4;
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("region_bytes", c.region_bytes, kRegionBytes);
+        ar("at_entries", c.at_entries, kTable);
+        ar("pht_sets", c.pht_sets, kTable);
+        ar("pht_ways", c.pht_ways, kWays);
+    }
 };
 
 /**

@@ -94,7 +94,7 @@ stackAlias(const std::string& name, std::vector<std::string> child_specs)
     return {name,
             {},
             [child_specs = std::move(child_specs),
-             name](const sim::PrefetcherParams&) {
+             name](const SpecParams&) {
                 auto& registry = sim::PrefetcherRegistry::instance();
                 std::vector<std::unique_ptr<sim::PrefetcherApi>> kids;
                 for (const auto& spec : child_specs)

@@ -10,22 +10,8 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "cp_hw",
-    {"table_entries", "alpha", "epsilon", "reward_timely", "reward_late",
-     "reward_unused", "seed"},
-    [](const sim::PrefetcherParams& p) {
-        CpHwConfig cfg;
-        cfg.table_entries = p.getU32("table_entries", cfg.table_entries);
-        cfg.alpha = p.getDouble("alpha", cfg.alpha);
-        cfg.epsilon = p.getDouble("epsilon", cfg.epsilon);
-        cfg.reward_timely = p.getDouble("reward_timely", cfg.reward_timely);
-        cfg.reward_late = p.getDouble("reward_late", cfg.reward_late);
-        cfg.reward_unused =
-            p.getDouble("reward_unused", cfg.reward_unused);
-        cfg.seed = p.getU64("seed", cfg.seed);
-        return std::make_unique<CpHwPrefetcher>(cfg);
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<CpHwPrefetcher>("cp_hw", CpHwConfig{});
 
 } // namespace
 
@@ -42,10 +28,7 @@ CpHwPrefetcher::CpHwPrefetcher(const CpHwConfig& cfg)
                          cfg.table_entries * actionList().size() * 2),
       cfg_(cfg), tracker_(256), rng_(cfg.seed), pending_(kPendingSlots)
 {
-    requireConfig(
-        "cp_hw",
-        {{cfg.table_entries >= 1 && cfg.table_entries <= kMaxTableEntries,
-          "table_entries", kTableRule}});
+    checkKnobs(name(), cfg);
     q_.assign(cfg.table_entries * actionList().size(), 0.0);
 }
 

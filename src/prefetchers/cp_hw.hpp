@@ -24,6 +24,19 @@ struct CpHwConfig
     double reward_late = 0.5;
     double reward_unused = -1.0;
     std::uint64_t seed = 0xC0FFEEull;
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("table_entries", c.table_entries, kTable);
+        ar("alpha", c.alpha);
+        ar("epsilon", c.epsilon);
+        ar("reward_timely", c.reward_timely);
+        ar("reward_late", c.reward_late);
+        ar("reward_unused", c.reward_unused);
+        ar("seed", c.seed);
+    }
 };
 
 /** Contextual-bandit prefetcher over hardware contexts (PC + last delta). */

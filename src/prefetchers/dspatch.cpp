@@ -10,16 +10,8 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "dspatch",
-    {"region_bytes", "spt_entries", "at_entries"},
-    [](const sim::PrefetcherParams& p) {
-        DspatchConfig cfg;
-        cfg.region_bytes = p.getU32("region_bytes", cfg.region_bytes);
-        cfg.spt_entries = p.getU32("spt_entries", cfg.spt_entries);
-        cfg.at_entries = p.getU32("at_entries", cfg.at_entries);
-        return std::make_unique<DspatchPrefetcher>(cfg);
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<DspatchPrefetcher>("dspatch", DspatchConfig{});
 
 } // namespace
 
@@ -27,14 +19,7 @@ DspatchPrefetcher::DspatchPrefetcher(const DspatchConfig& cfg)
     : StatefulPrefetcher("dspatch", 3686 /* ~3.6KB, Table 7 */), cfg_(cfg)
 {
     // Footprints are 64-bit; smaller regions round up to one block.
-    requireConfig("dspatch", {
-        {std::has_single_bit(cfg.region_bytes) &&
-             cfg.region_bytes <= 64 * kBlockSize,
-         "region_bytes", "a power of two <= 4096"},
-        {cfg.spt_entries >= 1 && cfg.spt_entries <= kMaxTableEntries,
-         "spt_entries", kTableRule},
-        {cfg.at_entries >= 1 && cfg.at_entries <= kMaxTableEntries,
-         "at_entries", kTableRule}});
+    checkKnobs(name(), cfg);
     spt_.resize(cfg.spt_entries);
     at_.resize(cfg.at_entries);
     blocks_per_region_ = std::max<std::uint32_t>(

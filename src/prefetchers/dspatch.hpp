@@ -18,6 +18,15 @@ struct DspatchConfig
     std::uint32_t region_bytes = 2048;
     std::uint32_t spt_entries = 256;  ///< signature pattern table entries
     std::uint32_t at_entries = 32;    ///< in-flight region accumulators
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("region_bytes", c.region_bytes, kRegionBytes);
+        ar("spt_entries", c.spt_entries, kTable);
+        ar("at_entries", c.at_entries, kTable);
+    }
 };
 
 /** Dual Spatial Pattern prefetcher. */

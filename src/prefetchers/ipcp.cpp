@@ -7,17 +7,8 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "ipcp",
-    {"ip_entries", "cspt_entries", "cs_degree", "stream_degree"},
-    [](const sim::PrefetcherParams& p) {
-        IpcpConfig cfg;
-        cfg.ip_entries = p.getU32("ip_entries", cfg.ip_entries);
-        cfg.cspt_entries = p.getU32("cspt_entries", cfg.cspt_entries);
-        cfg.cs_degree = p.getU32("cs_degree", cfg.cs_degree);
-        cfg.stream_degree = p.getU32("stream_degree", cfg.stream_degree);
-        return std::make_unique<IpcpPrefetcher>(cfg);
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<IpcpPrefetcher>("ipcp", IpcpConfig{});
 
 } // namespace
 
@@ -26,14 +17,7 @@ IpcpPrefetcher::IpcpPrefetcher(const IpcpConfig& cfg)
                          cfg.ip_entries * 12 + cfg.cspt_entries * 2),
       cfg_(cfg)
 {
-    requireConfig(
-        "ipcp",
-        {{cfg.ip_entries >= 1 && cfg.ip_entries <= kMaxTableEntries,
-          "ip_entries", kTableRule},
-         {cfg.cspt_entries >= 1 && cfg.cspt_entries <= kMaxTableEntries,
-          "cspt_entries", kTableRule},
-         {cfg.cs_degree <= kMaxDegree, "cs_degree", kDegreeRule},
-         {cfg.stream_degree <= kMaxDegree, "stream_degree", kDegreeRule}});
+    checkKnobs(name(), cfg);
     ip_.resize(cfg.ip_entries);
     cspt_.resize(cfg.cspt_entries);
 }

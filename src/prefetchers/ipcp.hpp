@@ -18,6 +18,16 @@ struct IpcpConfig
     std::uint32_t cspt_entries = 1024; ///< complex-stride pattern table
     std::uint32_t cs_degree = 4;
     std::uint32_t stream_degree = 8;
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("ip_entries", c.ip_entries, kTable);
+        ar("cspt_entries", c.cspt_entries, kTable);
+        ar("cs_degree", c.cs_degree, kDegree);
+        ar("stream_degree", c.stream_degree, kDegree);
+    }
 };
 
 /** Bouquet-of-IP-classes prefetcher. */

@@ -9,32 +9,15 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "mlop",
-    {"amt_entries", "update_round", "max_degree", "max_offset"},
-    [](const sim::PrefetcherParams& p) {
-        MlopConfig cfg;
-        cfg.amt_entries = p.getU32("amt_entries", cfg.amt_entries);
-        cfg.update_round = p.getU32("update_round", cfg.update_round);
-        cfg.max_degree = p.getU32("max_degree", cfg.max_degree);
-        cfg.max_offset = p.getI32("max_offset", cfg.max_offset);
-        return std::make_unique<MlopPrefetcher>(cfg);
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<MlopPrefetcher>("mlop", MlopConfig{});
 
 } // namespace
 
 MlopPrefetcher::MlopPrefetcher(const MlopConfig& cfg)
     : StatefulPrefetcher("mlop", 8192 /* ~8KB, Table 7 */), cfg_(cfg)
 {
-    // Candidate offsets stay within one page.
-    requireConfig(
-        "mlop",
-        {{cfg.amt_entries >= 1 && cfg.amt_entries <= kMaxTableEntries,
-          "amt_entries", kTableRule},
-         {cfg.max_degree <= kMaxDegree, "max_degree", kDegreeRule},
-         {cfg.max_offset >= 0 &&
-              cfg.max_offset < static_cast<std::int32_t>(kBlocksPerPage),
-          "max_offset", "in [0, 63]"}});
+    checkKnobs(name(), cfg);
     maps_.resize(cfg.amt_entries);
     width_ = 2 * static_cast<std::size_t>(cfg.max_offset) + 1;
     scores_.assign(cfg.max_degree * width_, 0);

@@ -20,6 +20,19 @@ struct MlopConfig
     std::uint32_t update_round = 500;  ///< updates per evaluation round
     std::uint32_t max_degree = 16;     ///< lookahead levels / max prefetches
     std::int32_t max_offset = 31;      ///< candidate offsets in [-max,max]
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("amt_entries", c.amt_entries, kTable);
+        ar("update_round", c.update_round);
+        ar("max_degree", c.max_degree, kDegree);
+        // Candidate offsets stay within one page.
+        ar("max_offset", c.max_offset,
+           Bound<std::int32_t>{
+               0, static_cast<std::int32_t>(kBlocksPerPage) - 1});
+    }
 };
 
 /**

@@ -4,11 +4,10 @@
 
 namespace pythia::pf {
 
-NextLinePrefetcher::NextLinePrefetcher(std::uint32_t degree)
+NextLinePrefetcher::NextLinePrefetcher(const NextLineConfig& cfg)
     : StatefulPrefetcher("nextline", 8 /* degree register */),
-      degree_(degree)
+      degree_(checkKnobs(name(), cfg).degree)
 {
-    requireConfig("nextline", {{degree <= kMaxDegree, "degree", kDegreeRule}});
 }
 
 void
@@ -21,12 +20,8 @@ NextLinePrefetcher::train(const PrefetchAccess& access,
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "nextline",
-    {"degree"},
-    [](const sim::PrefetcherParams& p) {
-        return std::make_unique<NextLinePrefetcher>(p.getU32("degree", 1));
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<NextLinePrefetcher>("nextline", NextLineConfig{});
 
 } // namespace
 

@@ -10,11 +10,24 @@
 
 namespace pythia::pf {
 
+/** Next-line tuning knobs. */
+struct NextLineConfig
+{
+    std::uint32_t degree = 1; ///< sequential lines per demand
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("degree", c.degree, kDegree);
+    }
+};
+
 /** Prefetches the next @p degree sequential cachelines on every demand. */
 class NextLinePrefetcher : public StatefulPrefetcher<NextLinePrefetcher>
 {
   public:
-    explicit NextLinePrefetcher(std::uint32_t degree = 1);
+    explicit NextLinePrefetcher(const NextLineConfig& cfg = NextLineConfig{});
 
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;

@@ -8,28 +8,16 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "power7",
-    {"epoch_prefetches", "min_depth", "max_depth"},
-    [](const sim::PrefetcherParams& p) {
-        Power7Config cfg;
-        cfg.epoch_prefetches =
-            p.getU32("epoch_prefetches", cfg.epoch_prefetches);
-        cfg.min_depth = p.getU32("min_depth", cfg.min_depth);
-        cfg.max_depth = p.getU32("max_depth", cfg.max_depth);
-        return std::make_unique<Power7Prefetcher>(cfg);
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<Power7Prefetcher>("power7", Power7Config{});
 
 } // namespace
 
 Power7Prefetcher::Power7Prefetcher(const Power7Config& cfg)
     : StatefulPrefetcher("power7", 1024), cfg_(cfg),
-      streamer_(64, /*degree=*/4, /*train_len=*/2)
+      streamer_(StreamerConfig{.degree = 4})
 {
-    // The depths become the inner streamer's degree.
-    requireConfig("power7",
-                  {{cfg.min_depth <= kMaxDegree, "min_depth", kDegreeRule},
-                   {cfg.max_depth <= kMaxDegree, "max_depth", kDegreeRule}});
+    checkKnobs(name(), cfg);
 }
 
 void

@@ -19,6 +19,16 @@ struct Power7Config
     std::uint32_t epoch_prefetches = 256; ///< retune interval
     std::uint32_t min_depth = 1;
     std::uint32_t max_depth = 16;
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("epoch_prefetches", c.epoch_prefetches);
+        // The depths become the inner streamer's degree.
+        ar("min_depth", c.min_depth, kDegree);
+        ar("max_depth", c.max_depth, kDegree);
+    }
 };
 
 /** Streamer with epoch-based adaptive depth selection. */

@@ -11,48 +11,15 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "spp_ppf",
-    {"table_entries", "threshold", "train_margin", "weight_max",
-     "spp_st_entries", "spp_pt_sets", "spp_max_lookahead"},
-    [](const sim::PrefetcherParams& p) {
-        PpfConfig cfg;
-        cfg.table_entries = p.getU32("table_entries", cfg.table_entries);
-        cfg.threshold = p.getI32("threshold", cfg.threshold);
-        cfg.train_margin = p.getI32("train_margin", cfg.train_margin);
-        cfg.weight_max = p.getI32("weight_max", cfg.weight_max);
-        SppConfig spp;
-        spp.st_entries = p.getU32("spp_st_entries", spp.st_entries);
-        spp.pt_sets = p.getU32("spp_pt_sets", spp.pt_sets);
-        spp.max_lookahead =
-            p.getU32("spp_max_lookahead", spp.max_lookahead);
-        return std::make_unique<PpfPrefetcher>(cfg, spp);
-    }};
-
-/** The inner SPP's tables are checked here, under this entry's spp_*
- *  keys, before the SPP member is built. */
-const PpfConfig&
-checked(const PpfConfig& cfg, const SppConfig& spp)
-{
-    requireConfig(
-        "spp_ppf",
-        {{cfg.table_entries >= 1 && cfg.table_entries <= kMaxTableEntries,
-          "table_entries", kTableRule},
-         {spp.st_entries >= 1 && spp.st_entries <= kMaxTableEntries,
-          "spp_st_entries", kTableRule},
-         {spp.pt_sets >= 1 && spp.pt_sets <= kMaxTableEntries,
-          "spp_pt_sets", kTableRule},
-         {spp.max_lookahead <= kMaxDegree, "spp_max_lookahead",
-          kDegreeRule}});
-    return cfg;
-}
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<PpfPrefetcher>("spp_ppf", PpfConfig{});
 
 } // namespace
 
-PpfPrefetcher::PpfPrefetcher(const PpfConfig& cfg, const SppConfig& spp_cfg)
+PpfPrefetcher::PpfPrefetcher(const PpfConfig& cfg)
     : StatefulPrefetcher("spp_ppf", 40243 /* ~39.3KB, Table 7 */),
-      cfg_(checked(cfg, spp_cfg)),
-      spp_(spp_cfg),
+      cfg_(checkKnobs(name(), cfg)),
+      spp_(cfg.spp),
       weights_(static_cast<std::size_t>(kFeatures) * cfg.table_entries, 0),
       pending_(kPendingSlots)
 {

@@ -19,6 +19,21 @@ struct PpfConfig
     std::int32_t threshold = 0;         ///< accept when sum >= threshold
     std::int32_t train_margin = 32;     ///< retrain when |sum| < margin
     std::int32_t weight_max = 31;       ///< saturating weight bound
+    SppConfig spp;                      ///< the inner SPP
+
+    /** Spec keys (common/knobs.hpp): the inner SPP's tables are checked
+     *  here, under this entry's spp_* keys, before it is built. */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("table_entries", c.table_entries, kTable);
+        ar("threshold", c.threshold);
+        ar("train_margin", c.train_margin);
+        ar("weight_max", c.weight_max);
+        ar("spp_st_entries", c.spp.st_entries, kTable);
+        ar("spp_pt_sets", c.spp.pt_sets, kTable);
+        ar("spp_max_lookahead", c.spp.max_lookahead, kDegree);
+    }
 };
 
 /**
@@ -29,8 +44,7 @@ struct PpfConfig
 class PpfPrefetcher : public StatefulPrefetcher<PpfPrefetcher>
 {
   public:
-    explicit PpfPrefetcher(const PpfConfig& cfg = PpfConfig{},
-                           const SppConfig& spp_cfg = SppConfig{});
+    explicit PpfPrefetcher(const PpfConfig& cfg = PpfConfig{});
 
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;

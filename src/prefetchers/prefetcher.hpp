@@ -6,11 +6,12 @@
  */
 #pragma once
 
+#include <bit>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "common/types.hpp"
 #include "sim/prefetcher_api.hpp"
 #include "snapshot/archive.hpp"
@@ -22,43 +23,26 @@ using sim::PrefetchAccess;
 using sim::PrefetcherApi;
 using sim::PrefetchRequest;
 
-/** One constructor-time configuration rule: @p key is valid when @p ok. */
-struct ConfigRule
-{
-    bool ok;
-    const char* key;
-    const char* rule; ///< what a valid value is, e.g. ">= 1"
-};
-
 /**
- * Upper bounds of the requireConfig() rules, so no spec string can make
- * the host allocate or loop without limit: a table holds at most
- * kMaxTableEntries rows (16x the largest default), a set at most
- * kMaxWays ways, and a degree-style key (prefetches or lookahead steps
- * per access) is at most kMaxDegree — a page holds 64 lines, so an
- * in-page prefetcher can never use more. The k*Rule strings are the
- * matching rule texts.
+ * The table-size rules, so no spec string can make the host allocate or
+ * loop without limit: a table holds at most 65536 rows (16x the largest
+ * default), a set at most 16 ways, and a degree-style key (prefetches
+ * or lookahead steps per access) is at most kMaxDegree — a page holds
+ * 64 lines, so an in-page prefetcher can never use more. Every
+ * prefetcher constructor checks its config's knobs (common/knobs.hpp)
+ * before it allocates a table, so a degenerate spec
+ * ("stride:entries=0") is a typed error, never a crash or an unbounded
+ * allocation.
  */
-inline constexpr std::uint32_t kMaxTableEntries = 65536;
-inline constexpr std::uint32_t kMaxWays = 16;
 inline constexpr std::uint32_t kMaxDegree = 64;
-inline constexpr const char* kTableRule = "in [1, 65536]";
-inline constexpr const char* kWaysRule = "in [1, 16]";
-inline constexpr const char* kDegreeRule = "<= 64";
-static_assert(kMaxTableEntries == 65536 && kMaxWays == 16 &&
-                  kMaxDegree == 64,
-              "rule texts");
-
-/**
- * Constructor-time configuration guard: every prefetcher checks its
- * configuration with this before it allocates a table, so a degenerate
- * spec ("stride:entries=0", "stride:entries=4000000000") is a typed
- * error, never a crash or an unbounded allocation.
- * @throws std::invalid_argument "<owner>: <key> must be <rule>" for the
- *         first rule that does not hold.
- */
-void requireConfig(const std::string& owner,
-                   std::initializer_list<ConfigRule> rules);
+inline constexpr Bound<std::uint32_t> kTable{1, 65536};
+inline constexpr Bound<std::uint32_t> kWays{1, 16};
+inline constexpr Bound<std::uint32_t> kDegree{0, kMaxDegree};
+/** A region size the 64-bit footprint bitvectors can hold. */
+inline constexpr Pred<std::uint32_t> kRegionBytes{
+    "a power of two <= 4096", [](const std::uint32_t& v) {
+        return std::has_single_bit(v) && v <= 64 * kBlockSize;
+    }};
 
 /**
  * Base class holding the name, the bandwidth feedback pointer and the

@@ -9,35 +9,15 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "spp",
-    {"st_entries", "pt_sets", "pt_ways", "fill_threshold",
-     "pf_threshold", "max_lookahead"},
-    [](const sim::PrefetcherParams& p) {
-        SppConfig cfg;
-        cfg.st_entries = p.getU32("st_entries", cfg.st_entries);
-        cfg.pt_sets = p.getU32("pt_sets", cfg.pt_sets);
-        cfg.pt_ways = p.getU32("pt_ways", cfg.pt_ways);
-        cfg.fill_threshold =
-            p.getDouble("fill_threshold", cfg.fill_threshold);
-        cfg.pf_threshold = p.getDouble("pf_threshold", cfg.pf_threshold);
-        cfg.max_lookahead = p.getU32("max_lookahead", cfg.max_lookahead);
-        return std::make_unique<SppPrefetcher>(cfg);
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<SppPrefetcher>("spp", SppConfig{});
 
 } // namespace
 
 SppPrefetcher::SppPrefetcher(const SppConfig& cfg)
     : StatefulPrefetcher("spp", 6349 /* ~6.2KB, Table 7 */), cfg_(cfg)
 {
-    requireConfig(
-        "spp",
-        {{cfg.st_entries >= 1 && cfg.st_entries <= kMaxTableEntries,
-          "st_entries", kTableRule},
-         {cfg.pt_sets >= 1 && cfg.pt_sets <= kMaxTableEntries, "pt_sets",
-          kTableRule},
-         {cfg.pt_ways >= 1 && cfg.pt_ways <= kMaxWays, "pt_ways", kWaysRule},
-         {cfg.max_lookahead <= kMaxDegree, "max_lookahead", kDegreeRule}});
+    checkKnobs(name(), cfg);
     st_.resize(cfg.st_entries);
     pt_.resize(static_cast<std::size_t>(cfg.pt_sets) * cfg.pt_ways);
 }

@@ -23,6 +23,18 @@ struct SppConfig
     double fill_threshold = 0.40;  ///< confidence to fill into L2
     double pf_threshold = 0.15;    ///< confidence to fill into LLC only
     std::uint32_t max_lookahead = 8;
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("st_entries", c.st_entries, kTable);
+        ar("pt_sets", c.pt_sets, kTable);
+        ar("pt_ways", c.pt_ways, kWays);
+        ar("fill_threshold", c.fill_threshold);
+        ar("pf_threshold", c.pf_threshold);
+        ar("max_lookahead", c.max_lookahead, kDegree);
+    }
 };
 
 /**

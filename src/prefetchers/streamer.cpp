@@ -7,28 +7,17 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "streamer",
-    {"streams", "degree", "train_len"},
-    [](const sim::PrefetcherParams& p) {
-        return std::make_unique<StreamerPrefetcher>(
-            p.getU32("streams", 64), p.getU32("degree", 8),
-            p.getU32("train_len", 2));
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<StreamerPrefetcher>("streamer", StreamerConfig{});
 
 } // namespace
 
-StreamerPrefetcher::StreamerPrefetcher(std::uint32_t streams,
-                                       std::uint32_t degree,
-                                       std::uint32_t train_len)
-    : StatefulPrefetcher("streamer", streams * 12), degree_(degree),
-      train_len_(train_len)
+StreamerPrefetcher::StreamerPrefetcher(const StreamerConfig& cfg)
+    : StatefulPrefetcher("streamer", cfg.streams * 12), degree_(cfg.degree),
+      train_len_(cfg.train_len)
 {
-    requireConfig("streamer",
-                  {{streams >= 1 && streams <= kMaxTableEntries, "streams",
-                    kTableRule},
-                   {degree <= kMaxDegree, "degree", kDegreeRule}});
-    streams_.resize(streams);
+    checkKnobs(name(), cfg);
+    streams_.resize(cfg.streams);
 }
 
 void

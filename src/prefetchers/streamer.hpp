@@ -10,6 +10,23 @@
 
 namespace pythia::pf {
 
+/** Streamer tuning knobs. */
+struct StreamerConfig
+{
+    std::uint32_t streams = 64;  ///< concurrently tracked streams
+    std::uint32_t degree = 8;    ///< lines run ahead once confirmed
+    std::uint32_t train_len = 2; ///< accesses that confirm a direction
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("streams", c.streams, kTable);
+        ar("degree", c.degree, kDegree);
+        ar("train_len", c.train_len);
+    }
+};
+
 /**
  * Tracks up to N concurrent streams at page granularity; once a stream's
  * direction is confirmed by @p train_len accesses it runs @p degree lines
@@ -18,8 +35,7 @@ namespace pythia::pf {
 class StreamerPrefetcher : public StatefulPrefetcher<StreamerPrefetcher>
 {
   public:
-    StreamerPrefetcher(std::uint32_t streams = 64, std::uint32_t degree = 8,
-                       std::uint32_t train_len = 2);
+    explicit StreamerPrefetcher(const StreamerConfig& cfg = StreamerConfig{});
 
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;

@@ -7,27 +7,18 @@ namespace pythia::pf {
 
 namespace {
 
-[[maybe_unused]] const sim::PrefetcherRegistrar registrar{
-    "stride",
-    {"entries", "degree"},
-    [](const sim::PrefetcherParams& p) {
-        return std::make_unique<StridePrefetcher>(
-            p.getU32("entries", 256), p.getU32("degree", 4));
-    }};
+[[maybe_unused]] const auto registrar =
+    sim::registerPrefetcher<StridePrefetcher>("stride", StrideConfig{});
 
 } // namespace
 
-StridePrefetcher::StridePrefetcher(std::uint32_t entries,
-                                   std::uint32_t degree)
+StridePrefetcher::StridePrefetcher(const StrideConfig& cfg)
     : StatefulPrefetcher("stride",
-                         entries * 16 /* pc tag + addr + stride + conf */),
-      degree_(degree)
+                         cfg.entries * 16 /* pc tag + addr + stride + conf */),
+      degree_(cfg.degree)
 {
-    requireConfig("stride",
-                  {{entries >= 1 && entries <= kMaxTableEntries, "entries",
-                    kTableRule},
-                   {degree <= kMaxDegree, "degree", kDegreeRule}});
-    table_.resize(entries);
+    checkKnobs(name(), cfg);
+    table_.resize(cfg.entries);
 }
 
 void

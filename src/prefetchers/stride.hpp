@@ -10,6 +10,23 @@
 
 namespace pythia::pf {
 
+/** Stride tuning knobs. */
+struct StrideConfig
+{
+    /** Table entries (direct mapped by PC hash). */
+    std::uint32_t entries = 256;
+    /** Prefetch distance in strides once confident. */
+    std::uint32_t degree = 4;
+
+    /** Spec keys (common/knobs.hpp). */
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("entries", c.entries, kTable);
+        ar("degree", c.degree, kDegree);
+    }
+};
+
 /**
  * Per-PC stride table with 2-bit confidence. When the same PC produces the
  * same cacheline stride twice in a row the entry becomes confident and
@@ -18,12 +35,7 @@ namespace pythia::pf {
 class StridePrefetcher : public StatefulPrefetcher<StridePrefetcher>
 {
   public:
-    /**
-     * @param entries table entries (direct mapped by PC hash)
-     * @param degree  prefetch distance in strides once confident
-     */
-    explicit StridePrefetcher(std::uint32_t entries = 256,
-                              std::uint32_t degree = 4);
+    explicit StridePrefetcher(const StrideConfig& cfg = StrideConfig{});
 
     void train(const PrefetchAccess& access,
                std::vector<PrefetchRequest>& out) override;

@@ -252,8 +252,15 @@ Tenant::pump(const ConnectionPtr& c)
         }
         phase_ = Phase::kEnded;
         ++host_.counters.runs_completed;
+        // The run is over: drop its image and the debris an eviction
+        // can leave beside it (a .snap.tmp cut short mid-write, a
+        // legacy .trace).
+        const std::string image = statePath();
         std::error_code ec;
-        fs::remove(statePath(), ec);
+        for (const std::string& path :
+             {image, image + ".tmp",
+              image.substr(0, image.size() - 5) + ".trace"})
+            fs::remove(path, ec);
         host_.send(c, encodeRunEnd({s.cumulative(), s.windowsCompleted(),
                                     stream_->consumed()}));
     } catch (const std::exception& e) {

@@ -3,8 +3,9 @@
  * Self-registering prefetcher construction API.
  *
  * Every prefetcher translation unit drops a static PrefetcherRegistrar
- * into the registry at load time, declaring its name, its tunable
- * parameter keys and a factory from PrefetcherParams. Construction goes
+ * into the registry at load time, declaring its name, its config (whose
+ * knobs list gives the tunable keys; common/knobs.hpp) and a factory
+ * from the parsed config. Construction goes
  * through parameterized spec strings (common/spec.hpp):
  *
  *     sim::makePrefetcher("spp")
@@ -32,14 +33,9 @@
 
 namespace pythia::sim {
 
-/** Typed view over the key=value parameters of one spec part — the
- *  shared pythia::SpecParams (common/params.hpp), which also serves the
- *  workload registry. */
-using PrefetcherParams = SpecParams;
-
 /** Factory from parsed parameters to a live prefetcher. */
 using PrefetcherFactory =
-    std::function<std::unique_ptr<PrefetcherApi>(const PrefetcherParams&)>;
+    std::function<std::unique_ptr<PrefetcherApi>(const SpecParams&)>;
 
 /** The process-wide prefetcher registry. */
 class PrefetcherRegistry : public Registry<PrefetcherFactory>
@@ -63,6 +59,16 @@ class PrefetcherRegistry : public Registry<PrefetcherFactory>
 
 using PrefetcherEntry = PrefetcherRegistry::Entry;
 using PrefetcherRegistrar = Registrar<PrefetcherRegistry>;
+
+/** The registrar of @p name: prefetcher Pf, built from a spec's
+ *  parameters parsed over @p base. */
+template <class Pf, class Config>
+PrefetcherRegistrar
+registerPrefetcher(std::string name, Config base)
+{
+    return {std::move(name), std::move(base),
+            [](const Config& c) { return std::make_unique<Pf>(c); }};
+}
 
 /** The one construction entry point: resolve a spec string. */
 std::unique_ptr<PrefetcherApi> makePrefetcher(const std::string& spec);

@@ -1,8 +1,6 @@
 #include "workloads/generators.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <utility>
 
 #include "common/hashing.hpp"
@@ -28,7 +26,6 @@ slabBase(std::uint64_t seed)
 GenBase::GenBase(std::string name, std::uint64_t seed, GenParams params)
     : name_(std::move(name)), seed_(seed), params_(params), rng_(seed)
 {
-    assert(params_.mem_ratio > 0.0 && params_.mem_ratio <= 1.0);
 }
 
 void
@@ -65,12 +62,9 @@ GenBase::emitLoad(Addr pc, Addr addr)
 // ---------------------------------------------------------------------------
 // StreamGen
 
-StreamGen::StreamGen(std::string name, std::uint64_t seed, GenParams params,
-                     unsigned streams, double backwards)
-    : GenBase(std::move(name), seed, params), n_streams_(streams),
-      backwards_(backwards)
+StreamGen::StreamGen(std::string name, std::uint64_t seed, const Config& cfg)
+    : FamilyGen("stream", std::move(name), seed, cfg)
 {
-    assert(streams > 0);
     resetState();
 }
 
@@ -79,11 +73,11 @@ StreamGen::resetState()
 {
     streams_.clear();
     const Addr base = slabBase(seed());
-    for (unsigned i = 0; i < n_streams_; ++i) {
+    for (unsigned i = 0; i < cfg_.streams; ++i) {
         Stream s;
         s.pc = 0x400000 + 0x40 * i;
         s.line = blockAddr(base) + (static_cast<Addr>(i) << 20);
-        s.dir = rng().nextBool(backwards_) ? -1 : 1;
+        s.dir = rng().nextBool(cfg_.backwards) ? -1 : 1;
         if (s.dir < 0)
             s.line += 1 << 19; // room to descend
         streams_.push_back(s);
@@ -98,21 +92,12 @@ StreamGen::next()
     return emit(s.pc, s.line << kBlockShift);
 }
 
-std::unique_ptr<Workload>
-StreamGen::clone(std::uint64_t reseed) const
-{
-    return std::make_unique<StreamGen>(
-        name(), reseed ? reseed : seed(), params(), n_streams_, backwards_);
-}
-
 // ---------------------------------------------------------------------------
 // StrideGen
 
-StrideGen::StrideGen(std::string name, std::uint64_t seed, GenParams params,
-                     std::vector<std::int32_t> strides)
-    : GenBase(std::move(name), seed, params), strides_(std::move(strides))
+StrideGen::StrideGen(std::string name, std::uint64_t seed, const Config& cfg)
+    : FamilyGen("stride", std::move(name), seed, cfg)
 {
-    assert(!strides_.empty());
     resetState();
 }
 
@@ -121,11 +106,11 @@ StrideGen::resetState()
 {
     walkers_.clear();
     const Addr base = slabBase(seed());
-    for (std::size_t i = 0; i < strides_.size(); ++i) {
+    for (std::size_t i = 0; i < cfg_.strides.size(); ++i) {
         Walker w;
         w.pc = 0x500000 + 0x40 * i;
         w.line = blockAddr(base) + (static_cast<Addr>(i) << 21);
-        w.stride = strides_[i];
+        w.stride = cfg_.strides[i];
         walkers_.push_back(w);
     }
 }
@@ -139,25 +124,13 @@ StrideGen::next()
     return emit(w.pc, w.line << kBlockShift);
 }
 
-std::unique_ptr<Workload>
-StrideGen::clone(std::uint64_t reseed) const
-{
-    return std::make_unique<StrideGen>(
-        name(), reseed ? reseed : seed(), params(), strides_);
-}
-
 // ---------------------------------------------------------------------------
 // SpatialRegionGen
 
 SpatialRegionGen::SpatialRegionGen(std::string name, std::uint64_t seed,
-                                   GenParams params, unsigned n_patterns,
-                                   double density, unsigned concurrency)
-    : GenBase(std::move(name), seed, params), n_patterns_(n_patterns),
-      density_(density), concurrency_(concurrency)
+                                   const Config& cfg)
+    : FamilyGen("spatial", std::move(name), seed, cfg)
 {
-    assert(n_patterns_ > 0);
-    assert(density_ > 0.0 && density_ <= 1.0);
-    assert(concurrency_ > 0);
     resetState();
 }
 
@@ -168,15 +141,15 @@ SpatialRegionGen::resetState()
     // Footprints are a fixed function of the seed: every revisit of a
     // pattern touches the same offsets, which is what SMS/Bingo learn.
     Rng pattern_rng(mix64(seed()) ^ 0xF007F007ull);
-    for (unsigned p = 0; p < n_patterns_; ++p) {
+    for (unsigned p = 0; p < cfg_.patterns; ++p) {
         std::vector<std::uint8_t> offsets;
         offsets.push_back(0); // trigger access is always the region base
         for (unsigned o = 1; o < kBlocksPerPage; ++o)
-            if (pattern_rng.nextBool(density_))
+            if (pattern_rng.nextBool(cfg_.density))
                 offsets.push_back(static_cast<std::uint8_t>(o));
         patterns_.push_back(std::move(offsets));
     }
-    visits_.assign(concurrency_, Visit{});
+    visits_.assign(cfg_.concurrency, Visit{});
     for (auto& v : visits_)
         startRegion(v);
     active_visit_ = 0;
@@ -190,7 +163,7 @@ SpatialRegionGen::startRegion(Visit& v)
     // cache hierarchy (regions are revisited in pattern only, not address).
     const Addr slab_page = pageId(slabBase(seed()));
     v.page = slab_page + rng().nextBounded(1ull << 22);
-    v.pattern = static_cast<unsigned>(rng().nextBounded(n_patterns_));
+    v.pattern = static_cast<unsigned>(rng().nextBounded(cfg_.patterns));
     v.cursor = 0;
 }
 
@@ -219,25 +192,13 @@ SpatialRegionGen::next()
     return emit(pc, line << kBlockShift);
 }
 
-std::unique_ptr<Workload>
-SpatialRegionGen::clone(std::uint64_t reseed) const
-{
-    return std::make_unique<SpatialRegionGen>(
-        name(), reseed ? reseed : seed(), params(), n_patterns_, density_,
-        concurrency_);
-}
-
 // ---------------------------------------------------------------------------
 // DeltaChainGen
 
 DeltaChainGen::DeltaChainGen(std::string name, std::uint64_t seed,
-                             GenParams params,
-                             std::vector<std::int32_t> deltas)
-    : GenBase(std::move(name), seed, params), deltas_(std::move(deltas))
+                             const Config& cfg)
+    : FamilyGen("delta", std::move(name), seed, cfg)
 {
-    assert(!deltas_.empty());
-    for ([[maybe_unused]] auto d : deltas_)
-        assert(d > 0);
     resetState();
 }
 
@@ -257,8 +218,8 @@ DeltaChainGen::next()
     const Addr pc = 0x700000 + 0x40 * delta_idx_;
     const TraceRecord r = emit(pc, line << kBlockShift);
 
-    offset_ += deltas_[delta_idx_];
-    delta_idx_ = (delta_idx_ + 1) % deltas_.size();
+    offset_ += cfg_.deltas[delta_idx_];
+    delta_idx_ = (delta_idx_ + 1) % cfg_.deltas.size();
     if (offset_ >= static_cast<std::int32_t>(kBlocksPerPage)) {
         ++page_;      // move to the next page and restart the chain
         offset_ = 0;
@@ -267,20 +228,12 @@ DeltaChainGen::next()
     return r;
 }
 
-std::unique_ptr<Workload>
-DeltaChainGen::clone(std::uint64_t reseed) const
-{
-    return std::make_unique<DeltaChainGen>(
-        name(), reseed ? reseed : seed(), params(), deltas_);
-}
-
 // ---------------------------------------------------------------------------
 // IrregularGen
 
 IrregularGen::IrregularGen(std::string name, std::uint64_t seed,
-                           GenParams params, double stride_fraction)
-    : GenBase(std::move(name), seed, params),
-      stride_fraction_(stride_fraction)
+                           const Config& cfg)
+    : FamilyGen("irregular", std::move(name), seed, cfg)
 {
     resetState();
 }
@@ -295,7 +248,7 @@ IrregularGen::resetState()
 TraceRecord
 IrregularGen::next()
 {
-    if (rng().nextBool(stride_fraction_)) {
+    if (rng().nextBool(cfg_.stride_fraction)) {
         aux_line_ += 1;
         TraceRecord r = emit(0x800040, aux_line_ << kBlockShift);
         r.depends_on_prev = false; // loop-index access, no data dependence
@@ -304,29 +257,19 @@ IrregularGen::next()
     // Pointer chase: the next address is an unlearnable function of the
     // previous one, confined to the configured footprint.
     chase_state_ = mix64(chase_state_ + 0x9E3779B97F4A7C15ull);
-    const std::uint64_t lines = params().footprint_bytes >> kBlockShift;
+    const std::uint64_t lines = cfg_.gen.footprint_bytes >> kBlockShift;
     const Addr line = blockAddr(slabBase(seed())) + chase_state_ % lines;
     TraceRecord r = emit(0x800000, line << kBlockShift);
     r.depends_on_prev = true; // the address came from the previous load
     return r;
 }
 
-std::unique_ptr<Workload>
-IrregularGen::clone(std::uint64_t reseed) const
-{
-    return std::make_unique<IrregularGen>(
-        name(), reseed ? reseed : seed(), params(), stride_fraction_);
-}
-
 // ---------------------------------------------------------------------------
 // GraphGen
 
-GraphGen::GraphGen(std::string name, std::uint64_t seed, GenParams params,
-                   unsigned avg_degree, double irregularity)
-    : GenBase(std::move(name), seed, params), avg_degree_(avg_degree),
-      irregularity_(irregularity)
+GraphGen::GraphGen(std::string name, std::uint64_t seed, const Config& cfg)
+    : FamilyGen("graph", std::move(name), seed, cfg)
 {
-    assert(avg_degree_ > 0);
     resetState();
 }
 
@@ -350,7 +293,7 @@ GraphGen::next()
     if (phase_ == 0) {
         offsets_line_ += 1;
         edges_left_ = 1 + static_cast<unsigned>(
-            rng().nextBounded(2ull * avg_degree_));
+            rng().nextBounded(2ull * cfg_.degree));
         phase_ = 1;
         return emit(0x900000, offsets_line_ << kBlockShift);
     }
@@ -362,8 +305,8 @@ GraphGen::next()
     // Phase 2: one data load per edge; the address is the neighbour id
     // loaded from the edge array, hence data-dependent.
     Addr line;
-    if (rng().nextBool(irregularity_)) {
-        const std::uint64_t lines = params().footprint_bytes >> kBlockShift;
+    if (rng().nextBool(cfg_.irregularity)) {
+        const std::uint64_t lines = cfg_.gen.footprint_bytes >> kBlockShift;
         line = blockAddr(slabBase(seed())) + (2ull << 22) +
                rng().nextBounded(lines);
     } else {
@@ -376,26 +319,8 @@ GraphGen::next()
     return r;
 }
 
-std::unique_ptr<Workload>
-GraphGen::clone(std::uint64_t reseed) const
-{
-    return std::make_unique<GraphGen>(
-        name(), reseed ? reseed : seed(), params(), avg_degree_,
-        irregularity_);
-}
-
 // ---------------------------------------------------------------------------
 // MixedPhaseGen
-
-MixedPhaseGen::MixedPhaseGen(std::string name, std::uint64_t seed,
-                             std::vector<std::unique_ptr<Workload>> children,
-                             std::size_t phase_len)
-    : MixedPhaseGen(std::move(name), seed, std::move(children),
-                    std::vector<std::size_t>())
-{
-    assert(phase_len > 0);
-    phase_lens_.assign(children_.size(), phase_len);
-}
 
 MixedPhaseGen::MixedPhaseGen(std::string name, std::uint64_t seed,
                              std::vector<std::unique_ptr<Workload>> children,
@@ -404,7 +329,7 @@ MixedPhaseGen::MixedPhaseGen(std::string name, std::uint64_t seed,
       children_(std::move(children)), phase_lens_(std::move(phase_lens))
 {
     assert(!children_.empty());
-    assert(phase_lens_.empty() || phase_lens_.size() == children_.size());
+    assert(phase_lens_.size() == children_.size());
     for ([[maybe_unused]] std::size_t len : phase_lens_)
         assert(len > 0);
 }
@@ -445,8 +370,8 @@ MixedPhaseGen::clone(std::uint64_t reseed) const
 // CaseStudyGen
 
 CaseStudyGen::CaseStudyGen(std::string name, std::uint64_t seed,
-                           GenParams params)
-    : GenBase(std::move(name), seed, params)
+                           const Config& cfg)
+    : FamilyGen("casestudy", std::move(name), seed, cfg)
 {
     resetState();
 }
@@ -478,155 +403,32 @@ CaseStudyGen::next()
     return emitLoad(0xA00000, line << kBlockShift);
 }
 
-std::unique_ptr<Workload>
-CaseStudyGen::clone(std::uint64_t reseed) const
-{
-    return std::make_unique<CaseStudyGen>(
-        name(), reseed ? reseed : seed(), params());
-}
-
 // ---------------------------------------------------------------------------
 // Registry entries: one WorkloadRegistrar per generator family, so any
 // family is constructible from a parameterized spec string
-// ("stream:streams=2,mem_ratio=0.4") next to the catalog names.
-// Range checks live here, not in the constructors: spec strings are
-// user input, constructor arguments are programmer input (asserts).
+// ("stream:streams=2,mem_ratio=0.4") next to the catalog names. Keys,
+// defaults and range rules are each family's Config::knobs; the range
+// check runs in the constructor, for spec strings and direct callers
+// alike.
 
 namespace {
 
-[[noreturn]] void
-badParam(const WorkloadParams& p, const std::string& key,
-         const char* expected)
+template <class Gen>
+WorkloadRegistrar
+family(const char* name)
 {
-    throw std::invalid_argument(p.owner() + ": parameter '" + key +
-                                "' must be " + expected);
+    using Config = typename Gen::Config;
+    return {name, Config{},
+            [](const Config& c, std::uint64_t seed, const std::string& n) {
+                return std::make_unique<Gen>(n, seed, c);
+            }};
 }
 
-double
-unitFraction(const WorkloadParams& p, const std::string& key, double dflt)
-{
-    const double v = p.getDouble(key, dflt);
-    if (v < 0.0 || v > 1.0)
-        badParam(p, key, "in [0, 1]");
-    return v;
-}
-
-/** The GenParams keys every generator family accepts. `footprint` is
- *  declared only by the families that read it (irregular, graph); for
- *  the rest genParams() keeps the default. */
-const std::vector<std::string> kCommonKeys = {"mem_ratio", "write_ratio",
-                                              "dep_ratio"};
-
-std::vector<std::string>
-withCommonKeys(std::vector<std::string> keys)
-{
-    keys.insert(keys.end(), kCommonKeys.begin(), kCommonKeys.end());
-    return keys;
-}
-
-GenParams
-genParams(const WorkloadParams& p)
-{
-    GenParams g;
-    g.mem_ratio = p.getDouble("mem_ratio", g.mem_ratio);
-    if (g.mem_ratio <= 0.0 || g.mem_ratio > 1.0)
-        badParam(p, "mem_ratio", "in (0, 1]");
-    g.write_ratio = unitFraction(p, "write_ratio", g.write_ratio);
-    g.dep_ratio = unitFraction(p, "dep_ratio", g.dep_ratio);
-    g.footprint_bytes = p.getBytes("footprint", g.footprint_bytes);
-    if ((g.footprint_bytes >> kBlockShift) == 0)
-        badParam(p, "footprint", "at least one cacheline (64 bytes)");
-    return g;
-}
-
-[[maybe_unused]] const WorkloadRegistrar stream_registrar{
-    "stream",
-    withCommonKeys({"streams", "backwards"}),
-    [](const WorkloadParams& p, std::uint64_t seed,
-       const std::string& name) -> std::unique_ptr<Workload> {
-        const std::uint32_t streams = p.getU32("streams", 4);
-        if (streams == 0)
-            badParam(p, "streams", "> 0");
-        return std::make_unique<StreamGen>(
-            name, seed, genParams(p), streams,
-            unitFraction(p, "backwards", 0.0));
-    }};
-
-[[maybe_unused]] const WorkloadRegistrar stride_registrar{
-    "stride",
-    withCommonKeys({"strides"}),
-    [](const WorkloadParams& p, std::uint64_t seed,
-       const std::string& name) -> std::unique_ptr<Workload> {
-        const auto strides = p.getI32List("strides", {2, 3, 5, 7});
-        if (strides.empty())
-            badParam(p, "strides", "a non-empty list (e.g. 2/3/5)");
-        return std::make_unique<StrideGen>(name, seed, genParams(p),
-                                           strides);
-    }};
-
-[[maybe_unused]] const WorkloadRegistrar spatial_registrar{
-    "spatial",
-    withCommonKeys({"patterns", "density", "concurrency"}),
-    [](const WorkloadParams& p, std::uint64_t seed,
-       const std::string& name) -> std::unique_ptr<Workload> {
-        const std::uint32_t patterns = p.getU32("patterns", 6);
-        const std::uint32_t concurrency = p.getU32("concurrency", 4);
-        const double density = p.getDouble("density", 0.4);
-        if (patterns == 0)
-            badParam(p, "patterns", "> 0");
-        if (concurrency == 0)
-            badParam(p, "concurrency", "> 0");
-        if (density <= 0.0 || density > 1.0)
-            badParam(p, "density", "in (0, 1]");
-        return std::make_unique<SpatialRegionGen>(
-            name, seed, genParams(p), patterns, density, concurrency);
-    }};
-
-[[maybe_unused]] const WorkloadRegistrar delta_registrar{
-    "delta",
-    withCommonKeys({"deltas"}),
-    [](const WorkloadParams& p, std::uint64_t seed,
-       const std::string& name) -> std::unique_ptr<Workload> {
-        const auto deltas = p.getI32List("deltas", {1, 2, 1, 3});
-        if (deltas.empty())
-            badParam(p, "deltas", "a non-empty list (e.g. 1/2/1/3)");
-        for (std::int32_t d : deltas)
-            if (d <= 0)
-                badParam(p, "deltas", "all > 0");
-        return std::make_unique<DeltaChainGen>(name, seed, genParams(p),
-                                               deltas);
-    }};
-
-[[maybe_unused]] const WorkloadRegistrar irregular_registrar{
-    "irregular",
-    withCommonKeys({"stride_fraction", "footprint"}),
-    [](const WorkloadParams& p, std::uint64_t seed,
-       const std::string& name) -> std::unique_ptr<Workload> {
-        return std::make_unique<IrregularGen>(
-            name, seed, genParams(p),
-            unitFraction(p, "stride_fraction", 0.2));
-    }};
-
-[[maybe_unused]] const WorkloadRegistrar graph_registrar{
-    "graph",
-    withCommonKeys({"degree", "irregularity", "footprint"}),
-    [](const WorkloadParams& p, std::uint64_t seed,
-       const std::string& name) -> std::unique_ptr<Workload> {
-        const std::uint32_t degree = p.getU32("degree", 8);
-        if (degree == 0)
-            badParam(p, "degree", "> 0");
-        return std::make_unique<GraphGen>(
-            name, seed, genParams(p), degree,
-            unitFraction(p, "irregularity", 0.8));
-    }};
-
-[[maybe_unused]] const WorkloadRegistrar casestudy_registrar{
-    "casestudy",
-    withCommonKeys({}),
-    [](const WorkloadParams& p, std::uint64_t seed,
-       const std::string& name) -> std::unique_ptr<Workload> {
-        return std::make_unique<CaseStudyGen>(name, seed, genParams(p));
-    }};
+[[maybe_unused]] const WorkloadRegistrar registrars[] = {
+    family<StreamGen>("stream"),       family<StrideGen>("stride"),
+    family<SpatialRegionGen>("spatial"), family<DeltaChainGen>("delta"),
+    family<IrregularGen>("irregular"), family<GraphGen>("graph"),
+    family<CaseStudyGen>("casestudy")};
 
 } // namespace
 

@@ -24,15 +24,25 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "common/rng.hpp"
 #include "workloads/trace.hpp"
 
 namespace pythia::wl {
+
+/** The generator families' range rules. */
+inline constexpr Bound<double> kFraction{0.0, 1.0};             // [0, 1]
+inline constexpr Bound<double> kPositiveFraction{0.0, 1.0, true}; // (0, 1]
+inline constexpr Bound<std::uint32_t> kPositive{0, UINT32_MAX, true};
+inline constexpr ByteSize kCacheline{
+    {"at least one cacheline (64 bytes)",
+     [](const std::uint64_t& bytes) { return bytes >= kBlockSize; }}};
 
 /**
  * Shared knobs for all generators.
@@ -51,6 +61,16 @@ struct GenParams
      *  near 0.9. Controls how latency-bound the workload is. */
     double dep_ratio = 0.25;
     std::uint64_t footprint_bytes = 64ull << 20; ///< addressable working set
+
+    /** The spec keys every family declares (common/knobs.hpp). Only
+     *  irregular and graph read the footprint, so only they declare it. */
+    template <class Self, class Ar>
+    static void knobs(Self& g, Ar& ar)
+    {
+        ar("mem_ratio", g.mem_ratio, kPositiveFraction);
+        ar("write_ratio", g.write_ratio, kFraction);
+        ar("dep_ratio", g.dep_ratio, kFraction);
+    }
 };
 
 /** Base class factoring the gap/store sampling shared by all generators. */
@@ -76,7 +96,6 @@ class GenBase : public Workload
     TraceRecord emitLoad(Addr pc, Addr addr);
 
     Rng& rng() { return rng_; }
-    const GenParams& params() const { return params_; }
 
   private:
     std::string name_;
@@ -85,68 +104,127 @@ class GenBase : public Workload
     Rng rng_;
 };
 
-/** Monotonic multi-stream generator. */
-class StreamGen : public GenBase
+/**
+ * A generator family over its Config: the constructor runs the knobs'
+ * range check (common/knobs.hpp), the one check a spec string and a
+ * direct caller share, and clone() rebuilds from the kept config.
+ */
+template <class Gen, class ConfigT>
+class FamilyGen : public GenBase
 {
   public:
-    /**
-     * @param streams   number of concurrently-advancing streams
-     * @param backwards fraction of streams that descend instead of ascend
-     */
-    StreamGen(std::string name, std::uint64_t seed, GenParams params,
-              unsigned streams = 4, double backwards = 0.0);
+    using Config = ConfigT;
+
+    FamilyGen(const char* family, std::string name, std::uint64_t seed,
+              const Config& cfg)
+        : GenBase(std::move(name), seed, checkKnobs(family, cfg).gen),
+          cfg_(cfg)
+    {
+    }
+
+    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override
+    {
+        return std::make_unique<Gen>(name(), reseed ? reseed : seed(), cfg_);
+    }
+
+  protected:
+    Config cfg_;
+};
+
+struct StreamConfig
+{
+    GenParams gen;
+    std::uint32_t streams = 4; ///< concurrently-advancing streams
+    double backwards = 0.0;    ///< fraction of streams that descend
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("streams", c.streams, kPositive);
+        ar("backwards", c.backwards, kFraction);
+        GenParams::knobs(c.gen, ar);
+    }
+};
+
+/** Monotonic multi-stream generator. */
+class StreamGen : public FamilyGen<StreamGen, StreamConfig>
+{
+  public:
+    StreamGen(std::string name, std::uint64_t seed, const Config& cfg);
 
     TraceRecord next() override;
-    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override;
 
   protected:
     void resetState() override;
 
   private:
     struct Stream { Addr pc; Addr line; std::int32_t dir; };
-    unsigned n_streams_;
-    double backwards_;
     std::vector<Stream> streams_;
 };
 
+struct StrideConfig
+{
+    GenParams gen;
+    /** Stride (in cachelines) of each simulated load PC. */
+    std::vector<std::int32_t> strides = {2, 3, 5, 7};
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("strides", c.strides,
+           Pred<std::vector<std::int32_t>>{
+               "a non-empty list (e.g. 2/3/5)",
+               [](const std::vector<std::int32_t>& s) { return !s.empty(); }});
+        GenParams::knobs(c.gen, ar);
+    }
+};
+
 /** Constant per-PC stride generator. */
-class StrideGen : public GenBase
+class StrideGen : public FamilyGen<StrideGen, StrideConfig>
 {
   public:
-    /** @param strides stride (in cachelines) of each simulated load PC. */
-    StrideGen(std::string name, std::uint64_t seed, GenParams params,
-              std::vector<std::int32_t> strides = {2, 3, 5, 7});
+    StrideGen(std::string name, std::uint64_t seed, const Config& cfg);
 
     TraceRecord next() override;
-    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override;
 
   protected:
     void resetState() override;
 
   private:
     struct Walker { Addr pc; Addr line; std::int32_t stride; };
-    std::vector<std::int32_t> strides_;
     std::vector<Walker> walkers_;
 };
 
+struct SpatialConfig
+{
+    GenParams gen;
+    /** Distinct footprint patterns (keyed by trigger PC). */
+    std::uint32_t patterns = 6;
+    /** Fraction of the 64 lines of a region each footprint touches. */
+    double density = 0.4;
+    /** Region visits in flight at once; interleaving gives prefetchers
+     *  timeliness headroom, like the multiple live data structures of
+     *  real workloads. */
+    std::uint32_t concurrency = 4;
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("patterns", c.patterns, kPositive);
+        ar("density", c.density, kPositiveFraction);
+        ar("concurrency", c.concurrency, kPositive);
+        GenParams::knobs(c.gen, ar);
+    }
+};
+
 /** Recurring region-footprint generator (SMS/Bingo-friendly). */
-class SpatialRegionGen : public GenBase
+class SpatialRegionGen : public FamilyGen<SpatialRegionGen, SpatialConfig>
 {
   public:
-    /**
-     * @param n_patterns  distinct footprint patterns (keyed by trigger PC)
-     * @param density     fraction of the 64 lines of a region that are
-     *                    touched by each footprint
-     * @param concurrency region visits in flight at once; interleaving
-     *                    gives prefetchers timeliness headroom, like the
-     *                    multiple live data structures of real workloads
-     */
-    SpatialRegionGen(std::string name, std::uint64_t seed, GenParams params,
-                     unsigned n_patterns = 6, double density = 0.4,
-                     unsigned concurrency = 4);
+    SpatialRegionGen(std::string name, std::uint64_t seed,
+                     const Config& cfg);
 
     TraceRecord next() override;
-    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override;
 
   protected:
     void resetState() override;
@@ -161,80 +239,112 @@ class SpatialRegionGen : public GenBase
 
     void startRegion(Visit& v);
 
-    unsigned n_patterns_;
-    double density_;
-    unsigned concurrency_;
     std::vector<std::vector<std::uint8_t>> patterns_; ///< offsets per pattern
     std::vector<Visit> visits_;
     std::size_t active_visit_ = 0;
     unsigned burst_left_ = 0;
 };
 
+struct DeltaConfig
+{
+    GenParams gen;
+    /** Repeating delta pattern, in cachelines. */
+    std::vector<std::int32_t> deltas = {1, 2, 1, 3};
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("deltas", c.deltas,
+           Pred<std::vector<std::int32_t>>{
+               "all > 0", [](const std::vector<std::int32_t>& d) {
+                   return !d.empty() &&
+                          std::all_of(d.begin(), d.end(),
+                                      [](std::int32_t x) { return x > 0; });
+               }});
+        GenParams::knobs(c.gen, ar);
+    }
+};
+
 /** Repeating in-page delta-sequence generator (SPP-friendly). */
-class DeltaChainGen : public GenBase
+class DeltaChainGen : public FamilyGen<DeltaChainGen, DeltaConfig>
 {
   public:
-    /** @param deltas repeating delta pattern, in cachelines (all > 0). */
-    DeltaChainGen(std::string name, std::uint64_t seed, GenParams params,
-                  std::vector<std::int32_t> deltas = {1, 2, 1, 3});
+    DeltaChainGen(std::string name, std::uint64_t seed, const Config& cfg);
 
     TraceRecord next() override;
-    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override;
 
   protected:
     void resetState() override;
 
   private:
-    std::vector<std::int32_t> deltas_;
     Addr page_ = 0;
     std::int32_t offset_ = 0;
     std::size_t delta_idx_ = 0;
 };
 
+struct IrregularConfig
+{
+    GenParams gen;
+    /** Fraction of accesses that come from a regular auxiliary loop
+     *  (index arrays etc.). */
+    double stride_fraction = 0.2;
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("stride_fraction", c.stride_fraction, kFraction);
+        ar("footprint", c.gen.footprint_bytes, kCacheline);
+        GenParams::knobs(c.gen, ar);
+    }
+};
+
 /** Pointer-chasing generator with no learnable pattern (mcf-like). */
-class IrregularGen : public GenBase
+class IrregularGen : public FamilyGen<IrregularGen, IrregularConfig>
 {
   public:
-    /**
-     * @param stride_fraction fraction of accesses that come from a regular
-     *                        auxiliary loop (index arrays etc.)
-     */
-    IrregularGen(std::string name, std::uint64_t seed, GenParams params,
-                 double stride_fraction = 0.2);
+    IrregularGen(std::string name, std::uint64_t seed, const Config& cfg);
 
     TraceRecord next() override;
-    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override;
 
   protected:
     void resetState() override;
 
   private:
-    double stride_fraction_;
     std::uint64_t chase_state_ = 0;
     Addr aux_line_ = 0;
 };
 
+struct GraphConfig
+{
+    GenParams gen;
+    /** Average edges scanned per visited vertex. */
+    std::uint32_t degree = 8;
+    /** Fraction of per-edge data loads that land on a random vertex (vs.
+     *  a nearby one). */
+    double irregularity = 0.8;
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("degree", c.degree, kPositive);
+        ar("irregularity", c.irregularity, kFraction);
+        ar("footprint", c.gen.footprint_bytes, kCacheline);
+        GenParams::knobs(c.gen, ar);
+    }
+};
+
 /** CSR graph-processing generator (Ligra-like, bandwidth hungry). */
-class GraphGen : public GenBase
+class GraphGen : public FamilyGen<GraphGen, GraphConfig>
 {
   public:
-    /**
-     * @param avg_degree   average edges scanned per visited vertex
-     * @param irregularity fraction of per-edge data loads that land on a
-     *                     random vertex (vs. a nearby one)
-     */
-    GraphGen(std::string name, std::uint64_t seed, GenParams params,
-             unsigned avg_degree = 8, double irregularity = 0.8);
+    GraphGen(std::string name, std::uint64_t seed, const Config& cfg);
 
     TraceRecord next() override;
-    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override;
 
   protected:
     void resetState() override;
 
   private:
-    unsigned avg_degree_;
-    double irregularity_;
     Addr offsets_line_ = 0;   ///< sequential scan of the CSR offsets array
     Addr edges_line_ = 0;     ///< sequential scan of the CSR edges array
     unsigned edges_left_ = 0; ///< edges remaining for the current vertex
@@ -246,16 +356,9 @@ class MixedPhaseGen : public GenBase
 {
   public:
     /**
-     * @param children  sub-generators to rotate through
-     * @param phase_len records emitted per phase before switching
-     */
-    MixedPhaseGen(std::string name, std::uint64_t seed,
-                  std::vector<std::unique_ptr<Workload>> children,
-                  std::size_t phase_len = 20000);
-
-    /**
-     * Per-child phase lengths: child i emits @p phase_lens[i] records
-     * per rotation (the registry's "phase:stream@40+graph@60" form).
+     * Rotate through @p children; child i emits @p phase_lens[i]
+     * records per rotation (the registry's "phase:stream@40+graph@60"
+     * form).
      * @pre phase_lens.size() == children.size(), all entries > 0.
      */
     MixedPhaseGen(std::string name, std::uint64_t seed,
@@ -275,15 +378,25 @@ class MixedPhaseGen : public GenBase
     std::size_t active_ = 0;
 };
 
+struct CaseStudyConfig
+{
+    GenParams gen;
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        GenParams::knobs(c.gen, ar);
+    }
+};
+
 /** The §6.5 case-study pattern: first access to a page at a known PC is
  *  followed by exactly one more access +23 (or +11) lines ahead. */
-class CaseStudyGen : public GenBase
+class CaseStudyGen : public FamilyGen<CaseStudyGen, CaseStudyConfig>
 {
   public:
-    CaseStudyGen(std::string name, std::uint64_t seed, GenParams params);
+    CaseStudyGen(std::string name, std::uint64_t seed, const Config& cfg);
 
     TraceRecord next() override;
-    std::unique_ptr<Workload> clone(std::uint64_t reseed) const override;
 
     /** Trigger PC whose pages get a +23 companion access. */
     static constexpr Addr kPc23 = 0x436a81;

@@ -13,7 +13,7 @@ namespace pythia::wl {
 namespace {
 
 /** Records each phase child emits before the rotation moves on when no
- *  "@<records>" suffix is given (the MixedPhaseGen default). */
+ *  "@<records>" suffix is given. */
 constexpr std::size_t kDefaultPhaseLen = 20000;
 
 /** True when @p spec's (lowercased) family token is "phase". */

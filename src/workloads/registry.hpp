@@ -2,8 +2,9 @@
  * @file
  * Self-registering workload construction API: every generator family's
  * translation unit drops a static WorkloadRegistrar into the registry
- * at load time, declaring its family name, its tunable parameter keys
- * and a factory from (params, seed, name). Lookup and key validation
+ * at load time, declaring its family name, its config (whose knobs
+ * list gives the keys, defaults and range rules; common/knobs.hpp) and
+ * a factory from (config, seed, name). Lookup and key validation
  * are the shared pythia::Registry (common/registry.hpp), the one the
  * prefetchers use. Construction goes through parameterized spec
  * strings (common/spec.hpp grammar, single part):
@@ -39,10 +40,6 @@
 
 namespace pythia::wl {
 
-/** Typed view over a workload spec's key=value parameters — the shared
- *  pythia::SpecParams (common/params.hpp). */
-using WorkloadParams = SpecParams;
-
 /**
  * Factory from parsed parameters to a live workload. @p seed is the
  * construction seed (never 0-means-default at this layer; resolution
@@ -51,7 +48,7 @@ using WorkloadParams = SpecParams;
  * raw specs their canonical spelling.
  */
 using WorkloadFactory = std::function<std::unique_ptr<Workload>(
-    const WorkloadParams&, std::uint64_t seed, const std::string& name)>;
+    const SpecParams&, std::uint64_t seed, const std::string& name)>;
 
 /**
  * The process-wide workload registry. Its entries are generator

@@ -17,17 +17,27 @@ constexpr std::uint32_t kTraceMagic = 0x50595433; // "PYT3"
 // Workload interface as the live generators — the ChampSim-style
 // trace-driven path. Replay is deterministic, so the seed is unused and
 // multi-core clones replay the identical stream.
+/** The trace family's one key. */
+struct TraceConfig
+{
+    std::string file;
+
+    template <class Self, class Ar>
+    static void knobs(Self& c, Ar& ar)
+    {
+        ar("file", c.file);
+    }
+};
+
 [[maybe_unused]] const WorkloadRegistrar trace_registrar{
-    "trace",
-    {"file"},
-    [](const WorkloadParams& p, std::uint64_t /*seed*/,
+    "trace", TraceConfig{},
+    [](const TraceConfig& c, std::uint64_t /*seed*/,
        const std::string& name) -> std::unique_ptr<Workload> {
-        const std::string path = p.getString("file");
-        if (path.empty())
+        if (c.file.empty())
             throw std::invalid_argument(
                 "trace: parameter 'file' is required "
                 "(trace:file=<path>)");
-        return std::make_unique<FileWorkload>(path, name);
+        return std::make_unique<FileWorkload>(c.file, name);
     }};
 
 /// Encoded size of one record: pc, addr, gap, flags.

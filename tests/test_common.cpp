@@ -532,6 +532,16 @@ TEST(BenchArgs, UsageErrorsExitTwoWithOneLine)
                 "unknown parameter 'profile'");
 }
 
+TEST(BenchArgs, NonFiniteSimScaleIsAUsageError)
+{
+    EXPECT_EXIT(parseBench({"sim_scale=nan"}), ::testing::ExitedWithCode(2),
+                "^bench: parameter 'sim_scale' expects a number, got "
+                "'nan'\n$");
+    EXPECT_EXIT(parseBench({"sim_scale=inf"}), ::testing::ExitedWithCode(2),
+                "^bench: parameter 'sim_scale' expects a number, got "
+                "'inf'\n$");
+}
+
 TEST(BenchArgs, WorkersAloneAndWithExplicitSingleJobAccepted)
 {
     const bench::BenchOptions a = parseBench({"workers=4"});

@@ -82,7 +82,7 @@ TEST(PageTracker, DeltaWithinPage)
 
 TEST(NextLine, EmitsSequentialLines)
 {
-    NextLinePrefetcher pf(3);
+    NextLinePrefetcher pf({.degree = 3});
     const auto targets = drive(pf, {kBase + 10});
     ASSERT_EQ(targets.size(), 3u);
     EXPECT_EQ(targets[0], kBase + 11);
@@ -91,7 +91,7 @@ TEST(NextLine, EmitsSequentialLines)
 
 TEST(NextLine, StopsAtPageBoundary)
 {
-    NextLinePrefetcher pf(4);
+    NextLinePrefetcher pf({.degree = 4});
     const auto targets = drive(pf, {kBase + 62});
     EXPECT_EQ(targets.size(), 1u); // only +1 stays in page
 }
@@ -100,7 +100,7 @@ TEST(NextLine, StopsAtPageBoundary)
 
 TEST(Stride, LearnsConstantStride)
 {
-    StridePrefetcher pf(64, 2);
+    StridePrefetcher pf({.entries = 64, .degree = 2});
     const auto targets =
         drive(pf, {kBase, kBase + 3, kBase + 6, kBase + 9});
     // Confidence reaches 2 on the 4th access, which prefetches +3/+6.
@@ -111,7 +111,7 @@ TEST(Stride, LearnsConstantStride)
 
 TEST(Stride, IgnoresUnstablePcs)
 {
-    StridePrefetcher pf(64, 2);
+    StridePrefetcher pf({.entries = 64, .degree = 2});
     const auto targets =
         drive(pf, {kBase, kBase + 3, kBase + 10, kBase + 12, kBase + 30});
     EXPECT_TRUE(targets.empty());
@@ -119,7 +119,7 @@ TEST(Stride, IgnoresUnstablePcs)
 
 TEST(Stride, TracksDistinctPcsIndependently)
 {
-    StridePrefetcher pf(64, 1);
+    StridePrefetcher pf({.entries = 64, .degree = 1});
     std::vector<PrefetchRequest> out;
     for (int i = 0; i < 5; ++i) {
         out.clear();
@@ -136,7 +136,7 @@ TEST(Stride, TracksDistinctPcsIndependently)
 
 TEST(Streamer, DetectsAscendingStream)
 {
-    StreamerPrefetcher pf(16, 4, 2);
+    StreamerPrefetcher pf({.streams = 16, .degree = 4, .train_len = 2});
     const auto targets =
         drive(pf, {kBase, kBase + 1, kBase + 2, kBase + 3});
     ASSERT_GE(targets.size(), 4u);
@@ -145,7 +145,7 @@ TEST(Streamer, DetectsAscendingStream)
 
 TEST(Streamer, DetectsDescendingStream)
 {
-    StreamerPrefetcher pf(16, 2, 2);
+    StreamerPrefetcher pf({.streams = 16, .degree = 2, .train_len = 2});
     const auto targets =
         drive(pf, {kBase + 40, kBase + 39, kBase + 38, kBase + 37});
     // Direction confirmed at the 3rd access (block 38): prefetch 37, 36.
@@ -156,7 +156,7 @@ TEST(Streamer, DetectsDescendingStream)
 
 TEST(Streamer, DegreeSettable)
 {
-    StreamerPrefetcher pf(16, 2, 1);
+    StreamerPrefetcher pf({.streams = 16, .degree = 2, .train_len = 1});
     pf.setDegree(6);
     EXPECT_EQ(pf.degree(), 6u);
     const auto targets = drive(pf, {kBase, kBase + 1, kBase + 2});
@@ -430,8 +430,10 @@ TEST(CpHw, SharesPythiaActionList)
 TEST(Composite, MergesAndDeduplicatesChildren)
 {
     std::vector<std::unique_ptr<PrefetcherApi>> kids;
-    kids.push_back(std::make_unique<NextLinePrefetcher>(2));
-    kids.push_back(std::make_unique<NextLinePrefetcher>(3));
+    kids.push_back(
+        std::make_unique<NextLinePrefetcher>(NextLineConfig{.degree = 2}));
+    kids.push_back(
+        std::make_unique<NextLinePrefetcher>(NextLineConfig{.degree = 3}));
     CompositePrefetcher pf("nl+nl", std::move(kids));
     std::vector<PrefetchRequest> out;
     pf.train(access(kBase), out);

@@ -1091,6 +1091,12 @@ TEST_F(ServiceTest, EvictionKilledMidWriteLeavesTenantResumable)
                               off, true, "resume beside torn debris");
     EXPECT_EQ(resultBits(*progress2.final_result),
               resultBits(off.final_result));
+    // The finished run leaves no file of its own in state_dir: not the
+    // image, not the temp file, not the trace.
+    const std::string own = fs::path(image).stem().string() + ".";
+    for (const auto& f : fs::directory_iterator(fs::path(image).parent_path()))
+        EXPECT_FALSE(f.path().filename().string().starts_with(own))
+            << f.path();
     EXPECT_EQ(server.stop(), 0);
 }
 

@@ -411,7 +411,7 @@ TEST(Core, IpcBoundedByWidthWithoutMemory)
     p.mem_ratio = 0.1;
     p.write_ratio = 0.0;
     p.dep_ratio = 0.0;
-    wl::StreamGen w("s", 1, p, 1);
+    wl::StreamGen w("s", 1, {.gen = p, .streams = 1});
 
     CoreConfig core_cfg;
     Core core(core_cfg, 0, l1, w);
@@ -434,8 +434,8 @@ TEST(Core, MemoryLatencyReducesIpc)
     p.mem_ratio = 0.5;
     p.write_ratio = 0.0;
     p.dep_ratio = 0.5;
-    wl::IrregularGen wf("w", 2, p, 0.0);
-    wl::IrregularGen ws("w", 2, p, 0.0);
+    wl::IrregularGen wf("w", 2, {.gen = p, .stride_fraction = 0.0});
+    wl::IrregularGen ws("w", 2, {.gen = p, .stride_fraction = 0.0});
 
     Core fast(CoreConfig{}, 0, fast_l1, wf);
     Core slow(CoreConfig{}, 0, slow_l1, ws);
@@ -463,8 +463,8 @@ TEST(Core, DependentLoadsSerialize)
     // StreamGen samples the dependence flag from GenParams (IrregularGen
     // would override it structurally), and its fresh lines always miss.
     Cache l1a(smallCache(), mem), l1b(smallCache(), mem);
-    wl::StreamGen wd("d", 3, dep_p, 1);
-    wl::StreamGen wi("i", 3, ind_p, 1);
+    wl::StreamGen wd("d", 3, {.gen = dep_p, .streams = 1});
+    wl::StreamGen wi("i", 3, {.gen = ind_p, .streams = 1});
     Core dep(CoreConfig{}, 0, l1a, wd);
     Core ind(CoreConfig{}, 0, l1b, wi);
     dep.runUntil(100000);

@@ -7,7 +7,9 @@
  * parse → render → parse round trip is the identity (so a spec printed
  * into a log or CSV can be pasted back and means the same run).
  * Malformed specs must throw with a "did you mean" hint — a typo must
- * never silently run the defaults.
+ * never silently run the defaults. Every numeric range rule a config
+ * declares (common/knobs.hpp), of every prefetcher and workload family,
+ * accepts its bounds and refuses one past them.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 
 #include "common/spec.hpp"
 #include "sim/prefetcher_registry.hpp"
+#include "workloads/registry.hpp"
 
 namespace {
 
@@ -262,6 +265,84 @@ TEST(SpecRoundTrip, DegenerateValueThrowsNamingTheKeyOrRuns)
           "nextline:degree=4294967295", "streamer:degree=4294967295",
           "power7:min_depth=4294967295", "pythia:degree=65"})
         EXPECT_FALSE(constructAndTrain(spec).empty()) << spec;
+}
+
+TEST(SpecRoundTrip, NonFiniteNumberIsIllTyped)
+{
+    // NaN fails every range comparison and inf every sane use, so
+    // neither is a number to a spec key.
+    for (const char* value : {"inf", "nan", "-inf"}) {
+        const std::string err =
+            errorOf(std::string("pythia:alpha=") + value);
+        EXPECT_NE(err.find("pythia: parameter 'alpha' expects a number"),
+                  std::string::npos)
+            << value << ": " << err;
+    }
+}
+
+/** Build the workload @p spec and draw a few records; "" when that
+ *  works, else the message it throws. */
+std::string
+workloadErrorOf(const std::string& spec)
+{
+    try {
+        auto w = wl::WorkloadRegistry::instance().make(spec, 7);
+        for (int i = 0; i < 64; ++i)
+            (void)w->next();
+    } catch (const std::invalid_argument& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(SpecBounds, EveryEntryBuildsWithNoParameters)
+{
+    for (const auto& name : sim::prefetcherNames())
+        EXPECT_EQ(constructAndTrain(name), "") << name;
+    const auto& workloads = wl::WorkloadRegistry::instance();
+    for (const auto& name : workloads.names()) {
+        if (!workloads.find(name))
+            continue; // "phase" is grammar, not a family
+        const std::string err = workloadErrorOf(name);
+        if (name == "trace")
+            EXPECT_NE(err.find("'file' is required"), std::string::npos)
+                << err;
+        else
+            EXPECT_EQ(err, "") << name;
+    }
+}
+
+TEST(SpecBounds, EveryDeclaredBoundAcceptsItsEdgesAndRefusesOnePast)
+{
+    // Each Bound rule, of every entry of both registries: the values on
+    // its closed sides build, and one past each side is refused with a
+    // message naming the key and the rule text.
+    std::size_t probed = 0;
+    const auto probe = [&](const std::string& name, const auto& entry,
+                           const auto& errorOf) {
+        for (const KnobBound& b : entry.bounds) {
+            const std::string prefix = name + ":" + b.key + "=";
+            for (const std::string& v : b.on)
+                EXPECT_EQ(errorOf(prefix + v), "") << prefix + v;
+            for (const std::string& v : b.past) {
+                const std::string err = errorOf(prefix + v);
+                EXPECT_NE(err.find(b.key + " must be " + b.rule),
+                          std::string::npos)
+                    << prefix + v << ": " << err;
+            }
+            ++probed;
+        }
+    };
+    for (const auto& name : sim::prefetcherNames())
+        probe(name, *sim::PrefetcherRegistry::instance().find(name),
+              constructAndTrain);
+    const auto& workloads = wl::WorkloadRegistry::instance();
+    for (const auto& name : workloads.names())
+        if (const auto* entry = workloads.find(name))
+            probe(name, *entry, workloadErrorOf);
+    // 40 prefetcher bounds (the three Pythia entries' four each
+    // included) and 29 workload-family bounds.
+    EXPECT_EQ(probed, 69u);
 }
 
 TEST(SpecRoundTrip, IllTypedValueNamesOwnerAndKey)

@@ -128,7 +128,8 @@ TEST(WorkloadRegistry, RawSpecMatchesDirectConstruction)
     GenParams p;
     p.mem_ratio = 0.15;
     p.dep_ratio = 0.45;
-    SpatialRegionGen direct("x", seed, p, 6, 0.35);
+    SpatialRegionGen direct("x", seed,
+                            {.gen = p, .patterns = 6, .density = 0.35});
     expectSameStream(*via_spec, direct, 500, "spec vs direct");
 }
 
@@ -243,6 +244,24 @@ TEST(WorkloadRegistry, IllTypedAndOutOfRangeParametersAreRejected)
                  std::invalid_argument);
     EXPECT_THROW(makeWorkload("graph:degree=0"),
                  std::invalid_argument);
+}
+
+TEST(WorkloadRegistry, NonFiniteNumbersAreRejected)
+{
+    // NaN fails every range comparison: without the typed refusal,
+    // mem_ratio=nan would build a generator with unbounded gaps.
+    for (const std::string spec :
+         {"stream:mem_ratio=nan", "spatial:density=nan",
+          "graph:irregularity=inf"}) {
+        try {
+            (void)makeWorkload(spec);
+            ADD_FAILURE() << spec << " was accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("expects a number"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(WorkloadRegistry, FootprintBelongsToTheFamiliesThatReadIt)

@@ -92,7 +92,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(StreamGen, SingleStreamIsStrictlySequential)
 {
-    StreamGen g("s", 1, testParams(), 1);
+    StreamGen g("s", 1, {.gen = testParams(), .streams = 1});
     Addr prev = g.next().addr;
     for (int i = 0; i < 200; ++i) {
         const Addr cur = g.next().addr;
@@ -103,7 +103,7 @@ TEST(StreamGen, SingleStreamIsStrictlySequential)
 
 TEST(StreamGen, EachStreamHasDistinctPc)
 {
-    StreamGen g("s", 2, testParams(), 4);
+    StreamGen g("s", 2, {.gen = testParams(), .streams = 4});
     std::set<Addr> pcs;
     for (int i = 0; i < 500; ++i)
         pcs.insert(g.next().pc);
@@ -112,7 +112,7 @@ TEST(StreamGen, EachStreamHasDistinctPc)
 
 TEST(StrideGen, PerPcStrideIsConstant)
 {
-    StrideGen g("s", 3, testParams(), {5});
+    StrideGen g("s", 3, {.gen = testParams(), .strides = {5}});
     Addr prev = g.next().addr;
     for (int i = 0; i < 200; ++i) {
         const Addr cur = g.next().addr;
@@ -125,7 +125,11 @@ TEST(SpatialRegionGen, FootprintRecursForSamePc)
 {
     // Collect per-PC footprints over many regions: a PC must always touch
     // the same page-relative offsets (this is what Bingo/SMS learn).
-    SpatialRegionGen g("s", 4, testParams(), 4, 0.3, 1);
+    SpatialRegionGen g("s", 4,
+                       {.gen = testParams(),
+                        .patterns = 4,
+                        .density = 0.3,
+                        .concurrency = 1});
     std::map<Addr, std::set<std::uint32_t>> per_page_offsets;
     std::map<Addr, Addr> page_pc;
     for (int i = 0; i < 5000; ++i) {
@@ -154,7 +158,7 @@ TEST(SpatialRegionGen, FootprintRecursForSamePc)
 
 TEST(DeltaChainGen, DeltasFollowThePattern)
 {
-    DeltaChainGen g("d", 5, testParams(), {1, 2, 1, 3});
+    DeltaChainGen g("d", 5, {.gen = testParams(), .deltas = {1, 2, 1, 3}});
     TraceRecord prev = g.next();
     int pattern_hits = 0, in_page = 0;
     for (int i = 0; i < 1000; ++i) {
@@ -175,7 +179,7 @@ TEST(IrregularGen, ChaseLoadsAreDependentAndSpread)
 {
     GenParams p = testParams();
     p.footprint_bytes = 8ull << 20;
-    IrregularGen g("i", 6, p, 0.0);
+    IrregularGen g("i", 6, {.gen = p, .stride_fraction = 0.0});
     std::set<Addr> pages;
     for (int i = 0; i < 2000; ++i) {
         const TraceRecord r = g.next();
@@ -187,7 +191,7 @@ TEST(IrregularGen, ChaseLoadsAreDependentAndSpread)
 
 TEST(GraphGen, MixesSequentialAndDependentAccesses)
 {
-    GraphGen g("g", 7, testParams(), 8, 0.8);
+    GraphGen g("g", 7, {.gen = testParams(), .degree = 8, .irregularity = 0.8});
     int dependent = 0, total = 2000;
     std::set<Addr> pcs;
     for (int i = 0; i < total; ++i) {
@@ -201,7 +205,7 @@ TEST(GraphGen, MixesSequentialAndDependentAccesses)
 
 TEST(CaseStudyGen, CompanionOffsetsAre23And11)
 {
-    CaseStudyGen g("c", 8, testParams());
+    CaseStudyGen g("c", 8, {.gen = testParams()});
     for (int i = 0; i < 100; ++i) {
         const TraceRecord trig = g.next();
         const TraceRecord comp = g.next();
@@ -219,7 +223,7 @@ TEST(CaseStudyGen, CompanionOffsetsAre23And11)
 
 TEST(CaseStudyGen, TriggerIsAlwaysPageFirstAccess)
 {
-    CaseStudyGen g("c", 9, testParams());
+    CaseStudyGen g("c", 9, {.gen = testParams()});
     for (int i = 0; i < 50; ++i) {
         const TraceRecord trig = g.next();
         EXPECT_EQ(pageOffset(trig.addr), 0u);
@@ -230,10 +234,11 @@ TEST(CaseStudyGen, TriggerIsAlwaysPageFirstAccess)
 TEST(MixedPhaseGen, RotatesThroughChildren)
 {
     std::vector<std::unique_ptr<Workload>> kids;
-    kids.push_back(std::make_unique<StreamGen>("a", 1, testParams(), 1));
+    kids.push_back(std::make_unique<StreamGen>(
+        "a", 1, StreamGen::Config{.gen = testParams(), .streams = 1}));
     kids.push_back(std::make_unique<StrideGen>(
-        "b", 2, testParams(), std::vector<std::int32_t>{7}));
-    MixedPhaseGen g("m", 3, std::move(kids), 10);
+        "b", 2, StrideGen::Config{.gen = testParams(), .strides = {7}}));
+    MixedPhaseGen g("m", 3, std::move(kids), std::vector<std::size_t>{10, 10});
     std::set<Addr> pcs;
     for (int i = 0; i < 40; ++i)
         pcs.insert(g.next().pc);
@@ -244,7 +249,7 @@ TEST(GenBase, GapRespectsMemRatio)
 {
     GenParams p;
     p.mem_ratio = 0.25; // expect ~3 non-memory instrs per access
-    StreamGen g("s", 10, p, 1);
+    StreamGen g("s", 10, {.gen = p, .streams = 1});
     double total_gap = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
@@ -256,7 +261,7 @@ TEST(GenBase, WriteRatioRespected)
 {
     GenParams p;
     p.write_ratio = 0.2;
-    StreamGen g("s", 11, p, 1);
+    StreamGen g("s", 11, {.gen = p, .streams = 1});
     int writes = 0;
     const int n = 20000;
     for (int i = 0; i < n; ++i)
